@@ -36,6 +36,9 @@ from .components import (
     ComponentSpec,
     Kind,
     MixtureModel,
+    _log_mixture_interval,
+    _log_mixture_matrix,
+    dof,
 )
 from .errors import (
     BracketError,
@@ -110,6 +113,14 @@ class Responsibilities:
 
 @dataclass
 class FitResult:
+    """Outcome of one EM run.
+
+    final_responsibilities belong to `model` and come from the fit
+    loop's last E-step pass, expanded from the unique exact values back
+    to every observation; they are None when an exact observation's
+    mixture density underflows under `model`.
+    """
+
     model: MixtureModel
     loglik_trace: np.ndarray
     iterations: int
@@ -129,7 +140,11 @@ class FitResult:
 #
 # All M-step math runs on (values, weights) pairs so the fit loop can
 # collapse duplicated observations (integer-rounded data compresses a
-# lot) without changing any result.
+# lot) without changing any result.  Each model visited by the fit loop
+# gets exactly one E-step pass over the collapsed sample (_ws_e_pass),
+# which yields its log-likelihood, z and z_tilde together.  The public
+# uncompressed e_step shares the row and interval kernels of that pass;
+# the fit loop itself no longer calls it.
 # ---------------------------------------------------------------------------
 
 
@@ -488,40 +503,48 @@ def e_step(m: MixtureModel, s: CensoredSample) -> Responsibilities:
     for every component gets a uniform row and a warning.
     """
     x = np.asarray(s.uncensored, dtype=float)
-    z, bad = _responsibility_rows(_log_weighted_matrix(m, x))
+    _, z, bad = _row_pass(_log_weighted_matrix(m, x))
     if bad is not None:
         raise ResponsibilityUnderflowError(
             f"mixture density underflows at observation index {bad}", index=bad
         )
-    zt = _interval_responsibilities(m, s.intervals)
+    zt, _ = _interval_pass(m, s.intervals)
     return Responsibilities(z=z, z_tilde=zt)
 
 
 def _log_weighted_matrix(m: MixtureModel, x: np.ndarray) -> np.ndarray:
-    from .components import _log_mixture_matrix
-
     if x.size == 0:
         return np.empty((0, m.m))
     return _log_mixture_matrix(m, x)
 
 
-def _responsibility_rows(logw: np.ndarray) -> tuple[np.ndarray, int | None]:
+def _row_pass(
+    logw: np.ndarray,
+) -> tuple[np.ndarray | None, np.ndarray | None, int | None]:
+    """Row log-sum-exp and responsibilities from one exp(logw - row max).
+
+    Returns (log mixture density per row, z, None), or (None, None, j)
+    when row j is the first whose mixture density underflows entirely.
+    """
     if logw.shape[0] == 0:
-        return np.empty(logw.shape), None
+        return np.empty(0), np.empty(logw.shape), None
     mx = logw.max(axis=1, keepdims=True)
     dead = ~np.isfinite(mx[:, 0])
     if np.any(dead):
-        return logw, int(np.argmax(dead))
+        return None, None, int(np.argmax(dead))
     p = np.exp(logw - mx)
-    return p / p.sum(axis=1, keepdims=True), None
+    rowsum = p.sum(axis=1, keepdims=True)
+    return mx[:, 0] + np.log(rowsum[:, 0]), p / rowsum, None
 
 
-def _interval_responsibilities(
+def _interval_pass(
     m: MixtureModel, intervals: Sequence[CensoringInterval]
-) -> np.ndarray:
-    from .components import _log_mixture_interval
-
+) -> tuple[np.ndarray, list[float]]:
+    """z_tilde rows and log mixture masses, one _log_mixture_interval per
+    interval.  An interval whose mass underflows for every component gets
+    a uniform row, a warning and log mass -inf."""
     rows = []
+    log_mass = []
     for iv in intervals:
         lw = _log_mixture_interval(m, iv)
         mx = lw.max()
@@ -529,10 +552,14 @@ def _interval_responsibilities(
             log.warning("interval [%s, %s) mass underflows for every component; "
                         "using a uniform responsibility row", iv.lo, iv.hi)
             rows.append(np.full(m.m, 1.0 / m.m))
+            log_mass.append(-math.inf)
             continue
         p = np.exp(lw - mx)
-        rows.append(p / p.sum())
-    return np.array(rows) if rows else np.empty((0, m.m))
+        psum = p.sum()
+        rows.append(p / psum)
+        log_mass.append(float(mx + np.log(psum)))
+    zt = np.array(rows) if rows else np.empty((0, m.m))
+    return zt, log_mass
 
 
 def update_weights(r: Responsibilities, s: CensoredSample) -> np.ndarray:
@@ -828,23 +855,28 @@ def _ws_log_matrix(ws: _Workspace, model: MixtureModel) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _ws_loglik(ws: _Workspace, model: MixtureModel, logmat: np.ndarray) -> float:
-    from .components import _log_mixture_interval, _logsumexp
+def _ws_e_pass(
+    ws: _Workspace, model: MixtureModel
+) -> tuple[float, np.ndarray | None, np.ndarray | None, int | None]:
+    """One E-step pass of `model` over the workspace.
 
+    Returns (log-likelihood, z over the unique values, z_tilde, None),
+    or (-inf, None, None, j) when the mixture density of unique value j
+    underflows.  The log matrix, its row max and exp(logmat - max) serve
+    both the log-likelihood and z; each interval's log masses serve both
+    its log-likelihood term and its z_tilde row.
+    """
+    rows, z, bad = _row_pass(_ws_log_matrix(ws, model))
+    if bad is not None:
+        return -math.inf, None, None, bad
     total = 0.0
     if ws.values.size:
-        rows = _logsumexp(logmat, axis=1)
-        if not np.all(np.isfinite(rows)):
-            return -math.inf
         total += float(ws.counts @ rows)
-    for iv in ws.intervals:
-        if iv.count == 0:
-            continue
-        lp = _logsumexp(_log_mixture_interval(model, iv))
-        if not math.isfinite(lp):
-            return -math.inf
-        total += iv.count * lp
-    return total
+    zt, log_mass = _interval_pass(model, ws.intervals)
+    for iv, lp in zip(ws.intervals, log_mass):
+        if iv.count:
+            total += iv.count * lp
+    return total, z, zt, None
 
 
 def fit(
@@ -861,11 +893,9 @@ def fit(
     are surfaced on the result with the last valid state rather than
     raised.
     """
-    from .components import dof as dof_fn
-
     cfg = config or EmConfig()
     p, r = int(model_shape[0]), int(model_shape[1])
-    d = dof_fn(p, r)
+    d = dof(p, r)
     if s.total < d + 1:
         raise DomainError(
             f"sample of size {s.total} cannot support a shape with {d} free parameters"
@@ -877,35 +907,37 @@ def fit(
     model = default_init(s, p, r, cfg.init)
     ws = _workspace(s)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _fit_loop(s, ws, model, cfg, warnings=[])
+        return _fit_loop(ws, model, cfg, warnings=[])
 
 
 def _fit_loop(
-    s: CensoredSample,
     ws: _Workspace,
     model: MixtureModel,
     cfg: EmConfig,
     warnings: list[str],
 ) -> FitResult:
+    """EM iterations on the collapsed sample.
+
+    Every model gets one _ws_e_pass: its log-likelihood feeds the trace
+    and the stopping test, and its z and z_tilde feed the next M-step.
+    The last pass also gives final_responsibilities, as z[ws.inverse].
+    """
     degenerate = False
     error: str | None = None
 
-    logmat = _ws_log_matrix(ws, model)
-    ll_prev = _ws_loglik(ws, model, logmat)
+    ll_prev, z, zt, bad = _ws_e_pass(ws, model)
     trace = [ll_prev]
     converged = False
     iterations = 0
 
     for _ in range(cfg.max_iter):
         try:
-            z, bad = _responsibility_rows(logmat)
             if bad is not None:
                 raise ResponsibilityUnderflowError(
                     "mixture density underflows at observation value "
                     f"{ws.values[bad]!r}",
-                    index=int(np.argmax(ws.inverse == bad)) if ws.inverse.size else bad,
+                    index=int(np.argmax(ws.inverse == bad)),
                 )
-            zt = _interval_responsibilities(model, ws.intervals)
             weights = _weights_from(z, zt, ws)
             floor_hits = [i for i, wt in enumerate(weights) if wt < cfg.weight_floor]
             if floor_hits and not degenerate:
@@ -930,8 +962,7 @@ def _fit_loop(
             warnings.append(f"stopped at iteration {iterations + 1}: {error}")
             break
         iterations += 1
-        logmat = _ws_log_matrix(ws, model)
-        ll = _ws_loglik(ws, model, logmat)
+        ll, z, zt, bad = _ws_e_pass(ws, model)
         trace.append(ll)
         if not math.isfinite(ll):
             degenerate = True
@@ -944,17 +975,14 @@ def _fit_loop(
             break
         ll_prev = ll
 
-    final_resp = None
-    try:
-        final_resp = e_step(model, s)
-    except (ResponsibilityUnderflowError, DomainError):
-        pass
     return FitResult(
         model=model,
         loglik_trace=np.asarray(trace, dtype=float),
         iterations=iterations,
         converged=converged,
-        final_responsibilities=final_resp,
+        final_responsibilities=(
+            None if bad is not None else Responsibilities(z[ws.inverse], zt)
+        ),
         degenerate=degenerate,
         warnings=warnings,
         error=error,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -199,17 +199,7 @@ def _warm_config(base: EmConfig, res: FitResult) -> EmConfig:
         alphas=tuple(c.alpha for c in m.components),
         betas=tuple(c.beta for c in m.components),
     )
-    return EmConfig(
-        epsilon=base.epsilon,
-        max_iter=base.max_iter,
-        m_step_variant=base.m_step_variant,
-        weight_floor=base.weight_floor,
-        beta_bracket=base.beta_bracket,
-        root_tol=base.root_tol,
-        init=init,
-        direct_sweeps=base.direct_sweeps,
-        direct_xtol=base.direct_xtol,
-    )
+    return replace(base, init=init)
 
 
 def run_selection(

@@ -32,7 +32,12 @@ from censem.em_core import (
     m_step_weibull_beta,
     truncated_mean_exp,
     _wbl_shape_equation,
+    _interval_pass,
+    _row_pass,
+    _workspace,
+    _ws_log_matrix,
 )
+from censem.components import _log_mixture_interval, _logsumexp
 from censem.errors import BracketError, DomainError, ResponsibilityUnderflowError
 from censem.rootfind import golden_max
 from censem.sample_data import CensoredSample, build_sample, generate_synthetic
@@ -567,6 +572,95 @@ def test_fit_all_censored_flags_degenerate():
     s = CensoredSample(np.empty(0), [CensoringInterval(0.0, 0.5, 50)])
     res = fit(s, (1, 0), EmConfig(max_iter=50))
     assert res.degenerate or not res.converged
+
+
+# --- fit: one E-step pass per model ------------------------------------------------------
+
+
+def two_pass_loglik(m: MixtureModel, s: CensoredSample) -> float:
+    """Workspace log-likelihood by the separate two-pass formula: a
+    log-sum-exp over the unique-value log matrix weighted by
+    multiplicity, then the count-weighted interval terms in order."""
+    ws = _workspace(s)
+    total = 0.0
+    if ws.values.size:
+        rows = _logsumexp(_ws_log_matrix(ws, m), axis=1)
+        if not np.all(np.isfinite(rows)):
+            return -math.inf
+        total += float(ws.counts @ rows)
+    for iv in ws.intervals:
+        if iv.count == 0:
+            continue
+        lp = _logsumexp(_log_mixture_interval(m, iv))
+        if not math.isfinite(lp):
+            return -math.inf
+        total += iv.count * lp
+    return total
+
+
+CENSOR_SPECS = {
+    "default": None,
+    "two-with-empty": [CensoringInterval(0.0, 0.5), CensoringInterval(0.5, 0.75)],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CENSOR_SPECS))
+@pytest.mark.parametrize("n", [200, 10_000])
+@pytest.mark.parametrize("shape", [(1, 1), (0, 2), (3, 0), (2, 1)])
+def test_fit_single_pass_matches_e_step_and_two_pass_loglik(reference_mixture, shape, n, spec):
+    s = build_sample(generate_synthetic(reference_mixture, n, rng_seed=101), CENSOR_SPECS[spec])
+    if spec == "two-with-empty":
+        assert [iv.count for iv in s.intervals][1] == 0
+    res = fit(s, shape)
+    ref = e_step(res.model, s)
+    assert np.array_equal(res.final_responsibilities.z, ref.z)
+    assert np.array_equal(res.final_responsibilities.z_tilde, ref.z_tilde)
+    assert res.loglik == two_pass_loglik(res.model, s)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (0, 2), (3, 0), (2, 1)])
+def test_pass_kernels_match_logsumexp_bitwise(reference_mixture, shape):
+    """Each row's and each interval's log mixture mass equals the
+    components._logsumexp value exactly, not just to rounding: the
+    loglik total alone would absorb a last-ulp change in one term."""
+    s = build_sample(
+        generate_synthetic(reference_mixture, 2000, rng_seed=103),
+        [CensoringInterval(0.0, 0.5), CensoringInterval(0.5, 0.75), CensoringInterval(40.5, 60.5)],
+    )
+    model = fit(s, shape, EmConfig(max_iter=5)).model
+    ws = _workspace(s)
+    logmat = _ws_log_matrix(ws, model)
+    rows, _, bad = _row_pass(logmat)
+    assert bad is None
+    assert np.array_equal(rows, _logsumexp(logmat, axis=1))
+    _, log_mass = _interval_pass(model, ws.intervals)
+    assert log_mass == [_logsumexp(_log_mixture_interval(model, iv)) for iv in ws.intervals]
+
+
+def test_fit_exact_row_underflow_ends_degenerate_without_responsibilities():
+    s = CensoredSample(np.array([1.0, 2.0, 5.0, 1e300]), [])
+    res = fit(s, (0, 1), EmConfig(init=InitSpec(alphas=(1.0,), betas=(2.0,))))
+    assert res.degenerate and not res.converged
+    assert res.iterations == 0
+    assert res.final_responsibilities is None
+    assert res.loglik == -math.inf
+    assert res.error.startswith("ResponsibilityUnderflowError")
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_fit_interval_underflow_falls_back_to_uniform_row(caplog, count):
+    truth = MixtureModel([0.5, 0.5], [ComponentSpec.exponential(0.05), ComponentSpec.exponential(0.3)])
+    s = CensoredSample(sample(truth, 300, rng_seed=7), [CensoringInterval(1e308, math.inf, count)])
+    with caplog.at_level("WARNING"):
+        res = fit(s, (2, 0))
+    assert any("underflow" in rec.message for rec in caplog.records)
+    assert np.array_equal(res.final_responsibilities.z_tilde, np.full((1, 2), 0.5))
+    assert res.loglik == two_pass_loglik(res.model, s)
+    if count:
+        assert res.degenerate and res.error == "log-likelihood became non-finite"
+        assert res.loglik == -math.inf
+    else:
+        assert res.converged and not res.degenerate
 
 
 def test_config_validation():

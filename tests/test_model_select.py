@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from censem import ComponentSpec, MixtureModel, censored_log_likelihood, fit
+from censem.em_core import EmConfig, MStepVariant
 from censem.errors import DomainError
 from censem.model_select import (
     ModelShape,
+    _warm_config,
     avg_loglik,
     bic,
     profile_intraday,
@@ -186,6 +189,20 @@ def test_selection_tally_sums_to_one(reference_mixture):
     rep = run_selection(diffs, shapes, n_boot=4, subsample_size=120, days=3, rng_seed=6)
     assert sum(rep.winner_tally.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(v >= 0 for v in rep.winner_tally.values())
+
+
+def test_warm_config_keeps_every_base_setting(reference_mixture):
+    base = EmConfig(epsilon=1e-7, max_iter=77, m_step_variant=MStepVariant.DIRECT_OBJECTIVE,
+                    weight_floor=1e-6, beta_bracket=(0.1, 10.0), root_tol=1e-9,
+                    direct_sweeps=3, direct_xtol=1e-7)
+    res = fit(build_sample(generate_synthetic(reference_mixture, 300, rng_seed=20)), (1, 1))
+    warm = _warm_config(base, res)
+    for f in dataclasses.fields(EmConfig):
+        if f.name != "init":
+            assert getattr(warm, f.name) == getattr(base, f.name), f.name
+    assert warm.init.alphas == tuple(c.alpha for c in res.model.components)
+    assert warm.init.betas == tuple(c.beta for c in res.model.components)
+    assert warm.init.weights == tuple(float(w) for w in res.model.weights)
 
 
 def test_selection_requires_enough_data(reference_mixture):
