@@ -19,6 +19,14 @@ Censored-term bookkeeping uses the unit-exponential transform
 u = (y/alpha)^beta, under which an interval [lo, hi) maps to
 [zeta_lo, zeta_hi) and every censored expectation becomes an
 incomplete-gamma expression.
+
+`fit` runs one sample.  `fit_batch` runs the mle variant for many
+samples at once: their collapsed samples are padded into shared arrays,
+every iteration is one array E-step, one array weight and scale update
+and one array shape root solve, and a member leaves the arrays when it
+converges, reaches max_iter or fails.  The scalar `fit` is its oracle:
+a member stops at the same iteration, with the same flags and named
+error, and its numbers differ from fit's only by rounding.
 """
 
 from __future__ import annotations
@@ -47,14 +55,18 @@ from .errors import (
     NonConvergenceError,
     ResponsibilityUnderflowError,
 )
-from .rootfind import golden_max, solve_bracketed
+from .rootfind import golden_max, solve_bracketed, solve_bracketed_array
 from .sample_data import CensoredSample
 from .special_fn import (
     EULER_GAMMA,
     d_series,
+    d_series1_array,
+    e1_array,
     gamma_complete,
     gamma_lower,
+    gamma_lower2_array,
     gamma_upper,
+    gamma_upper2_array,
 )
 
 log = logging.getLogger(__name__)
@@ -508,7 +520,10 @@ def e_step(m: MixtureModel, s: CensoredSample) -> Responsibilities:
         raise ResponsibilityUnderflowError(
             f"mixture density underflows at observation index {bad}", index=bad
         )
-    zt, _ = _interval_pass(m, s.intervals)
+    zt, log_mass = _interval_pass(m, s.intervals)
+    for iv, lp in zip(s.intervals, log_mass):
+        if lp == -math.inf:
+            _warn_underflow(iv)
     return Responsibilities(z=z, z_tilde=zt)
 
 
@@ -542,15 +557,13 @@ def _interval_pass(
 ) -> tuple[np.ndarray, list[float]]:
     """z_tilde rows and log mixture masses, one _log_mixture_interval per
     interval.  An interval whose mass underflows for every component gets
-    a uniform row, a warning and log mass -inf."""
+    a uniform row and log mass -inf; the caller warns about it."""
     rows = []
     log_mass = []
     for iv in intervals:
         lw = _log_mixture_interval(m, iv)
         mx = lw.max()
         if not math.isfinite(mx):
-            log.warning("interval [%s, %s) mass underflows for every component; "
-                        "using a uniform responsibility row", iv.lo, iv.hi)
             rows.append(np.full(m.m, 1.0 / m.m))
             log_mass.append(-math.inf)
             continue
@@ -560,6 +573,19 @@ def _interval_pass(
         log_mass.append(float(mx + np.log(psum)))
     zt = np.array(rows) if rows else np.empty((0, m.m))
     return zt, log_mass
+
+
+_UNDERFLOW_MSG = (
+    "interval [%s, %s) mass underflows for every component; using a uniform responsibility row"
+)
+
+
+def _warn_underflow(iv: CensoringInterval, warnings: list[str] | None = None) -> None:
+    """Log the uniform-row fallback for `iv`; also record it on a fit's
+    warnings when given them."""
+    log.warning(_UNDERFLOW_MSG, iv.lo, iv.hi)
+    if warnings is not None:
+        warnings.append(_UNDERFLOW_MSG % (iv.lo, iv.hi))
 
 
 def update_weights(r: Responsibilities, s: CensoredSample) -> np.ndarray:
@@ -857,26 +883,30 @@ def _ws_log_matrix(ws: _Workspace, model: MixtureModel) -> np.ndarray:
 
 def _ws_e_pass(
     ws: _Workspace, model: MixtureModel
-) -> tuple[float, np.ndarray | None, np.ndarray | None, int | None]:
+) -> tuple[float, np.ndarray | None, np.ndarray | None, int | None, list[int]]:
     """One E-step pass of `model` over the workspace.
 
-    Returns (log-likelihood, z over the unique values, z_tilde, None),
-    or (-inf, None, None, j) when the mixture density of unique value j
-    underflows.  The log matrix, its row max and exp(logmat - max) serve
-    both the log-likelihood and z; each interval's log masses serve both
-    its log-likelihood term and its z_tilde row.
+    Returns (log-likelihood, z over the unique values, z_tilde, None,
+    indices of the intervals whose mass underflowed), or (-inf, None,
+    None, j, []) when the mixture density of unique value j underflows.
+    The log matrix, its row max and exp(logmat - max) serve both the
+    log-likelihood and z; each interval's log masses serve both its
+    log-likelihood term and its z_tilde row.
     """
     rows, z, bad = _row_pass(_ws_log_matrix(ws, model))
     if bad is not None:
-        return -math.inf, None, None, bad
+        return -math.inf, None, None, bad, []
     total = 0.0
     if ws.values.size:
         total += float(ws.counts @ rows)
     zt, log_mass = _interval_pass(model, ws.intervals)
-    for iv, lp in zip(ws.intervals, log_mass):
+    dead = []
+    for k, (iv, lp) in enumerate(zip(ws.intervals, log_mass)):
+        if lp == -math.inf:
+            dead.append(k)
         if iv.count:
             total += iv.count * lp
-    return total, z, zt, None
+    return total, z, zt, None, dead
 
 
 def fit(
@@ -921,11 +951,21 @@ def _fit_loop(
     Every model gets one _ws_e_pass: its log-likelihood feeds the trace
     and the stopping test, and its z and z_tilde feed the next M-step.
     The last pass also gives final_responsibilities, as z[ws.inverse].
+    An interval whose mass underflows is logged and added to warnings
+    once per fit, not once per pass.
     """
     degenerate = False
     error: str | None = None
+    warned: set[int] = set()
 
-    ll_prev, z, zt, bad = _ws_e_pass(ws, model)
+    def note_underflow(dead: list[int]) -> None:
+        for k in dead:
+            if k not in warned:
+                warned.add(k)
+                _warn_underflow(ws.intervals[k], warnings)
+
+    ll_prev, z, zt, bad, dead = _ws_e_pass(ws, model)
+    note_underflow(dead)
     trace = [ll_prev]
     converged = False
     iterations = 0
@@ -956,13 +996,15 @@ def _fit_loop(
             BracketError,
             ResponsibilityUnderflowError,
             NonConvergenceError,
+            OverflowError,
         ) as exc:
             degenerate = True
             error = f"{type(exc).__name__}: {exc}"
             warnings.append(f"stopped at iteration {iterations + 1}: {error}")
             break
         iterations += 1
-        ll, z, zt, bad = _ws_e_pass(ws, model)
+        ll, z, zt, bad, dead = _ws_e_pass(ws, model)
+        note_underflow(dead)
         trace.append(ll)
         if not math.isfinite(ll):
             degenerate = True
@@ -1049,3 +1091,577 @@ def _direct_m_step_ws(
             )
         )
     return comps
+
+
+# ---------------------------------------------------------------------------
+# batched fit loop (mle variant)
+#
+# fit_batch runs the scalar loop's arithmetic for many samples at once on
+# padded arrays: exact values as (B, U), intervals as (B, L) and the
+# parameters, z and z_tilde with the component axis first, as (M, B),
+# (M, B, U) and (M, B, L).  All members advance in lockstep, so they share
+# one iteration counter; a member leaves the arrays when it stops.
+# ---------------------------------------------------------------------------
+
+# Failure points inside one component's M-step, in the order the scalar
+# code reaches them.  A member reports the failure with the lowest
+# (component, stage) key, which is the exception the scalar loop raises.
+(_ST_ZETA, _ST_POW, _ST_MASS, _ST_ALPHA, _ST_SERIES, _ST_BRACKET, _ST_SPEC) = range(7)
+_STAGES = 7
+
+# d_series(1, z) takes the array kernel on this range, where it agrees
+# with the scalar series to 1e-12.  Outside it each element runs the
+# scalar series, so a batched member keeps the scalar value, and the
+# scalar NonConvergenceError or DomainError, where the series is poor.
+_D1_FAST = (1e-150, 4.0)
+
+
+class _Failures:
+    """First failure per member: its (component, stage) key and exception."""
+
+    def __init__(self, n: int):
+        self.key = np.full(n, np.iinfo(np.int64).max)
+        self.exc: dict[int, Exception] = {}
+
+    def add(self, mask: np.ndarray, key: int, make: Callable[[int], Exception]) -> None:
+        if not mask.any():
+            return
+        for k in np.flatnonzero(mask & (self.key > key)):
+            self.key[k] = key
+            self.exc[int(k)] = make(int(k))
+
+    def before(self, key: int) -> np.ndarray:
+        """Members with no failure ranked ahead of `key`."""
+        return self.key > key
+
+
+class _Batch:
+    """Working arrays of the members still iterating, and their last E-step
+    pass (ll, z, zt, bad).  ids maps each row back to its member.
+
+    Padding rows repeat the member's first exact value with count 0, and
+    padding intervals are [0, inf) with count 0, so every padded entry is
+    finite and drops out of each count-weighted sum; the underflow tests
+    mask it out explicitly.
+    """
+
+    _ROWS = ("ids", "vals", "logv", "cnt", "valid", "lo", "hi", "loglo", "loghi", "ccnt",
+             "ivalid", "total", "ll", "bad")
+    _COLUMNS = ("w", "alpha", "beta", "z", "zt")
+
+    def __init__(self, wss: list[_Workspace], models: list[MixtureModel], p: int):
+        b = len(wss)
+        u = max(ws.values.size for ws in wss)
+        nl = max(len(ws.intervals) for ws in wss)
+        self.p = p
+        self.ids = np.arange(b)
+        self.vals = np.ones((b, u))
+        self.cnt = np.zeros((b, u))
+        self.lo = np.zeros((b, nl))
+        self.hi = np.full((b, nl), math.inf)
+        self.ccnt = np.zeros((b, nl))
+        self.ivalid = np.zeros((b, nl), dtype=bool)
+        for j, ws in enumerate(wss):
+            k = ws.values.size
+            if k:
+                self.vals[j] = ws.values[0]
+                self.vals[j, :k] = ws.values
+                self.cnt[j, :k] = ws.counts
+            for l, iv in enumerate(ws.intervals):
+                self.lo[j, l], self.hi[j, l] = iv.lo, iv.hi
+            self.ccnt[j, : ws.cens_counts.size] = ws.cens_counts
+            self.ivalid[j, : ws.cens_counts.size] = True
+        self.logv = np.log(self.vals)
+        self.loglo, self.loghi = np.log(self.lo), np.log(self.hi)
+        self.valid = self.cnt > 0.0
+        self.total = np.array([ws.total for ws in wss])
+        self.w = np.array([m.weights for m in models]).T
+        self.alpha = np.array([[c.alpha for c in m.components] for m in models]).T
+        self.beta = np.array([[c.beta for c in m.components] for m in models]).T
+
+    def take(self, keep: np.ndarray) -> None:
+        for name in self._ROWS:
+            setattr(self, name, getattr(self, name)[keep])
+        for name in self._COLUMNS:
+            setattr(self, name, getattr(self, name)[:, keep])
+
+    def model(self, pos: int) -> MixtureModel:
+        comps = [
+            ComponentSpec.exponential(a) if i < self.p else ComponentSpec.weibull(a, bt)
+            for i, (a, bt) in enumerate(zip(self.alpha[:, pos], self.beta[:, pos]))
+        ]
+        return MixtureModel(self.w[:, pos].copy(), comps)
+
+    # -- E-step ---------------------------------------------------------------
+
+    def e_pass(self) -> np.ndarray:
+        """_ws_e_pass for every member: sets ll (B,), z (M, B, U), zt
+        (M, B, L) and bad, the first underflowing exact row per member
+        (-1 for none), and returns the underflowing intervals (B, L)."""
+        self.z = self.zt = None  # the last pass is spent; free it for this one
+        logw = np.log(self.w)
+        logmat = np.empty((self.w.shape[0],) + self.vals.shape)
+        for i, (a, bt) in enumerate(zip(self.alpha, self.beta)):
+            la = np.log(a)[:, None]
+            # components.log_pdf takes the exponential form whenever
+            # beta == 1, as a cold-started Weibull component has it.
+            exp_rows = slice(None) if i < self.p else bt == 1.0
+            if i >= self.p:
+                # logw + ((log(beta) - la) + (beta - 1) rel - exp(beta rel)),
+                # built in place
+                rel = self.logv - la
+                col = np.exp(np.multiply(bt[:, None], rel, out=logmat[i]), out=logmat[i])
+                rel *= (bt - 1.0)[:, None]
+                rel += np.log(bt)[:, None] - la
+                np.subtract(rel, col, out=col)
+                col += logw[i][:, None]
+                if not exp_rows.any():
+                    continue
+            logmat[i, exp_rows] = logw[i, exp_rows][:, None] + (
+                -la[exp_rows] - self.vals[exp_rows] / a[exp_rows, None]
+            )
+        mx = logmat.max(axis=0)
+        dead = ~np.isfinite(mx) & self.valid
+        self.bad = np.where(dead.any(axis=1), dead.argmax(axis=1) if dead.size else 0, -1)
+        pz = np.exp(np.subtract(logmat, mx, out=logmat), out=logmat)
+        rowsum = pz.sum(axis=0)
+        ll = (self.cnt * (mx + np.log(rowsum))).sum(axis=1)
+        self.z = np.divide(pz, rowsum, out=pz)
+
+        lip = np.empty((self.w.shape[0],) + self.lo.shape)
+        for i, (a, bt) in enumerate(zip(self.alpha, self.beta)):
+            if i < self.p:
+                u, v = self.lo / a[:, None], self.hi / a[:, None]
+            else:
+                la, btc = np.log(a)[:, None], bt[:, None]
+                u = np.exp(btc * (self.loglo - la))
+                v = np.exp(btc * (self.loghi - la))
+                one = bt == 1.0
+                if one.any():
+                    u[one], v[one] = self.lo[one] / a[one, None], self.hi[one] / a[one, None]
+            tail = -np.expm1(u - v)
+            lip[i] = np.where(tail <= 0.0, -math.inf, -u + np.log(tail))
+        lw = logw[:, :, None] + lip
+        imx = lw.max(axis=0)
+        idead = ~np.isfinite(imx) & self.ivalid
+        pt = np.exp(lw - imx)
+        psum = pt.sum(axis=0)
+        self.zt = np.where(idead, 1.0 / lw.shape[0], pt / psum)
+        log_mass = np.where(idead, -math.inf, imx + np.log(psum))
+        for l in range(self.lo.shape[1]):
+            c = self.ccnt[:, l]
+            ll = ll + np.where(c > 0.0, c * log_mass[:, l], 0.0)
+        self.ll = np.where(self.bad >= 0, -math.inf, ll)
+        return idead
+
+    def weights_from_pass(self) -> np.ndarray:
+        acc = (self.cnt * self.z).sum(axis=2)
+        if self.ccnt.shape[1]:
+            acc = acc + (self.ccnt * self.zt).sum(axis=2)
+        w = acc / self.total
+        return w / w.sum(axis=0)
+
+    # -- M-step ---------------------------------------------------------------
+
+    def m_step(self, weights: np.ndarray, cfg: EmConfig):
+        """New (alphas, betas) from the last pass and each member's first
+        failure, following _mle_m_step_ws and the MixtureModel checks that
+        come after it."""
+        m_count, b = self.alpha.shape
+        fails = _Failures(b)
+        alpha = self.alpha.copy()
+        beta = self.beta.copy()
+        floor = cfg.weight_floor * self.total
+        # shape-score inputs, one row per (Weibull component, member)
+        n_wbl, u = m_count - self.p, self.vals.shape[1]
+        l_rel = np.empty((n_wbl, b, u))
+        wl = np.empty((n_wbl, b, u))
+        a_mass = np.empty((n_wbl, b))
+        b_const = np.empty((n_wbl, b))
+        for i in range(m_count):
+            key = i * _STAGES
+            w = self.cnt * self.z[i]
+            cw = self.ccnt * self.zt[i]
+            den = w.sum(axis=1) + cw.sum(axis=1)
+            a_prev, b_prev = self.alpha[i], self.beta[i]
+            if i < self.p:
+                means = _truncated_mean_exp_array(a_prev[:, None], self.lo, self.hi)
+                num = (w * self.vals).sum(axis=1) + _sum_l(cw * means)
+                lost = (den <= floor) | ~np.isfinite(num) | (num <= 0.0)
+                fails.add(lost, key + _ST_MASS, lambda k: DegenerateComponentError(
+                    f"exponential scale update lost its mass (den={float(den[k])})"))
+                alpha[i] = num / den
+                _check_spec(fails, key, alpha[i])
+                continue
+            la = np.log(a_prev)[:, None]
+            bt = b_prev[:, None]
+            z_lo, over_lo = _zeta_array(self.lo, self.loglo, la, bt)
+            z_hi, over_hi = _zeta_array(self.hi, self.loghi, la, bt)
+            fails.add((over_lo | over_hi).any(axis=1), key + _ST_ZETA,
+                      lambda k: OverflowError("math range error"))
+            mass = np.exp(-z_lo) * (-np.expm1(z_lo - z_hi))
+            ab = np.exp(b_prev * np.log(a_prev))
+            fails.add(np.isinf(ab), key + _ST_POW, lambda k: OverflowError("math range error"))
+            occupied = (cw > 0.0) & (mass > 0.0)
+            num = (w * np.exp(bt * self.logv)).sum(axis=1)
+            g = _gamma2_diff_array(z_lo, z_hi) / mass
+            num = num + _sum_l(np.where(occupied, cw * ab[:, None] * g, 0.0))
+            lost = (den <= floor) | ~np.isfinite(num) | (num <= 0.0)
+            fails.add(lost, key + _ST_MASS, lambda k: DegenerateComponentError(
+                f"Weibull scale update lost its mass (den={float(den[k])})"))
+            alpha_new = np.exp(np.log(num / den) / b_prev)
+            fails.add(np.isinf(alpha_new), key + _ST_ALPHA,
+                      lambda k: OverflowError("math range error"))
+            alpha[i] = alpha_new
+
+            # shape-score constants, for members that reach them
+            reach = occupied & fails.before(key + _ST_SERIES)[:, None]
+            bracket2 = _shape_bracket2_array(z_lo, z_hi, reach, fails, key + _ST_SERIES)
+            d_const = (_elog_numerator_array(z_lo, z_hi) - bracket2) / bt
+            k = i - self.p
+            np.subtract(self.logv, np.log(alpha_new)[:, None], out=l_rel[k])
+            np.multiply(w, l_rel[k], out=wl[k])
+            a_mass[k] = w.sum(axis=1)
+            b_const[k] = wl[k].sum(axis=1)
+            for l in range(self.lo.shape[1]):
+                occ = occupied[:, l]
+                a_mass[k] += np.where(occ, cw[:, l], 0.0)
+                b_const[k] += np.where(occ, cw[:, l] * d_const[:, l] / mass[:, l], 0.0)
+
+        if n_wbl:
+            self._solve_shapes(
+                l_rel.reshape(-1, u), wl.reshape(-1, u), a_mass.ravel(), b_const.ravel(),
+                fails, beta, cfg,
+            )
+        for i in range(self.p, m_count):
+            _check_spec(fails, i * _STAGES, alpha[i])
+        key = m_count * _STAGES
+        bad_w = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
+        fails.add(bad_w, key, lambda k: DomainError("weights must be finite and non-negative"))
+        wsum = weights.sum(axis=0)
+        fails.add(np.abs(wsum - 1.0) > 1e-12, key,
+                  lambda k: DomainError(f"weights must sum to 1, got {wsum[k]!r}"))
+        return alpha, beta, fails
+
+    def _solve_shapes(self, l_rel, wl, a_mass, b_const, fails: _Failures, beta, cfg: EmConfig):
+        """One array solve for the shape root of every (Weibull component,
+        member) row whose member got this far without a failure; row j is
+        component p + j // B of member j % B."""
+        b = self.alpha.shape[1]
+        comp = self.p + np.arange(a_mass.size) // b
+        member = np.arange(a_mass.size) % b
+        rows = np.flatnonzero(fails.key[member] > comp * _STAGES + _ST_SERIES)
+        if rows.size == 0:
+            return
+        if rows.size < a_mass.size:
+            l_rel, wl, a_mass, b_const = l_rel[rows], wl[rows], a_mass[rows], b_const[rows]
+            comp, member = comp[rows], member[rows]
+        n = rows.size
+        # The solvers call back with the same index array for several
+        # steps in a row, so the rows it selects are gathered once.
+        picked = [None, a_mass, b_const, wl, l_rel]
+
+        def score(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+            if idx is not picked[0]:
+                full = idx.size == n
+                picked[:] = [idx] + [v if full else v[idx] for v in (a_mass, b_const, wl, l_rel)]
+            _, am, bc, w, lr = picked
+            tail = np.multiply(x[:, None], lr)
+            np.exp(tail, out=tail)
+            return am / x + bc - np.multiply(tail, w, out=tail).sum(axis=1)
+
+        roots, ok, g_lo, g_hi = _solve_shape_array(
+            score, cfg.beta_bracket, self.beta[comp, member], cfg.root_tol
+        )
+        lo, hi = cfg.beta_bracket
+        for k in np.flatnonzero(~ok):
+            fails.add(np.arange(b) == member[k], int(comp[k]) * _STAGES + _ST_BRACKET,
+                      lambda _, k=k: BracketError(
+                          f"shape root not bracketed in [{lo}, {hi}]: "
+                          f"f(lo)={float(g_lo[k])}, f(hi)={float(g_hi[k])}",
+                          lo=lo, hi=hi, f_lo=float(g_lo[k]), f_hi=float(g_hi[k])))
+        beta[comp[ok], member[ok]] = roots[ok]
+
+
+def _sum_l(terms: np.ndarray) -> np.ndarray:
+    """Sum over the interval axis in interval order, as the scalar loops add."""
+    acc = np.zeros(terms.shape[0])
+    for l in range(terms.shape[1]):
+        acc = acc + terms[:, l]
+    return acc
+
+
+def _check_spec(fails: _Failures, key: int, alpha: np.ndarray) -> None:
+    """The ComponentSpec check on a new scale."""
+    bad = ~((alpha > 0.0) & np.isfinite(alpha))
+    fails.add(bad, key + _ST_SPEC, lambda k: DomainError(
+        f"alpha must be positive and finite, got {float(alpha[k])}"))
+
+
+def _zeta_array(bound: np.ndarray, log_bound: np.ndarray, la: np.ndarray, bt: np.ndarray):
+    """_zeta elementwise, plus where math.exp would raise OverflowError."""
+    out = np.exp(bt * (log_bound - la))
+    return out, np.isinf(out) & np.isfinite(bound)
+
+
+def _truncated_mean_exp_array(alpha: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    width = (hi - lo) / alpha
+    em = -np.expm1(-width)
+    mean = np.where(em == 0.0, 0.5 * (lo + hi), alpha + ((lo - hi) - hi * np.expm1(-width)) / em)
+    return np.where(np.isinf(hi), lo + alpha, mean)
+
+
+def _gamma2_diff_array(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
+    """_gamma_upper_diff(2, ., .) elementwise."""
+    lower = gamma_lower2_array(z_hi) - gamma_lower2_array(z_lo)
+    upper = gamma_upper2_array(z_lo) - gamma_upper2_array(z_hi)
+    return np.where(z_hi < 3.0, lower, upper)
+
+
+def _elog_numerator_array(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
+    """_elog_numerator elementwise."""
+    fin = np.isfinite(z_hi)
+    zh = np.where(fin, z_hi, 1.0)
+    hi_term = np.where(fin, np.exp(-zh) * np.log(zh), 0.0)
+    g_hi = np.where(fin, e1_array(zh), 0.0)
+    at0 = z_lo == 0.0
+    from_zero = -EULER_GAMMA - hi_term - g_hi
+    if at0.all():
+        return from_zero
+    zl = np.where(at0, 1.0, z_lo)
+    inner = np.exp(-zl) * np.log(zl) - hi_term + e1_array(zl) - g_hi
+    return np.where(at0, from_zero, inner)
+
+
+def _d_series1(z: np.ndarray) -> tuple[np.ndarray, list[tuple[int, Exception]]]:
+    """d_series(1, z) for a flat array, with the elements the scalar series
+    would reject; see _D1_FAST."""
+    fast = (z >= _D1_FAST[0]) & (z <= _D1_FAST[1])
+    out = d_series1_array(np.where(fast, z, 1.0))
+    errors = []
+    for k in np.flatnonzero(~fast):
+        try:
+            out[k] = d_series(1.0, float(z[k]))
+        except (DomainError, NonConvergenceError) as exc:
+            out[k] = math.nan
+            errors.append((int(k), exc))
+    return out, errors
+
+
+def _shape_bracket2_array(
+    z_lo: np.ndarray, z_hi: np.ndarray, reach: np.ndarray, fails: _Failures, key: int
+) -> np.ndarray:
+    """_shape_series_bracket(2, ., .) on the (member, interval) entries in
+    `reach`; a d_series failure is recorded on the member at `key`."""
+    out = np.zeros(z_lo.shape)
+    rows, cols = np.nonzero(reach)
+    if rows.size == 0:
+        return out
+    zl, zh = z_lo[rows, cols], z_hi[rows, cols]
+    at0 = zl == 0.0
+    d_hi, err_hi = _d_series1(zh)
+    d_lo, err_lo = np.zeros(zl.shape), []
+    if not at0.all():
+        d_lo, err_lo = _d_series1(np.where(at0, 1.0, zl))
+    for k, exc in err_lo + err_hi:
+        fails.add(np.arange(z_lo.shape[0]) == rows[k], key, lambda _, exc=exc: exc)
+    log_hi = np.log(zh)
+    log_lo = np.log(np.where(at0, 1.0, zl))
+    g_hi = gamma_upper2_array(zh) * log_hi
+    from_zero = -d_hi + log_hi - g_hi
+    general = d_lo - d_hi - (log_lo - log_hi) + gamma_upper2_array(zl) * log_lo - g_hi
+    out[rows, cols] = np.where(at0, from_zero, general)
+    return out
+
+
+def _solve_shape_array(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    bracket: tuple[float, float],
+    start: np.ndarray,
+    xtol: float,
+):
+    """_solve_shape over many strictly decreasing scores at once.
+
+    Returns (roots, ok, f(lo), f(hi)): where ok is False no sign change
+    was found inside `bracket`, and the endpoint values (evaluated as
+    _solve_shape does for its BracketError) explain why.
+    """
+    lo, hi = bracket
+    start = np.minimum(np.maximum(start, lo), hi)
+    a = np.maximum(lo, 0.8 * start)
+    b = np.minimum(hi, 1.25 * start)
+    every = np.arange(a.size)
+    fa = f(a, every)
+    fb = f(b, every)
+    for _ in range(64):
+        left = (fa < 0.0) & (a > lo)
+        right = ~left & (fb > 0.0) & (b < hi)
+        il, ir = np.flatnonzero(left), np.flatnonzero(right)
+        if il.size == 0 and ir.size == 0:
+            break
+        b[il], fb[il] = a[il], fa[il]
+        a[il] = np.maximum(lo, a[il] / 2.0)
+        a[ir], fa[ir] = b[ir], fb[ir]
+        b[ir] = np.minimum(hi, b[ir] * 2.0)
+        move = np.flatnonzero(left | right)
+        to_left = left[move]
+        fx = f(np.where(to_left, a[move], b[move]), move)
+        fa[il], fb[ir] = fx[to_left], fx[~to_left]
+    ok = ((fa > 0.0) & (fb < 0.0)) | (fa == 0.0) | (fb == 0.0)
+    roots = np.full(a.size, math.nan)
+    g_lo, g_hi = fa.copy(), fb.copy()
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        g_lo[bad] = np.where(a[bad] == lo, fa[bad], f(np.full(bad.size, lo), bad))
+        g_hi[bad] = np.where(b[bad] == hi, fb[bad], f(np.full(bad.size, hi), bad))
+    good = np.flatnonzero(ok)
+    if good.size == a.size:
+        roots = solve_bracketed_array(f, a, b, xtol=xtol, f_lo=fa, f_hi=fb)
+    elif good.size:
+        roots[good] = solve_bracketed_array(
+            lambda x, j: f(x, good[j]), a[good], b[good], xtol=xtol,
+            f_lo=fa[good], f_hi=fb[good],
+        )
+    return roots, ok, g_lo, g_hi
+
+
+def fit_batch(
+    samples: Sequence[CensoredSample],
+    model_shape: tuple[int, int],
+    config: EmConfig | None = None,
+    inits: Sequence[InitSpec | None] | None = None,
+) -> list[FitResult | DomainError]:
+    """`fit` for many samples at once, mle M-step only.
+
+    Member j starts from inits[j] (config.init where that is None or
+    inits is not given) and follows the scalar loop step for step: the
+    same stopping rule, iteration count, warnings and named error, with
+    floating-point results that differ from fit's only by rounding.  A
+    sample that fit would reject with a DomainError gets that error in
+    its slot instead of a FitResult.  A configuration that fit rejects
+    for every sample raises.
+    """
+    cfg = config or EmConfig()
+    if cfg.m_step_variant != MStepVariant.SELF_CONSISTENT_MLE:
+        raise DomainError("fit_batch runs the self-consistent mle M-step only")
+    p, r = int(model_shape[0]), int(model_shape[1])
+    d = dof(p, r)
+    if cfg.weight_floor >= 1.0 / (p + r):
+        raise DomainError("weight_floor must be below 1/M")
+    results: list[FitResult | DomainError | None] = [None] * len(samples)
+    slots, wss, models = [], [], []
+    for j, s in enumerate(samples):
+        init = cfg.init if inits is None or inits[j] is None else inits[j]
+        if s.total < d + 1:
+            results[j] = DomainError(
+                f"sample of size {s.total} cannot support a shape with {d} free parameters"
+            )
+            continue
+        try:
+            models.append(default_init(s, p, r, init))
+        except DomainError as exc:
+            results[j] = exc
+            continue
+        slots.append(j)
+        wss.append(_workspace(s))
+    if slots:
+        with np.errstate(all="ignore"):
+            for k, res in _batch_loop(wss, models, p, cfg):
+                results[slots[k]] = res
+    return results
+
+
+def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: EmConfig):
+    """Yield (member, FitResult or DomainError) as members stop."""
+    st = _Batch(wss, models, p)
+    n = len(wss)
+    warnings: list[list[str]] = [[] for _ in wss]
+    flagged = np.zeros(n, dtype=bool)
+    warned = np.zeros((n, st.lo.shape[1]), dtype=bool)
+    history = np.empty((n, 64))  # loglik per member and iteration
+    iterations = 0
+
+    def e_pass() -> None:
+        """st.e_pass, plus the trace and the once-per-fit underflow warnings."""
+        nonlocal history
+        idead = st.e_pass()
+        if iterations == history.shape[1]:
+            history = np.concatenate([history, np.empty_like(history)], axis=1)
+        history[st.ids, iterations] = st.ll
+        # _ws_e_pass stops at an underflowing row before the intervals
+        fresh = idead & ~warned[st.ids] & (st.bad < 0)[:, None]
+        for pos, l in zip(*np.nonzero(fresh)):
+            m = st.ids[pos]
+            warned[m, l] = True
+            _warn_underflow(wss[m].intervals[l], warnings[m])
+
+    def result(pos: int, converged: bool, error: str | None = None):
+        """(member, FitResult) from the model and the pass at row pos."""
+        m = int(st.ids[pos])
+        ws = wss[m]
+        resp = None
+        if st.bad[pos] < 0:
+            u, nl = ws.values.size, len(ws.intervals)
+            resp = Responsibilities(st.z[:, pos, :u].T[ws.inverse], st.zt[:, pos, :nl].T.copy())
+        return m, FitResult(
+            model=st.model(pos), loglik_trace=history[m, : iterations + 1].copy(),
+            iterations=iterations, converged=converged, final_responsibilities=resp,
+            degenerate=bool(flagged[m] or error is not None), warnings=warnings[m], error=error,
+        )
+
+    def stop(pos: int, exc: Exception):
+        m = int(st.ids[pos])
+        error = f"{type(exc).__name__}: {exc}"
+        warnings[m].append(f"stopped at iteration {iterations + 1}: {error}")
+        return result(pos, False, error)
+
+    e_pass()
+    # A member whose first pass underflows stops before its first M-step.
+    underflow = st.bad >= 0
+    for pos in np.flatnonzero(underflow):
+        ws = wss[st.ids[pos]]
+        j = int(st.bad[pos])
+        yield stop(pos, ResponsibilityUnderflowError(
+            f"mixture density underflows at observation value {ws.values[j]!r}",
+            index=int(np.argmax(ws.inverse == j)),
+        ))
+    if underflow.any():
+        st.take(~underflow)
+
+    while st.ids.size:
+        weights = st.weights_from_pass()
+        hits = weights < cfg.weight_floor
+        for pos in np.flatnonzero(hits.any(axis=0)):
+            m = int(st.ids[pos])
+            if not flagged[m]:
+                flagged[m] = True
+                floor_hits = [int(i) for i in np.flatnonzero(hits[:, pos])]
+                warnings[m].append(
+                    f"component(s) {floor_hits} fell below the weight floor "
+                    f"{cfg.weight_floor}; fit continues with them flagged"
+                )
+        alpha, beta, fails = st.m_step(weights, cfg)
+        failed = np.zeros(st.ids.size, dtype=bool)
+        for pos, exc in sorted(fails.exc.items()):
+            failed[pos] = True
+            yield (int(st.ids[pos]), exc) if isinstance(exc, DomainError) else stop(pos, exc)
+        st.w, st.alpha, st.beta = weights, alpha, beta
+        if failed.any():
+            st.take(~failed)
+            if not st.ids.size:
+                break
+
+        iterations += 1
+        ll_prev = st.ll
+        e_pass()
+        nonfinite = ~np.isfinite(st.ll)
+        converged = ~nonfinite & (np.abs(st.ll - ll_prev) <= cfg.epsilon)
+        finished = nonfinite | converged | (iterations >= cfg.max_iter)
+        for pos in np.flatnonzero(finished):
+            error = None
+            if nonfinite[pos]:
+                error = "log-likelihood became non-finite"
+                warnings[st.ids[pos]].append(error)
+            yield result(pos, bool(converged[pos]), error)
+        if finished.any():
+            st.take(~finished)

@@ -6,6 +6,13 @@ stationary stretches of a trading day: draw a random-start contiguous
 subsample, bootstrap it, fit every candidate shape on every replica,
 and ask whether any alternative's BIC distribution significantly beats
 the baseline mixture of one exponential and one Weibull.
+
+Each ensemble's subsample and replicas are drawn once and reused for
+every shape.  With the mle M-step, each shape is fitted to all the
+ensembles' subsamples in one batched EM call (em_core.fit_batch), then
+to all replicas, each warm-started from its own ensemble's fit, in
+batches of at most BATCH_MEMBERS; the direct M-step fits one sample at
+a time.
 """
 
 from __future__ import annotations
@@ -19,10 +26,11 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .components import dof as dof_fn
-from .em_core import EmConfig, FitResult, InitSpec, fit
+from .em_core import EmConfig, FitResult, InitSpec, MStepVariant, fit, fit_batch
 from .errors import DomainError
 from .sample_data import (
     BucketSpec,
+    CensoredSample,
     CensoringInterval,
     TimestampSeries,
     bootstrap_resample,
@@ -33,6 +41,11 @@ from .sample_data import (
 )
 
 log = logging.getLogger(__name__)
+
+# Most samples fitted in one fit_batch call.  It bounds the batched EM's
+# (M, B, U) working arrays: 512 members of about 170 unique values and
+# 3 components make about 2 MB per array.
+BATCH_MEMBERS = 512
 
 
 @dataclass(frozen=True, order=True)
@@ -182,24 +195,52 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _fit_bic(sample, shape: ModelShape, config: EmConfig) -> tuple[float | None, FitResult | None]:
-    try:
-        res = fit(sample, (shape.p, shape.r), config)
-    except DomainError:
-        return None, None
-    if res.degenerate or not math.isfinite(res.loglik):
-        return None, res
-    return bic(res.loglik, shape.dof, sample.total), res
-
-
-def _warm_config(base: EmConfig, res: FitResult) -> EmConfig:
+def _warm_init(res: FitResult) -> InitSpec:
     m = res.model
-    init = InitSpec(
+    return InitSpec(
         weights=tuple(float(w) for w in m.weights),
         alphas=tuple(c.alpha for c in m.components),
         betas=tuple(c.beta for c in m.components),
     )
-    return replace(base, init=init)
+
+
+def _warm_config(base: EmConfig, res: FitResult) -> EmConfig:
+    return replace(base, init=_warm_init(res))
+
+
+def _fit_samples(
+    samples: Sequence[CensoredSample],
+    shape: ModelShape,
+    config: EmConfig,
+    warm_from: Sequence[FitResult | None],
+) -> list[FitResult | None]:
+    """Fit the shape to every sample, sample j warm-started from the model
+    of warm_from[j] (from config.init where that is None); None where fit
+    would raise a DomainError.  The mle variant runs as batched EM,
+    BATCH_MEMBERS samples per fit_batch call; the direct variant calls
+    fit once per sample."""
+    pr = (shape.p, shape.r)
+    if config.m_step_variant == MStepVariant.SELF_CONSISTENT_MLE:
+        inits = [None if res is None else _warm_init(res) for res in warm_from]
+        out = []
+        for k in range(0, len(samples), BATCH_MEMBERS):
+            part = slice(k, k + BATCH_MEMBERS)
+            out += fit_batch(samples[part], pr, config, inits[part])
+        return [None if isinstance(res, DomainError) else res for res in out]
+    results = []
+    for sample, res in zip(samples, warm_from):
+        try:
+            results.append(fit(sample, pr, config if res is None else _warm_config(config, res)))
+        except DomainError:
+            results.append(None)
+    return results
+
+
+def _bic_of(res: FitResult | None, shape: ModelShape, sample: CensoredSample) -> float | None:
+    """The fit's BIC, or None for a skipped (rejected or degenerate) fit."""
+    if res is None or res.degenerate or not math.isfinite(res.loglik):
+        return None
+    return bic(res.loglik, shape.dof, sample.total)
 
 
 def run_selection(
@@ -243,32 +284,43 @@ def run_selection(
     if days < 1 or n_boot < 0:
         raise DomainError("need days >= 1 and n_boot >= 0")
 
-    ensembles: list[EnsembleResult] = []
-    dropped = 0
+    # Each ensemble's original and replicas are drawn once and fitted with
+    # every shape.
+    starts, originals, replicas, owner = [], [], [], []
     for e in range(days):
         rng = np.random.default_rng(_derived_seed(rng_seed, e))
         start = int(rng.integers(0, diffs.size - subsample_size + 1))
         original = build_sample(subsample(diffs, start, subsample_size), censor_spec)
+        starts.append(start)
+        originals.append(original)
+        for b in range(1, n_boot + 1):
+            replicas.append(bootstrap_resample(original, _derived_seed(rng_seed, e, b)))
+            owner.append(e)
 
-        stats: dict[ModelShape, BicStats] = {}
-        for shape in shapes:
-            values = []
-            skipped = 0
-            b0, res0 = _fit_bic(original, shape, cfg)
-            if b0 is None:
-                skipped += 1
-                warm = cfg
+    # values[shape][e]: the ensemble's BICs, original first, then the
+    # replicas in order; skipped[shape][e]: its fits left out.
+    values = {shape: [[] for _ in range(days)] for shape in shapes}
+    skipped = {shape: [0] * days for shape in shapes}
+    for shape in shapes:
+        fits0 = _fit_samples(originals, shape, cfg, [None] * days)
+        bic0 = [_bic_of(res, shape, s) for res, s in zip(fits0, originals)]
+        # a replica starts from its ensemble's original fit when that one counts
+        warm = [None if b is None else res for res, b in zip(fits0, bic0)]
+        fits = _fit_samples(replicas, shape, cfg, [warm[e] for e in owner])
+        bics = bic0 + [_bic_of(res, shape, s) for res, s in zip(fits, replicas)]
+        for e, b in zip(list(range(days)) + owner, bics):
+            if b is None:
+                skipped[shape][e] += 1
             else:
-                values.append(b0)
-                warm = _warm_config(cfg, res0)
-            for b in range(1, n_boot + 1):
-                replica = bootstrap_resample(original, _derived_seed(rng_seed, e, b))
-                bb, _ = _fit_bic(replica, shape, warm)
-                if bb is None:
-                    skipped += 1
-                else:
-                    values.append(bb)
-            stats[shape] = BicStats(shape, np.asarray(values, dtype=float), skipped)
+                values[shape][e].append(b)
+
+    ensembles: list[EnsembleResult] = []
+    dropped = 0
+    for e, start in enumerate(starts):
+        stats = {
+            shape: BicStats(shape, np.asarray(values[shape][e], dtype=float), skipped[shape][e])
+            for shape in shapes
+        }
 
         if stats[base_shape].samples.size < 2:
             dropped += 1

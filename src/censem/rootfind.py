@@ -1,9 +1,15 @@
-"""Bracketed 1-D root finding and maximization used by the M-step solvers."""
+"""Bracketed 1-D root finding and maximization used by the M-step solvers.
+
+solve_bracketed_array runs the same root search over many brackets at
+once, for the batched EM.
+"""
 
 from __future__ import annotations
 
 import math
 from typing import Callable
+
+import numpy as np
 
 from .errors import BracketError, NonConvergenceError
 
@@ -107,3 +113,72 @@ def golden_max(
             if f1 > best_f or math.isnan(best_f):
                 best_x, best_f = x1, f1
     return best_x, best_f
+
+
+def solve_bracketed_array(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo,
+    hi,
+    xtol: float = 1e-10,
+    max_iter: int = 200,
+    f_lo=None,
+    f_hi=None,
+) -> np.ndarray:
+    """solve_bracketed over many independent brackets at once.
+
+    f(x, idx) returns the values at x of the functions numbered idx (a
+    sorted index array), so each step evaluates only the brackets still
+    open.  Every bracket takes exactly the steps solve_bracketed would
+    take on it, Illinois halving included; the loop runs until the
+    slowest one is done.  Raises BracketError, for the first offending
+    bracket, when any bracket lacks a sign change.
+    """
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    every = np.arange(a.size)
+    fa = np.array(f(a, every) if f_lo is None else f_lo, dtype=float)
+    fb = np.array(f(b, every) if f_hi is None else f_hi, dtype=float)
+    out = np.where(fa == 0.0, a, b)
+    open_ = (fa != 0.0) & (fb != 0.0)
+    bad = open_ & (np.isnan(fa) | np.isnan(fb) | ((fa > 0.0) == (fb > 0.0)))
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise BracketError(
+            f"no sign change on [{a[k]}, {b[k]}]: f(lo)={fa[k]}, f(hi)={fb[k]}",
+            lo=float(a[k]), hi=float(b[k]), f_lo=float(fa[k]), f_hi=float(fb[k]),
+        )
+    # Working arrays hold the open brackets only; idx maps them back.
+    idx = np.flatnonzero(open_)
+    a, b, fa, fb = a[idx], b[idx], fa[idx], fb[idx]
+    side = np.zeros(idx.size, dtype=np.int8)
+    for _ in range(max_iter):
+        narrow = (b - a) <= xtol * np.maximum(1.0, np.abs(a) + np.abs(b))
+        if narrow.any():
+            out[idx[narrow]] = 0.5 * (a[narrow] + b[narrow])
+            keep = ~narrow
+            idx, a, b, fa, fb, side = idx[keep], a[keep], b[keep], fa[keep], fb[keep], side[keep]
+        if idx.size == 0:
+            return out
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            x = (a * fb - b * fa) / (fb - fa)
+            # fa and fb have opposite signs, so their sum is finite
+            # exactly when both are.
+            secant = np.isfinite(fa + fb) & (a < x) & (x < b)
+        x = np.where(secant, x, 0.5 * (a + b))
+        fx = np.asarray(f(x, idx), dtype=float)
+        # Illinois-weighted secant, as in solve_bracketed: when the same
+        # side survives twice, the retained endpoint's value halves (a
+        # no-op on an infinite value, which the scalar code skips).
+        left = (fx > 0.0) == (fa > 0.0)
+        fb_kept = np.where(side == -1, 0.5 * fb, fb)
+        fa_kept = np.where(side == 1, 0.5 * fa, fa)
+        a, fa = np.where(left, x, a), np.where(left, fx, fa_kept)
+        b, fb = np.where(left, b, x), np.where(left, fb_kept, fx)
+        side = np.where(left, -1, 1).astype(np.int8)
+        stop = (fx == 0.0) | np.isnan(fx)
+        if stop.any():
+            out[idx[stop]] = x[stop]
+            keep = ~stop
+            idx, a, b, fa, fb, side = idx[keep], a[keep], b[keep], fa[keep], fb[keep], side[keep]
+    out[idx] = 0.5 * (a + b)
+    return out

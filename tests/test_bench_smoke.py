@@ -1,9 +1,11 @@
-"""Smoke test of the benchmark's traced run against the current sources.
+"""Smoke test of the benchmark's traced runs against the current sources.
 
 The traced run wraps censem functions by the names censem looks up
-(em_core.e_step, em_core.solve_bracketed, model_select.fit, ...), so a
-refactor that drops or renames one of them makes it fail here.  About
-ten seconds: one fit-large pass at smoke size, untimed.
+(em_core.e_step, em_core.solve_bracketed, model_select.fit,
+model_select.bootstrap_resample, ...), so a refactor that drops or
+renames one of them makes it fail here.  Each workload runs one pass at
+smoke size, untimed: about ten seconds for fit-large, five for
+select-boot.
 """
 
 from __future__ import annotations
@@ -14,12 +16,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_fit_large_smoke_run():
+@pytest.mark.parametrize("workload", ["fit-large", "select-boot"])
+def test_traced_smoke_run(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "fit-large", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0.5", "--trace", "1", "--smoke"],
         cwd=ROOT, capture_output=True, text=True, timeout=170,
     )

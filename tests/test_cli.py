@@ -198,6 +198,22 @@ def test_fit_degenerate_exits_3_with_report(tmp_path):
     assert "error" in header
 
 
+def test_fit_overflow_exits_3_with_report(tmp_path):
+    # Weibull shape-2 data pull the shape above 1, and then (bound/alpha)^beta
+    # for the far empty interval overflows: a degenerate fit, not a crash.
+    from censem import ComponentSpec, MixtureModel, sample
+
+    xs = sample(MixtureModel([1.0], [ComponentSpec.weibull(3.0, 2.0)]), 300, rng_seed=5)
+    path = tmp_path / "s.txt"
+    path.write_text("n=300\nL=1\ninterval 1e290 1e295 0\n"
+                    + "".join(f"{float(x)!r}\n" for x in xs), encoding="utf-8")
+    rep = tmp_path / "fit.txt"
+    assert run("fit", "--input", str(path), "--output", str(rep), "--shape", "0,1") == 3
+    header, _ = parse_report(rep)
+    assert header["degenerate"] == "true"
+    assert header["error"] == "OverflowError: math range error"
+
+
 def test_fit_insufficient_sample_exits_2(tmp_path):
     sample = tmp_path / "s.txt"
     sample.write_text("n=2\nL=0\n4\n5\n", encoding="utf-8")

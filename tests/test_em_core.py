@@ -21,6 +21,7 @@ from censem import (
 )
 from censem.em_core import (
     EmConfig,
+    FitResult,
     InitSpec,
     MStepVariant,
     Responsibilities,
@@ -36,11 +37,17 @@ from censem.em_core import (
     _row_pass,
     _workspace,
     _ws_log_matrix,
+    fit_batch,
 )
 from censem.components import _log_mixture_interval, _logsumexp
 from censem.errors import BracketError, DomainError, ResponsibilityUnderflowError
 from censem.rootfind import golden_max
-from censem.sample_data import CensoredSample, build_sample, generate_synthetic
+from censem.sample_data import (
+    CensoredSample,
+    bootstrap_resample,
+    build_sample,
+    generate_synthetic,
+)
 
 
 def resp(z_rows, zt_rows):
@@ -672,3 +679,157 @@ def test_config_validation():
         EmConfig(beta_bracket=(2.0, 1.0))
     with pytest.raises(DomainError):
         EmConfig(weight_floor=1.5)
+
+
+# --- fit: overflow and underflow bookkeeping ---------------------------------------------
+
+
+def overflow_sample() -> CensoredSample:
+    """300 exponential draws and an empty interval so far out that
+    (bound/alpha)^beta overflows once the Weibull shape starts at 2."""
+    xs = sample(MixtureModel([1.0], [ComponentSpec.exponential(1.0)]), 300, rng_seed=1)
+    return CensoredSample(xs, [CensoringInterval(1e290, 1e295, 0)])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (0, 2), (0, 1)])
+def test_fit_zeta_overflow_ends_degenerate(shape):
+    init = InitSpec(betas=(1.0,) * shape[0] + (2.0,) * shape[1])
+    cfg = EmConfig(init=init)
+    res = fit(overflow_sample(), shape, cfg)
+    assert res.degenerate and not res.converged
+    assert res.error == "OverflowError: math range error"
+    assert res.iterations == 0
+    assert res.warnings[-1] == "stopped at iteration 1: OverflowError: math range error"
+    (batched,) = fit_batch([overflow_sample()], shape, cfg)
+    assert (batched.degenerate, batched.error, batched.iterations) == (True, res.error, 0)
+    assert batched.warnings == res.warnings
+
+
+def underflow_sample() -> CensoredSample:
+    x = np.random.default_rng(3).exponential(0.5, 300) + 1e-3
+    return CensoredSample(x, [CensoringInterval(1e308, math.inf, 0)])
+
+
+def test_interval_underflow_warned_once_per_fit(caplog):
+    message = ("interval [1e+308, inf) mass underflows for every component; "
+               "using a uniform responsibility row")
+    with caplog.at_level("WARNING", logger="censem.em_core"):
+        res = fit(underflow_sample(), (2, 0))
+    assert res.converged and res.iterations == 32
+    assert [rec.getMessage() for rec in caplog.records] == [message]
+    assert res.warnings == [message]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="censem.em_core"):
+        batched = fit_batch([underflow_sample(), underflow_sample()], (2, 0))
+    assert [rec.getMessage() for rec in caplog.records] == [message, message]
+    for b in batched:
+        assert b.warnings == [message] and b.iterations == 32
+
+
+# --- fit_batch ---------------------------------------------------------------------------
+
+
+def params(res: FitResult) -> np.ndarray:
+    m = res.model
+    return np.concatenate(
+        [m.weights, [c.alpha for c in m.components], [c.beta for c in m.components]]
+    )
+
+
+def assert_matches_scalar(batched: FitResult, scalar: FitResult) -> None:
+    """The fit_batch member against the scalar fit: same flags, stopping
+    iteration and error, loglik to 1e-8 and parameters to 1e-6 relative."""
+    assert (batched.converged, batched.degenerate, batched.iterations) == (
+        scalar.converged, scalar.degenerate, scalar.iterations)
+    assert batched.error == scalar.error
+    assert batched.warnings == scalar.warnings
+    assert batched.loglik == pytest.approx(scalar.loglik, rel=1e-8)
+    np.testing.assert_allclose(params(batched), params(scalar), rtol=1e-6)
+    assert batched.loglik_trace.size == scalar.loglik_trace.size
+
+
+@pytest.mark.parametrize("start", ["cold", "warm"])
+@pytest.mark.parametrize("spec", sorted(CENSOR_SPECS))
+@pytest.mark.parametrize("n", [200, 2000])
+@pytest.mark.parametrize("shape", [(1, 1), (0, 2), (3, 0), (2, 1)])
+def test_fit_batch_matches_scalar_fit(reference_mixture, shape, n, spec, start):
+    """Cold: three samples of different sizes in one batch.  Warm: three
+    bootstrap replicas started from the original's fit, as the tournament
+    runs them."""
+    spec_ivs = CENSOR_SPECS[spec]
+    if start == "cold":
+        samples = [build_sample(generate_synthetic(reference_mixture, n + 37 * k, rng_seed=211 + k),
+                                spec_ivs) for k in range(3)]
+        cfg = EmConfig()
+    else:
+        original = build_sample(generate_synthetic(reference_mixture, n, rng_seed=223), spec_ivs)
+        m = fit(original, shape).model
+        cfg = EmConfig(init=InitSpec(weights=tuple(m.weights),
+                                     alphas=tuple(c.alpha for c in m.components),
+                                     betas=tuple(c.beta for c in m.components)))
+        samples = [bootstrap_resample(original, rng_seed=227 + k) for k in range(3)]
+    if spec == "two-with-empty":
+        assert all(s.intervals[1].count == 0 for s in samples)
+    for batched, s in zip(fit_batch(samples, shape, cfg), samples):
+        assert_matches_scalar(batched, fit(s, shape, cfg))
+
+
+def test_fit_batch_member_order_invariant(reference_mixture):
+    samples = [build_sample(generate_synthetic(reference_mixture, n, rng_seed=229 + n))
+               for n in (150, 400, 220, 900, 300)]
+    inits = [None, InitSpec(alphas=(5.0, 900.0)), None, None, InitSpec(betas=(1.0, 0.7))]
+    forward = fit_batch(samples, (1, 1), inits=inits)
+    order = [3, 0, 4, 2, 1]
+    permuted = fit_batch([samples[k] for k in order], (1, 1), inits=[inits[k] for k in order])
+    for k, res in zip(order, permuted):
+        ref = forward[k]
+        assert np.array_equal(res.loglik_trace, ref.loglik_trace)
+        assert np.array_equal(params(res), params(ref))
+        assert (res.iterations, res.converged, res.degenerate) == (
+            ref.iterations, ref.converged, ref.degenerate)
+        assert np.array_equal(res.final_responsibilities.z, ref.final_responsibilities.z)
+        assert np.array_equal(res.final_responsibilities.z_tilde,
+                              ref.final_responsibilities.z_tilde)
+
+
+def test_fit_batch_mixed_members_keep_their_own_state(reference_mixture):
+    """One batch, four outcomes: converged, max_iter, rejected, overflow."""
+    big = build_sample(generate_synthetic(reference_mixture, 2000, rng_seed=233))
+    m = fit(big, (1, 1)).model
+    at_optimum = InitSpec(weights=tuple(m.weights), alphas=tuple(c.alpha for c in m.components),
+                          betas=tuple(c.beta for c in m.components))
+    slow = build_sample(generate_synthetic(reference_mixture, 500, rng_seed=239))
+    tiny = CensoredSample(np.array([1.0, 2.0]), [])
+    overflow = InitSpec(betas=(1.0, 2.0))
+    cfg = EmConfig(max_iter=5)
+    members = [big, slow, tiny, overflow_sample()]
+    inits = [at_optimum, None, None, overflow]
+    out = fit_batch(members, (1, 1), cfg, inits)
+
+    assert out[0].converged and not out[0].degenerate and out[0].iterations <= 2
+    assert not out[1].converged and not out[1].degenerate and out[1].iterations == 5
+    assert isinstance(out[2], DomainError)
+    with pytest.raises(DomainError):
+        fit(tiny, (1, 1), cfg)
+    assert out[3].degenerate and out[3].error == "OverflowError: math range error"
+    for res, s, init in zip(out, members, inits):
+        if s is not tiny:
+            scalar_cfg = cfg if init is None else EmConfig(max_iter=5, init=init)
+            assert_matches_scalar(res, fit(s, (1, 1), scalar_cfg))
+
+
+def test_fit_batch_exact_row_underflow_matches_scalar():
+    s = CensoredSample(np.array([1.0, 2.0, 5.0, 1e300]), [])
+    ok = CensoredSample(np.array([1.0, 2.0, 5.0, 3.0, 4.0]), [])
+    cfg = EmConfig(init=InitSpec(alphas=(1.0,), betas=(2.0,)))
+    bad, good = fit_batch([s, ok], (0, 1), cfg)
+    ref = fit(s, (0, 1), cfg)
+    assert bad.final_responsibilities is None and bad.loglik == -math.inf
+    assert (bad.error, bad.warnings, bad.iterations) == (ref.error, ref.warnings, 0)
+    assert_matches_scalar(good, fit(ok, (0, 1), cfg))
+
+
+def test_fit_batch_rejects_direct_variant(reference_mixture):
+    s = build_sample(generate_synthetic(reference_mixture, 200, rng_seed=241))
+    with pytest.raises(DomainError):
+        fit_batch([s], (1, 1), EmConfig(m_step_variant=MStepVariant.DIRECT_OBJECTIVE))

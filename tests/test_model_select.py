@@ -7,6 +7,7 @@ import pytest
 from censem import ComponentSpec, MixtureModel, censored_log_likelihood, fit
 from censem.em_core import EmConfig, MStepVariant
 from censem.errors import DomainError
+import censem.model_select as model_select
 from censem.model_select import (
     ModelShape,
     _warm_config,
@@ -203,6 +204,62 @@ def test_warm_config_keeps_every_base_setting(reference_mixture):
     assert warm.init.alphas == tuple(c.alpha for c in res.model.components)
     assert warm.init.betas == tuple(c.beta for c in res.model.components)
     assert warm.init.weights == tuple(float(w) for w in res.model.weights)
+
+
+def scalar_fit_batch(samples, shape, config, inits):
+    """fit_batch's contract met by one scalar fit per sample."""
+    out = []
+    for s, init in zip(samples, inits):
+        cfg = config if init is None else dataclasses.replace(config, init=init)
+        try:
+            out.append(fit(s, shape, cfg))
+        except DomainError as exc:
+            out.append(exc)
+    return out
+
+
+def test_selection_batched_matches_scalar_fits(reference_mixture, monkeypatch):
+    diffs = generate_synthetic(reference_mixture, 4000, rng_seed=21)
+    shapes = [ModelShape(1, 1), ModelShape(0, 2), ModelShape(2, 1)]
+    kwargs = dict(n_boot=5, subsample_size=150, days=3, rng_seed=8)
+    monkeypatch.setattr(model_select, "BATCH_MEMBERS", 4)  # several batches per shape
+    batched = run_selection(diffs, shapes, **kwargs)
+    monkeypatch.setattr(model_select, "fit_batch", scalar_fit_batch)
+    scalar = run_selection(diffs, shapes, **kwargs)
+    assert batched.winner_tally == scalar.winner_tally
+    for eb, es in zip(batched.ensembles, scalar.ensembles):
+        assert (eb.start_index, eb.winner) == (es.start_index, es.winner)
+        for shape in shapes:
+            assert eb.stats[shape].skipped == es.stats[shape].skipped
+            np.testing.assert_allclose(eb.stats[shape].samples, es.stats[shape].samples,
+                                       rtol=1e-10)
+
+
+def test_selection_draws_each_replica_once(reference_mixture, monkeypatch):
+    calls = []
+    draw = model_select.bootstrap_resample
+    monkeypatch.setattr(model_select, "bootstrap_resample",
+                        lambda s, seed: calls.append(seed) or draw(s, seed))
+    diffs = generate_synthetic(reference_mixture, 3000, rng_seed=22)
+    shapes = [ModelShape(1, 1), ModelShape(0, 2), ModelShape(3, 0)]
+    run_selection(diffs, shapes, n_boot=4, subsample_size=120, days=2, rng_seed=9)
+    assert len(calls) == 2 * 4 and len(set(calls)) == 8
+
+
+def test_selection_direct_variant_fits_one_sample_at_a_time(reference_mixture, monkeypatch):
+    calls = []
+    scalar = model_select.fit
+    monkeypatch.setattr(model_select, "fit",
+                        lambda s, shape, cfg: calls.append(cfg.init) or scalar(s, shape, cfg))
+    monkeypatch.setattr(model_select, "fit_batch", None)
+    diffs = generate_synthetic(reference_mixture, 3000, rng_seed=23)
+    cfg = EmConfig(m_step_variant=MStepVariant.DIRECT_OBJECTIVE, max_iter=20)
+    rep = run_selection(diffs, [ModelShape(1, 0)], n_boot=2, subsample_size=100, days=2,
+                        rng_seed=10, config=cfg)
+    assert len(calls) == 2 * 3
+    assert all(st.samples.size + st.skipped == 3 for e in rep.ensembles for st in e.stats.values())
+    # replicas start from their ensemble's original fit
+    assert calls[0] == cfg.init and calls[2].alphas is not None
 
 
 def test_selection_requires_enough_data(reference_mixture):

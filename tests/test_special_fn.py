@@ -10,10 +10,14 @@ from censem.special_fn import (
     EULER_GAMMA,
     SpecialFnConfig,
     d_series,
+    d_series1_array,
+    e1_array,
     euler_gamma,
     gamma_complete,
     gamma_lower,
+    gamma_lower2_array,
     gamma_upper,
+    gamma_upper2_array,
 )
 
 SQRT_PI = 1.7724538509055159
@@ -258,3 +262,46 @@ def test_config_controls_termination():
     assert gamma_upper(2.0, 3.0, config=loose) == pytest.approx(
         gamma_upper(2.0, 3.0), rel=1e-6
     )
+
+
+# --- array kernels -------------------------------------------------------------
+
+ARRAY_GRID = np.concatenate([np.geomspace(1e-150, 1e-3, 40), np.geomspace(1e-3, 600.0, 400)])
+
+
+def relative_gap(array_values, scalar_fn, xs):
+    scalar = np.array([scalar_fn(float(x)) for x in xs])
+    return np.max(np.abs(array_values - scalar) / np.abs(scalar))
+
+
+def test_e1_array_matches_scalar():
+    # The scalar continued fraction stops at |delta - 1| < 1e-12, which
+    # leaves up to ~3e-12 near x = 1; exp1 is within ~1e-15 there.
+    assert relative_gap(e1_array(ARRAY_GRID), lambda x: gamma_upper(0.0, x), ARRAY_GRID) < 5e-12
+    small = ARRAY_GRID[ARRAY_GRID < 0.9]
+    assert relative_gap(e1_array(small), lambda x: gamma_upper(0.0, x), small) < 1e-12
+    assert e1_array(np.array([0.0, np.inf])).tolist() == [np.inf, 0.0]
+
+
+def test_gamma2_arrays_match_scalar():
+    assert relative_gap(gamma_lower2_array(ARRAY_GRID), lambda x: gamma_lower(2.0, x),
+                        ARRAY_GRID) < 1e-12
+    upper = ARRAY_GRID[ARRAY_GRID < 700.0]
+    assert relative_gap(gamma_upper2_array(upper), lambda x: gamma_upper(2.0, x), upper) < 1e-12
+    assert gamma_lower2_array(np.array([0.0, np.inf])).tolist() == [0.0, 1.0]
+    assert gamma_upper2_array(np.array([0.0, 1e300, np.inf])).tolist() == [1.0, 0.0, 0.0]
+
+
+def test_d_series1_array_matches_scalar_where_the_series_is_accurate():
+    zs = ARRAY_GRID[ARRAY_GRID <= 4.0]
+    assert relative_gap(d_series1_array(zs), lambda z: d_series(1.0, z), zs) < 1e-12
+    assert d_series1_array(np.array([0.0])).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("z", [5.0, 30.0, 60.0, 300.0])
+def test_d_series1_array_large_z_matches_quadrature(z):
+    """d_series(1, z) = int_0^z t e^-t log(z/t) dt; the closed form holds
+    where the alternating scalar series has lost its digits."""
+    val, _ = quad(lambda t: t * math.exp(-t) * math.log(z / t), 0.0, z,
+                  epsabs=1e-14, epsrel=1e-13, limit=200)
+    assert d_series1_array(np.array([z]))[0] == pytest.approx(val, rel=1e-11)
