@@ -212,7 +212,14 @@ def _shape_series_bracket(s: float, z_lo: float, z_hi: float) -> float:
     where S(s, x) = sum_p (-1)^p x^(s+p) / (p! (s+p)^2) = d_series(s-1, x).
     Equals d/ds [Gamma(s, z_lo) - Gamma(s, z_hi)] up to sign bookkeeping
     handled by the caller.  z_lo = 0 uses the finite limit.
+
+    For s = 2 the bracket is int_{z_lo}^{z_hi} t e^(-t) log t dt; from
+    z_hi = 1 on it is taken as a difference of tails (_bracket2_tail),
+    which stays accurate where the series S loses its digits and is
+    finite for z_hi = inf.
     """
+    if s == 2.0 and z_hi >= 1.0:
+        return _bracket2_tail(z_lo) - _bracket2_tail(z_hi)
     log_hi = math.log(z_hi)
     if z_lo == 0.0:
         return (
@@ -228,6 +235,24 @@ def _shape_series_bracket(s: float, z_lo: float, z_hi: float) -> float:
         + gamma_upper(s, z_lo) * log_lo
         - gamma_upper(s, z_hi) * log_hi
     )
+
+
+def _bracket2_tail(z: float) -> float:
+    """T(z) = int_z^inf t e^(-t) log t dt, so that the s = 2 bracket is
+    T(z_lo) - T(z_hi).
+
+    From z = 1 on, the closed form d_series(1, z) = log z + gamma_E - 1
+    + E1(z) + e^(-z) gives T(z) = E1(z) + e^(-z) + Gamma(2, z) log z, a
+    sum of positive terms with T(inf) = 0.  Below 1, T(z) = 1 - gamma_E
+    + d_series(1, z) - gamma(2, z) log z, with T(0) = 1 - gamma_E.
+    """
+    if z >= 1.0:
+        if math.isinf(z):
+            return 0.0
+        return gamma_upper(0.0, z) + math.exp(-z) + (1.0 + z) * math.exp(-z) * math.log(z)
+    if z == 0.0:
+        return 1.0 - EULER_GAMMA
+    return (1.0 - EULER_GAMMA) + d_series(1.0, z) - gamma_lower(2.0, z) * math.log(z)
 
 
 @dataclass
@@ -1106,15 +1131,8 @@ def _direct_m_step_ws(
 # Failure points inside one component's M-step, in the order the scalar
 # code reaches them.  A member reports the failure with the lowest
 # (component, stage) key, which is the exception the scalar loop raises.
-(_ST_ZETA, _ST_POW, _ST_MASS, _ST_ALPHA, _ST_SERIES, _ST_BRACKET, _ST_SPEC) = range(7)
-_STAGES = 7
-
-# d_series(1, z) takes the array kernel on this range, where it agrees
-# with the scalar series to 1e-12.  Outside it each element runs the
-# scalar series, so a batched member keeps the scalar value, and the
-# scalar NonConvergenceError or DomainError, where the series is poor.
-_D1_FAST = (1e-150, 4.0)
-
+(_ST_ZETA, _ST_POW, _ST_MASS, _ST_ALPHA, _ST_BRACKET, _ST_SPEC) = range(6)
+_STAGES = 6
 
 class _Failures:
     """First failure per member: its (component, stage) key and exception."""
@@ -1315,8 +1333,8 @@ class _Batch:
             alpha[i] = alpha_new
 
             # shape-score constants, for members that reach them
-            reach = occupied & fails.before(key + _ST_SERIES)[:, None]
-            bracket2 = _shape_bracket2_array(z_lo, z_hi, reach, fails, key + _ST_SERIES)
+            reach = occupied & fails.before(key + _ST_ALPHA)[:, None]
+            bracket2 = _shape_bracket2_array(z_lo, z_hi, reach)
             d_const = (_elog_numerator_array(z_lo, z_hi) - bracket2) / bt
             k = i - self.p
             np.subtract(self.logv, np.log(alpha_new)[:, None], out=l_rel[k])
@@ -1350,7 +1368,7 @@ class _Batch:
         b = self.alpha.shape[1]
         comp = self.p + np.arange(a_mass.size) // b
         member = np.arange(a_mass.size) % b
-        rows = np.flatnonzero(fails.key[member] > comp * _STAGES + _ST_SERIES)
+        rows = np.flatnonzero(fails.key[member] > comp * _STAGES + _ST_ALPHA)
         if rows.size == 0:
             return
         if rows.size < a_mass.size:
@@ -1433,44 +1451,42 @@ def _elog_numerator_array(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
     return np.where(at0, from_zero, inner)
 
 
-def _d_series1(z: np.ndarray) -> tuple[np.ndarray, list[tuple[int, Exception]]]:
-    """d_series(1, z) for a flat array, with the elements the scalar series
-    would reject; see _D1_FAST."""
-    fast = (z >= _D1_FAST[0]) & (z <= _D1_FAST[1])
-    out = d_series1_array(np.where(fast, z, 1.0))
-    errors = []
-    for k in np.flatnonzero(~fast):
-        try:
-            out[k] = d_series(1.0, float(z[k]))
-        except (DomainError, NonConvergenceError) as exc:
-            out[k] = math.nan
-            errors.append((int(k), exc))
-    return out, errors
+def _bracket2_tail_array(z: np.ndarray) -> np.ndarray:
+    """_bracket2_tail elementwise."""
+    big = z >= 1.0
+    # e^(-800) is already 0, so clipping keeps inf out of 0 * log(inf)
+    zb = np.clip(z, 1.0, 800.0)
+    tail = e1_array(zb) + np.exp(-zb) + gamma_upper2_array(zb) * np.log(zb)
+    if big.all():
+        return tail
+    zs = np.where(big | (z == 0.0), 0.5, z)
+    series = (1.0 - EULER_GAMMA) + d_series1_array(zs) - gamma_lower2_array(zs) * np.log(zs)
+    return np.where(big, tail, np.where(z == 0.0, 1.0 - EULER_GAMMA, series))
 
 
-def _shape_bracket2_array(
-    z_lo: np.ndarray, z_hi: np.ndarray, reach: np.ndarray, fails: _Failures, key: int
-) -> np.ndarray:
+def _shape_bracket2_array(z_lo: np.ndarray, z_hi: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """_shape_series_bracket(2, ., .) on the (member, interval) entries in
-    `reach`; a d_series failure is recorded on the member at `key`."""
+    `reach`, 0 elsewhere."""
     out = np.zeros(z_lo.shape)
     rows, cols = np.nonzero(reach)
     if rows.size == 0:
         return out
     zl, zh = z_lo[rows, cols], z_hi[rows, cols]
+    tails = zh >= 1.0
     at0 = zl == 0.0
-    d_hi, err_hi = _d_series1(zh)
-    d_lo, err_lo = np.zeros(zl.shape), []
-    if not at0.all():
-        d_lo, err_lo = _d_series1(np.where(at0, 1.0, zl))
-    for k, exc in err_lo + err_hi:
-        fails.add(np.arange(z_lo.shape[0]) == rows[k], key, lambda _, exc=exc: exc)
-    log_hi = np.log(zh)
-    log_lo = np.log(np.where(at0, 1.0, zl))
-    g_hi = gamma_upper2_array(zh) * log_hi
+    # below z_hi = 1: the series form, term for term as the scalar bracket
+    zh_s = np.where(tails, 0.5, zh)
+    zl_s = np.where(at0, 1.0, zl)
+    d_hi = d_series1_array(zh_s)
+    log_hi = np.log(zh_s)
+    log_lo = np.log(zl_s)
+    g_hi = gamma_upper2_array(zh_s) * log_hi
     from_zero = -d_hi + log_hi - g_hi
-    general = d_lo - d_hi - (log_lo - log_hi) + gamma_upper2_array(zl) * log_lo - g_hi
-    out[rows, cols] = np.where(at0, from_zero, general)
+    general = d_series1_array(zl_s) - d_hi - (log_lo - log_hi) + gamma_upper2_array(zl_s) * log_lo - g_hi
+    series = np.where(at0, from_zero, general)
+    if tails.any():
+        series = np.where(tails, _bracket2_tail_array(zl) - _bracket2_tail_array(zh), series)
+    out[rows, cols] = series
     return out
 
 

@@ -136,6 +136,8 @@ def d_series(a: float, z: float, config: SpecialFnConfig | None = None) -> float
     t = math.exp(s * math.log(z)) / (s * s)
     if not math.isfinite(t):
         raise NonConvergenceError(f"d_series leading term overflows for a={a}, z={z}")
+    if t == 0.0:  # z < 1 here, so the sum is below its underflowed leading term
+        return 0.0
     terms = [t]
     running = t
     prev_abs = abs(t)

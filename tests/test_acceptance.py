@@ -35,6 +35,8 @@ from censem.em_core import (
     EmConfig,
     MStepVariant,
     _interval_terms,
+    _shape_bracket2_array,
+    _shape_series_bracket,
     censored_weibull_expected_logpdf,
     censored_weibull_shape_term,
     truncated_mean_exp,
@@ -313,6 +315,26 @@ def test_criterion_6_censored_term_oracles():
                 assert d_got == pytest.approx(want_d, abs=1e-7, rel=1e-7), (alpha, beta, iv)
                 checked += 1
     _report(6, "censored-term oracles", f"{checked} grid points")
+
+
+def _bracket2_quad(lo, hi):
+    """int_lo^hi t e^-t log t dt, the s = 2 shape-score bracket."""
+    val, _ = quad(lambda t: t * math.exp(-t) * math.log(t), lo, hi,
+                  epsabs=0.0, epsrel=1e-13, limit=400)
+    return val
+
+
+@pytest.mark.parametrize("z", [5.0, 10.0, 30.0, 60.0, 100.0, 300.0])
+def test_criterion_6_shape_bracket_oracle_at_large_zeta(z):
+    """The s = 2 bracket of the self-consistent shape score where the
+    alternating series has lost its digits: intervals [z, 2z), [z, inf)
+    and [0, z), scalar and batched."""
+    for lo, hi in ((z, 2.0 * z), (z, math.inf), (0.0, z)):
+        want = _bracket2_quad(lo, hi)
+        got = _shape_series_bracket(2.0, lo, hi)
+        assert got == pytest.approx(want, rel=1e-11), (lo, hi)
+        batched = _shape_bracket2_array(np.array([[lo]]), np.array([[hi]]), np.array([[True]]))
+        assert batched[0, 0] == pytest.approx(want, rel=1e-11), (lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -833,3 +833,19 @@ def test_fit_batch_rejects_direct_variant(reference_mixture):
     s = build_sample(generate_synthetic(reference_mixture, 200, rng_seed=241))
     with pytest.raises(DomainError):
         fit_batch([s], (1, 1), EmConfig(m_step_variant=MStepVariant.DIRECT_OBJECTIVE))
+
+
+def open_tail_sample() -> CensoredSample:
+    """The draws of Exp(1) below 5, plus an occupied censoring interval
+    [5, inf) with count 3."""
+    xs = sample(MixtureModel([1.0], [ComponentSpec.exponential(1.0)]), 300, rng_seed=1)
+    return CensoredSample(xs[xs < 5.0], [CensoringInterval(5.0, math.inf, 3)])
+
+
+def test_fit_with_occupied_open_tail_interval_converges():
+    s = open_tail_sample()
+    res = fit(s, (1, 1))
+    assert res.converged and not res.degenerate and res.error is None
+    assert math.isfinite(res.loglik)
+    (batched,) = fit_batch([s], (1, 1))
+    assert_matches_scalar(batched, res)

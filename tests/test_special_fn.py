@@ -305,3 +305,10 @@ def test_d_series1_array_large_z_matches_quadrature(z):
     val, _ = quad(lambda t: t * math.exp(-t) * math.log(z / t), 0.0, z,
                   epsabs=1e-14, epsrel=1e-13, limit=200)
     assert d_series1_array(np.array([z]))[0] == pytest.approx(val, rel=1e-11)
+
+
+def test_d_series_underflowing_leading_term_is_zero():
+    # z^2 / 4 underflows below z ~ 1e-162; the series then sums to 0, as
+    # the array kernel gives, instead of running out of terms.
+    assert d_series(1.0, 1e-200) == 0.0
+    assert d_series1_array(np.array([1e-200])).tolist() == [0.0]
