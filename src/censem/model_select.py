@@ -12,7 +12,9 @@ every shape.  With the mle M-step, each shape is fitted to all the
 ensembles' subsamples in one batched EM call (em_core.fit_batch), then
 to all replicas, each warm-started from its own ensemble's fit, in
 batches of at most BATCH_MEMBERS; the direct M-step fits one sample at
-a time.
+a time.  The intraday profile goes through the same helper
+(_fit_samples) one trading day at a time: a day's eligible buckets are
+one batch, summarised as soon as it returns.
 """
 
 from __future__ import annotations
@@ -213,32 +215,37 @@ def _fit_samples(
     shape: ModelShape,
     config: EmConfig,
     warm_from: Sequence[FitResult | None],
-) -> list[FitResult | None]:
+) -> list[FitResult | DomainError]:
     """Fit the shape to every sample, sample j warm-started from the model
-    of warm_from[j] (from config.init where that is None); None where fit
-    would raise a DomainError.  The mle variant runs as batched EM,
-    BATCH_MEMBERS samples per fit_batch call; the direct variant calls
-    fit once per sample."""
+    of warm_from[j] (from config.init where that is None); the DomainError
+    fit would raise stands in place of a FitResult.  The mle variant runs
+    as batched EM, BATCH_MEMBERS samples per fit_batch call; the direct
+    variant calls fit once per sample."""
     pr = (shape.p, shape.r)
     if config.m_step_variant == MStepVariant.SELF_CONSISTENT_MLE:
         inits = [None if res is None else _warm_init(res) for res in warm_from]
-        out = []
+        out: list[FitResult | DomainError] = []
         for k in range(0, len(samples), BATCH_MEMBERS):
             part = slice(k, k + BATCH_MEMBERS)
-            out += fit_batch(samples[part], pr, config, inits[part])
-        return [None if isinstance(res, DomainError) else res for res in out]
-    results = []
+            try:
+                out += fit_batch(samples[part], pr, config, inits[part])
+            except DomainError as exc:  # a configuration fit rejects for every sample
+                out += [exc] * len(samples[part])
+        return out
+    results: list[FitResult | DomainError] = []
     for sample, res in zip(samples, warm_from):
         try:
             results.append(fit(sample, pr, config if res is None else _warm_config(config, res)))
-        except DomainError:
-            results.append(None)
+        except DomainError as exc:
+            results.append(exc)
     return results
 
 
-def _bic_of(res: FitResult | None, shape: ModelShape, sample: CensoredSample) -> float | None:
+def _bic_of(
+    res: FitResult | DomainError, shape: ModelShape, sample: CensoredSample
+) -> float | None:
     """The fit's BIC, or None for a skipped (rejected or degenerate) fit."""
-    if res is None or res.degenerate or not math.isfinite(res.loglik):
+    if isinstance(res, DomainError) or res.degenerate or not math.isfinite(res.loglik):
         return None
     return bic(res.loglik, shape.dof, sample.total)
 
@@ -416,6 +423,15 @@ def _fit_summary(res: FitResult) -> dict[str, float]:
     return out
 
 
+def _bucket_outcome(res: FitResult | DomainError) -> dict[str, float] | str:
+    """A bucket fit's parameter summary, or the reason it is skipped."""
+    if isinstance(res, DomainError):
+        return str(res)
+    if res.degenerate or not math.isfinite(res.loglik):
+        return res.error or "degenerate fit"
+    return _fit_summary(res)
+
+
 def profile_intraday(
     days_ts: Sequence[TimestampSeries],
     spec: BucketSpec,
@@ -428,33 +444,46 @@ def profile_intraday(
     across days.
 
     Buckets whose censored sample is smaller than min_bucket_size (or
-    the shape's parameter count) are skipped and listed.  Differences
-    are always taken within a bucket, never across bucket boundaries.
+    the shape's parameter count) are skipped and listed, as are fits
+    that are rejected or end degenerate, in (day, bucket) order.
+    Differences are always taken within a bucket, never across bucket
+    boundaries.  Each day's eligible buckets are fitted together, as
+    run_selection fits its samples (_fit_samples: one fit_batch call per
+    day for the mle M-step), and summarised before the next day starts.
     """
     cfg = config or EmConfig()
     acc: dict[int, list[dict[str, float]]] = {}
     sizes: dict[int, int] = {}
     skipped: list[tuple[int, int, str]] = []
     for day, ts in enumerate(days_ts):
+        # (bucket_id, skip reason or None for a fitted bucket, sample size)
+        plan: list[tuple[int, str | None, int]] = []
+        samples: list[CensoredSample] = []
         for bucket_id, series in bucket_by_time(ts, spec):
             if len(series) < 2:
                 if len(series):
-                    skipped.append((day, bucket_id, "fewer than two timestamps"))
+                    plan.append((bucket_id, "fewer than two timestamps", len(series)))
                 continue
             sample = build_sample(diff_and_round(series), censor_spec)
             if sample.total < max(min_bucket_size, shape.dof + 1):
-                skipped.append((day, bucket_id, f"sample too small (N={sample.total})"))
+                plan.append((bucket_id, f"sample too small (N={sample.total})", sample.total))
                 continue
-            try:
-                res = fit(sample, (shape.p, shape.r), cfg)
-            except DomainError as exc:
-                skipped.append((day, bucket_id, str(exc)))
-                continue
-            if res.degenerate or not math.isfinite(res.loglik):
-                skipped.append((day, bucket_id, res.error or "degenerate fit"))
-                continue
-            acc.setdefault(bucket_id, []).append(_fit_summary(res))
-            sizes[bucket_id] = sizes.get(bucket_id, 0) + sample.total
+            plan.append((bucket_id, None, sample.total))
+            samples.append(sample)
+        # summarised as the day's fits return: no FitResult outlives its day
+        outcomes = iter([
+            _bucket_outcome(res) for res in _fit_samples(samples, shape, cfg, [None] * len(samples))
+        ])
+        for bucket_id, reason, n in plan:
+            if reason is None:
+                out = next(outcomes)
+                if isinstance(out, str):
+                    reason = out
+                else:
+                    acc.setdefault(bucket_id, []).append(out)
+                    sizes[bucket_id] = sizes.get(bucket_id, 0) + n
+                    continue
+            skipped.append((day, bucket_id, reason))
     buckets = []
     for bucket_id in sorted(acc):
         rows = acc[bucket_id]

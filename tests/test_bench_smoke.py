@@ -4,8 +4,8 @@ The traced run wraps censem functions by the names censem looks up
 (em_core.e_step, em_core.solve_bracketed, model_select.fit,
 model_select.bootstrap_resample, ...), so a refactor that drops or
 renames one of them makes it fail here.  Each workload runs one pass at
-smoke size, untimed: about ten seconds for fit-large, five for
-select-boot.
+smoke size, untimed: about nine seconds each for fit-large and
+select-boot, five for profile-day.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["fit-large", "select-boot"])
+@pytest.mark.parametrize("workload", ["fit-large", "select-boot", "profile-day"])
 def test_traced_smoke_run(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",

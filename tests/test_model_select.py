@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from censem import ComponentSpec, MixtureModel, censored_log_likelihood, fit
-from censem.em_core import EmConfig, MStepVariant
+from censem.em_core import EmConfig, MStepVariant, fit_batch
 from censem.errors import DomainError
 import censem.model_select as model_select
 from censem.model_select import (
@@ -20,7 +21,9 @@ from censem.model_select import (
 from censem.sample_data import (
     BucketSpec,
     TimestampSeries,
+    bucket_by_time,
     build_sample,
+    diff_and_round,
     generate_synthetic,
 )
 
@@ -279,6 +282,9 @@ def _day_from_model(model, n, seed, start_ms):
 
 
 def test_profile_single_day_single_bucket_equals_fit(reference_mixture):
+    """One bucket on one day: its row is fit_batch's fit of that bucket
+    (the engine profile runs), and the scalar fit's within fit_batch's
+    contract (loglik 1e-8, parameters 1e-6 relative)."""
     spec = BucketSpec.from_hhmm("09:00", "09:30", 30)
     model = MixtureModel([0.3, 0.7], [ComponentSpec.exponential(5.0),
                                       ComponentSpec.weibull(40.0, 0.8)])
@@ -288,13 +294,19 @@ def test_profile_single_day_single_bucket_equals_fit(reference_mixture):
     prof = profile_intraday([ts], spec, ModelShape(1, 1))
     assert len(prof.buckets) == 1
     b = prof.buckets[0]
-    from censem.sample_data import diff_and_round
-    direct = fit(build_sample(diff_and_round(ts)), (1, 1))
+    s = build_sample(diff_and_round(ts))
+    (batched,) = fit_batch([s], (1, 1))
     assert b.day_count == 1
-    assert b.alpha_exp == pytest.approx(direct.model.components[0].alpha, rel=1e-12)
-    assert b.alpha_wbl == pytest.approx(direct.model.components[1].alpha, rel=1e-12)
-    assert b.beta == pytest.approx(direct.model.components[1].beta, rel=1e-12)
-    assert b.weight_exp == pytest.approx(float(direct.model.weights[0]), rel=1e-12)
+    assert b.alpha_exp == pytest.approx(batched.model.components[0].alpha, rel=1e-12)
+    assert b.alpha_wbl == pytest.approx(batched.model.components[1].alpha, rel=1e-12)
+    assert b.beta == pytest.approx(batched.model.components[1].beta, rel=1e-12)
+    assert b.weight_exp == pytest.approx(float(batched.model.weights[0]), rel=1e-12)
+    scalar = fit(s, (1, 1))
+    assert batched.loglik == pytest.approx(scalar.loglik, rel=1e-8)
+    assert b.alpha_exp == pytest.approx(scalar.model.components[0].alpha, rel=1e-6)
+    assert b.alpha_wbl == pytest.approx(scalar.model.components[1].alpha, rel=1e-6)
+    assert b.beta == pytest.approx(scalar.model.components[1].beta, rel=1e-6)
+    assert b.weight_exp == pytest.approx(float(scalar.model.weights[0]), rel=1e-6)
 
 
 def test_profile_skips_small_buckets():
@@ -319,3 +331,135 @@ def test_profile_recovers_constant_shape():
     for b in prof.buckets:
         assert b.day_count == 3
         assert abs(b.beta - 0.57) <= 0.05
+
+
+# --- profile_intraday against the per-bucket loop -----------------------------------
+
+
+def reference_profile(days_ts, spec, shape, config=None, censor_spec=None, min_bucket_size=10):
+    """profile_intraday as one scalar fit per (day, bucket)."""
+    cfg = config or EmConfig()
+    acc, sizes, skipped = {}, {}, []
+    for day, ts in enumerate(days_ts):
+        for bucket_id, series in bucket_by_time(ts, spec):
+            if len(series) < 2:
+                if len(series):
+                    skipped.append((day, bucket_id, "fewer than two timestamps"))
+                continue
+            sample = build_sample(diff_and_round(series), censor_spec)
+            if sample.total < max(min_bucket_size, shape.dof + 1):
+                skipped.append((day, bucket_id, f"sample too small (N={sample.total})"))
+                continue
+            try:
+                res = fit(sample, (shape.p, shape.r), cfg)
+            except DomainError as exc:
+                skipped.append((day, bucket_id, str(exc)))
+                continue
+            if res.degenerate or not math.isfinite(res.loglik):
+                skipped.append((day, bucket_id, res.error or "degenerate fit"))
+                continue
+            acc.setdefault(bucket_id, []).append(model_select._fit_summary(res))
+            sizes[bucket_id] = sizes.get(bucket_id, 0) + sample.total
+    buckets = [
+        model_select.BucketProfile(
+            bucket_id=b, start_ms=spec.bucket_start_ms(b),
+            **{key: float(np.mean([r[key] for r in rows]))
+               for key in ("alpha_wbl", "alpha_exp", "beta", "weight_exp")},
+            day_count=len(rows), sample_count=sizes[b],
+        )
+        for b, rows in sorted(acc.items())
+    ]
+    return model_select.IntradayProfile(spec=spec, shape=shape, buckets=buckets, skipped=skipped)
+
+
+PROFILE_SPEC = BucketSpec.from_hhmm("09:00", "11:00", 30)
+PROFILE_MIX = MixtureModel([0.3, 0.7], [ComponentSpec.exponential(5.0),
+                                        ComponentSpec.weibull(40.0, 0.8)])
+# a weight floor the single-Weibull bucket's exponential component falls through
+PROFILE_CFG = EmConfig(weight_floor=0.05)
+
+
+def _bucket_stamps(model, n, seed, bucket):
+    start = PROFILE_SPEC.session_start_ms + bucket * PROFILE_SPEC.width_ms
+    stamps = start + np.cumsum(generate_synthetic(model, n, seed))
+    return stamps[stamps < start + PROFILE_SPEC.width_ms]
+
+
+def profile_days():
+    """Three days of four 30-minute buckets.  Day 0: a mixture bucket, a
+    too-small bucket, a one-stamp bucket and a single-Weibull bucket whose
+    (1,1) fit ends degenerate; day 1: four mixture buckets; day 2: no
+    eligible bucket."""
+    start, width = PROFILE_SPEC.session_start_ms, PROFILE_SPEC.width_ms
+    day0 = np.concatenate([
+        _bucket_stamps(PROFILE_MIX, 1500, 61, 0),
+        start + width + np.array([0.0, 10.0, 25.0, 40.0, 60.0]),
+        [start + 2 * width + 7.0],
+        _bucket_stamps(MixtureModel([1.0], [ComponentSpec.weibull(40.0, 2.0)]), 800, 70, 3),
+    ])
+    day1 = np.concatenate([_bucket_stamps(PROFILE_MIX, 1200 + 100 * b, 80 + b, b)
+                           for b in range(4)])
+    day2 = start + np.array([3.0, 9.0, 20.0])
+    return [TimestampSeries(d) for d in (day0, day1, day2)]
+
+
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
+
+
+def assert_same_skips(got, want):
+    """Same (day, bucket) order and reason text; a number inside a reason
+    (an error's den=... or f(lo)=...) may move by rounding, as the fitted
+    parameters do."""
+    assert [(d, b) for d, b, _ in got] == [(d, b) for d, b, _ in want]
+    for (_, _, r_got), (_, _, r_want) in zip(got, want):
+        assert _NUMBER.sub("#", r_got) == _NUMBER.sub("#", r_want)
+        np.testing.assert_allclose([float(v) for v in _NUMBER.findall(r_got)],
+                                   [float(v) for v in _NUMBER.findall(r_want)], rtol=1e-6)
+
+
+def test_profile_batched_matches_reference_loop(monkeypatch):
+    monkeypatch.setattr(model_select, "BATCH_MEMBERS", 3)  # day 1 spans two batches
+    days = profile_days()
+    got = profile_intraday(days, PROFILE_SPEC, ModelShape(1, 1), PROFILE_CFG)
+    want = reference_profile(days, PROFILE_SPEC, ModelShape(1, 1), PROFILE_CFG)
+
+    reasons = [reason for _, _, reason in want.skipped]
+    assert [(d, b) for d, b, _ in want.skipped] == [(0, 1), (0, 2), (0, 3), (2, 0)]
+    assert reasons[0].startswith("sample too small") and reasons[3].startswith("sample too small")
+    assert reasons[1] == "fewer than two timestamps"
+    assert reasons[2].startswith("DegenerateComponentError")
+    assert_same_skips(got.skipped, want.skipped)
+
+    assert [b.bucket_id for b in got.buckets] == [b.bucket_id for b in want.buckets] == [0, 1, 2, 3]
+    for bg, bw in zip(got.buckets, want.buckets):
+        assert (bg.start_ms, bg.day_count, bg.sample_count) == (
+            bw.start_ms, bw.day_count, bw.sample_count)
+        for key in ("alpha_wbl", "alpha_exp", "beta", "weight_exp"):
+            assert getattr(bg, key) == pytest.approx(getattr(bw, key), rel=1e-6), key
+    assert [b.day_count for b in got.buckets] == [2, 1, 1, 1]
+
+
+def test_profile_direct_variant_report_equals_reference_loop(tmp_path, monkeypatch):
+    """With the direct M-step profile still fits one bucket at a time, so
+    its report bytes equal those of the per-bucket loop."""
+    from censem import cli
+
+    width = 600_000  # --bucket-minutes 10 from the 09:00 session start
+    paths = []
+    for day in range(2):
+        stamps = np.concatenate([
+            9 * 3600_000 + b * width + np.cumsum(generate_synthetic(PROFILE_MIX, 300, 90 + 3 * day + b))
+            for b in range(3)
+        ])
+        paths.append(tmp_path / f"day{day}.txt")
+        paths[-1].write_text("\n".join(str(int(v)) for v in stamps) + "\n")
+    argv = ["profile", "--output", None, "--shape", "1,1", "--bucket-minutes", "10",
+            "--m-step", "direct", "--max-iter", "40"]
+    for p in paths:
+        argv += ["--input", str(p)]
+    argv[2] = str(tmp_path / "batched.txt")
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(cli, "profile_intraday", reference_profile)
+    argv[2] = str(tmp_path / "reference.txt")
+    assert cli.main(argv) == 0
+    assert (tmp_path / "batched.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
