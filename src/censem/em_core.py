@@ -1134,6 +1134,7 @@ def _direct_m_step_ws(
 (_ST_ZETA, _ST_POW, _ST_MASS, _ST_ALPHA, _ST_BRACKET, _ST_SPEC) = range(6)
 _STAGES = 6
 
+
 class _Failures:
     """First failure per member: its (component, stage) key and exception."""
 
@@ -1482,7 +1483,8 @@ def _shape_bracket2_array(z_lo: np.ndarray, z_hi: np.ndarray, reach: np.ndarray)
     log_lo = np.log(zl_s)
     g_hi = gamma_upper2_array(zh_s) * log_hi
     from_zero = -d_hi + log_hi - g_hi
-    general = d_series1_array(zl_s) - d_hi - (log_lo - log_hi) + gamma_upper2_array(zl_s) * log_lo - g_hi
+    general = (d_series1_array(zl_s) - d_hi - (log_lo - log_hi)
+               + gamma_upper2_array(zl_s) * log_lo - g_hi)
     series = np.where(at0, from_zero, general)
     if tails.any():
         series = np.where(tails, _bracket2_tail_array(zl) - _bracket2_tail_array(zh), series)

@@ -456,32 +456,32 @@ def profile_intraday(
     sizes: dict[int, int] = {}
     skipped: list[tuple[int, int, str]] = []
     for day, ts in enumerate(days_ts):
-        # (bucket_id, skip reason or None for a fitted bucket, sample size)
-        plan: list[tuple[int, str | None, int]] = []
+        # per bucket, in bucket order: its skip reason, or None if it is fitted
+        plan: list[tuple[int, str | None]] = []
         samples: list[CensoredSample] = []
         for bucket_id, series in bucket_by_time(ts, spec):
             if len(series) < 2:
                 if len(series):
-                    plan.append((bucket_id, "fewer than two timestamps", len(series)))
+                    plan.append((bucket_id, "fewer than two timestamps"))
                 continue
             sample = build_sample(diff_and_round(series), censor_spec)
             if sample.total < max(min_bucket_size, shape.dof + 1):
-                plan.append((bucket_id, f"sample too small (N={sample.total})", sample.total))
+                plan.append((bucket_id, f"sample too small (N={sample.total})"))
                 continue
-            plan.append((bucket_id, None, sample.total))
+            plan.append((bucket_id, None))
             samples.append(sample)
         # summarised as the day's fits return: no FitResult outlives its day
-        outcomes = iter([
-            _bucket_outcome(res) for res in _fit_samples(samples, shape, cfg, [None] * len(samples))
-        ])
-        for bucket_id, reason, n in plan:
+        outcomes = [_bucket_outcome(res)
+                    for res in _fit_samples(samples, shape, cfg, [None] * len(samples))]
+        fitted = iter(zip(samples, outcomes))
+        for bucket_id, reason in plan:
             if reason is None:
-                out = next(outcomes)
+                sample, out = next(fitted)
                 if isinstance(out, str):
                     reason = out
                 else:
                     acc.setdefault(bucket_id, []).append(out)
-                    sizes[bucket_id] = sizes.get(bucket_id, 0) + n
+                    sizes[bucket_id] = sizes.get(bucket_id, 0) + sample.total
                     continue
             skipped.append((day, bucket_id, reason))
     buckets = []

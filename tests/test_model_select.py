@@ -447,10 +447,9 @@ def test_profile_direct_variant_report_equals_reference_loop(tmp_path, monkeypat
     width = 600_000  # --bucket-minutes 10 from the 09:00 session start
     paths = []
     for day in range(2):
-        stamps = np.concatenate([
-            9 * 3600_000 + b * width + np.cumsum(generate_synthetic(PROFILE_MIX, 300, 90 + 3 * day + b))
-            for b in range(3)
-        ])
+        draws = [generate_synthetic(PROFILE_MIX, 300, 90 + 3 * day + b) for b in range(3)]
+        stamps = np.concatenate([9 * 3600_000 + b * width + np.cumsum(d)
+                                 for b, d in enumerate(draws)])
         paths.append(tmp_path / f"day{day}.txt")
         paths[-1].write_text("\n".join(str(int(v)) for v in stamps) + "\n")
     argv = ["profile", "--output", None, "--shape", "1,1", "--bucket-minutes", "10",
@@ -463,3 +462,14 @@ def test_profile_direct_variant_report_equals_reference_loop(tmp_path, monkeypat
     argv[2] = str(tmp_path / "reference.txt")
     assert cli.main(argv) == 0
     assert (tmp_path / "batched.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+
+def test_profile_config_rejected_for_every_bucket_skips_each():
+    """A configuration fit rejects (weight_floor >= 1/M) skips every
+    eligible bucket with fit's reason, as the per-bucket loop does."""
+    days = profile_days()
+    cfg = EmConfig(weight_floor=0.4)
+    got = profile_intraday(days, PROFILE_SPEC, ModelShape(2, 1), cfg)
+    want = reference_profile(days, PROFILE_SPEC, ModelShape(2, 1), cfg)
+    assert not got.buckets and got.skipped == want.skipped
+    assert sum(r == "weight_floor must be below 1/M" for _, _, r in got.skipped) == 6
