@@ -20,13 +20,15 @@ u = (y/alpha)^beta, under which an interval [lo, hi) maps to
 [zeta_lo, zeta_hi) and every censored expectation becomes an
 incomplete-gamma expression.
 
-`fit` runs one sample.  `fit_batch` runs the mle variant for many
-samples at once: their collapsed samples are padded into shared arrays,
-every iteration is one array E-step, one array weight and scale update
-and one array shape root solve, and a member leaves the arrays when it
-converges, reaches max_iter or fails.  The scalar `fit` is its oracle:
-a member stops at the same iteration, with the same flags and named
-error, and its numbers differ from fit's only by rounding.
+There is one EM loop, `fit_batch`; `fit` is a batch of one.  The
+samples are collapsed to unique values and padded into shared arrays,
+every iteration is one array E-step and weight update plus the M-step
+(for mle one array scale update and one array shape root solve), and a
+member leaves the arrays when it converges, reaches max_iter or fails.
+The public uncompressed operations (e_step, update_weights, the m_step_*
+functions, q_objective) are the readable reference: an EM loop built
+from them stops at the same iteration, with the same flags and named
+error, and its numbers differ from fit_batch's only by rounding.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import digamma
 
 from .components import (
     CensoringInterval,
@@ -50,6 +53,7 @@ from .components import (
 )
 from .errors import (
     BracketError,
+    CensemError,
     DegenerateComponentError,
     DomainError,
     NonConvergenceError,
@@ -148,15 +152,11 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# internal weighted-data engine
+# weighted-data kernels
 #
-# All M-step math runs on (values, weights) pairs so the fit loop can
-# collapse duplicated observations (integer-rounded data compresses a
-# lot) without changing any result.  Each model visited by the fit loop
-# gets exactly one E-step pass over the collapsed sample (_ws_e_pass),
-# which yields its log-likelihood, z and z_tilde together.  The public
-# uncompressed e_step shares the row and interval kernels of that pass;
-# the fit loop itself no longer calls it.
+# The M-step math runs on (values, weights) pairs, so the same kernels
+# serve the uncompressed public operations and the fit loop's collapsed
+# samples (integer-rounded data compresses a lot).
 # ---------------------------------------------------------------------------
 
 
@@ -211,15 +211,21 @@ def _shape_series_bracket(s: float, z_lo: float, z_hi: float) -> float:
 
     where S(s, x) = sum_p (-1)^p x^(s+p) / (p! (s+p)^2) = d_series(s-1, x).
     Equals d/ds [Gamma(s, z_lo) - Gamma(s, z_hi)] up to sign bookkeeping
-    handled by the caller.  z_lo = 0 uses the finite limit.
+    handled by the caller: the bracket is int_{z_lo}^{z_hi} t^(s-1)
+    e^(-t) log t dt.  z_lo = 0 uses the finite limit, and z_hi = inf the
+    limit Gamma(s) psi(s) - gamma(s, z_lo) log z_lo + S(s, z_lo).
 
-    For s = 2 the bracket is int_{z_lo}^{z_hi} t e^(-t) log t dt; from
-    z_hi = 1 on it is taken as a difference of tails (_bracket2_tail),
-    which stays accurate where the series S loses its digits and is
-    finite for z_hi = inf.
+    For s = 2, from z_hi = 1 on the bracket is taken as a difference of
+    tails (_bracket2_tail), which stays accurate where the series S
+    loses its digits.
     """
     if s == 2.0 and z_hi >= 1.0:
         return _bracket2_tail(z_lo) - _bracket2_tail(z_hi)
+    if math.isinf(z_hi):
+        whole = gamma_complete(s) * float(digamma(s))
+        if z_lo == 0.0:
+            return whole
+        return whole - gamma_lower(s, z_lo) * math.log(z_lo) + d_series(s - 1.0, z_lo)
     log_hi = math.log(z_hi)
     if z_lo == 0.0:
         return (
@@ -316,7 +322,6 @@ def _wbl_scale_update(
     alpha_prev: float,
     beta_prev: float,
     floor: float,
-    log_x: np.ndarray | None = None,
 ) -> float:
     """Closed-form scale update with the shape pinned to beta_prev.
 
@@ -324,8 +329,7 @@ def _wbl_scale_update(
     with G_l = (Gamma(2, z_lo) - Gamma(2, z_hi)) / (e^(-z_lo) - e^(-z_hi)).
     """
     if x.size:
-        lx = np.log(x) if log_x is None else log_x
-        num = float(w @ np.exp(beta_prev * lx))
+        num = float(w @ np.exp(beta_prev * np.log(x)))
     else:
         num = 0.0
     den = float(w.sum()) + float(cens_w.sum())
@@ -355,7 +359,6 @@ def _wbl_shape_equation(
     terms: list[_IntervalTerms],
     alpha_new: float,
     beta_prev: float,
-    log_x: np.ndarray | None = None,
 ) -> Callable[[float], float]:
     """Score equation in beta after the scale update.
 
@@ -366,7 +369,7 @@ def _wbl_shape_equation(
     bracket is unique when it exists.
     """
     if x.size:
-        l = (np.log(x) if log_x is None else log_x) - math.log(alpha_new)
+        l = np.log(x) - math.log(alpha_new)
     else:
         l = np.empty(0)
     wl = w * l
@@ -884,56 +887,6 @@ def _workspace(s: CensoredSample) -> _Workspace:
     )
 
 
-def _ws_log_matrix(ws: _Workspace, model: MixtureModel) -> np.ndarray:
-    """log(weight_i) + log pdf_i over the unique values, from cached logs.
-
-    Branches exactly like components.log_pdf so the reported trace
-    matches a censored_log_likelihood recomputation bit for bit.
-    """
-    if ws.values.size == 0:
-        return np.empty((0, model.m))
-    logw = model.log_weights
-    cols = []
-    for i, c in enumerate(model.components):
-        la = math.log(c.alpha)
-        if c.beta == 1.0:
-            cols.append(logw[i] + (-la - ws.values / c.alpha))
-        else:
-            rel = ws.log_values - la
-            cols.append(
-                logw[i] + (math.log(c.beta) - la + (c.beta - 1.0) * rel - np.exp(c.beta * rel))
-            )
-    return np.stack(cols, axis=1)
-
-
-def _ws_e_pass(
-    ws: _Workspace, model: MixtureModel
-) -> tuple[float, np.ndarray | None, np.ndarray | None, int | None, list[int]]:
-    """One E-step pass of `model` over the workspace.
-
-    Returns (log-likelihood, z over the unique values, z_tilde, None,
-    indices of the intervals whose mass underflowed), or (-inf, None,
-    None, j, []) when the mixture density of unique value j underflows.
-    The log matrix, its row max and exp(logmat - max) serve both the
-    log-likelihood and z; each interval's log masses serve both its
-    log-likelihood term and its z_tilde row.
-    """
-    rows, z, bad = _row_pass(_ws_log_matrix(ws, model))
-    if bad is not None:
-        return -math.inf, None, None, bad, []
-    total = 0.0
-    if ws.values.size:
-        total += float(ws.counts @ rows)
-    zt, log_mass = _interval_pass(model, ws.intervals)
-    dead = []
-    for k, (iv, lp) in enumerate(zip(ws.intervals, log_mass)):
-        if lp == -math.inf:
-            dead.append(k)
-        if iv.count:
-            total += iv.count * lp
-    return total, z, zt, None, dead
-
-
 def fit(
     s: CensoredSample,
     model_shape: tuple[int, int],
@@ -946,191 +899,31 @@ def fit(
     is hit (converged=False then, no exception).  Numerical degeneracies
     (component death, shape-bracket failures, responsibility underflow)
     are surfaced on the result with the last valid state rather than
-    raised.
+    raised; a sample or configuration the fit cannot run raises
+    DomainError.  This is fit_batch on a batch of one.
     """
-    cfg = config or EmConfig()
-    p, r = int(model_shape[0]), int(model_shape[1])
-    d = dof(p, r)
-    if s.total < d + 1:
-        raise DomainError(
-            f"sample of size {s.total} cannot support a shape with {d} free parameters"
-        )
-    m_count = p + r
-    if cfg.weight_floor >= 1.0 / m_count:
-        raise DomainError("weight_floor must be below 1/M")
-
-    model = default_init(s, p, r, cfg.init)
-    ws = _workspace(s)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _fit_loop(ws, model, cfg, warnings=[])
-
-
-def _fit_loop(
-    ws: _Workspace,
-    model: MixtureModel,
-    cfg: EmConfig,
-    warnings: list[str],
-) -> FitResult:
-    """EM iterations on the collapsed sample.
-
-    Every model gets one _ws_e_pass: its log-likelihood feeds the trace
-    and the stopping test, and its z and z_tilde feed the next M-step.
-    The last pass also gives final_responsibilities, as z[ws.inverse].
-    An interval whose mass underflows is logged and added to warnings
-    once per fit, not once per pass.
-    """
-    degenerate = False
-    error: str | None = None
-    warned: set[int] = set()
-
-    def note_underflow(dead: list[int]) -> None:
-        for k in dead:
-            if k not in warned:
-                warned.add(k)
-                _warn_underflow(ws.intervals[k], warnings)
-
-    ll_prev, z, zt, bad, dead = _ws_e_pass(ws, model)
-    note_underflow(dead)
-    trace = [ll_prev]
-    converged = False
-    iterations = 0
-
-    for _ in range(cfg.max_iter):
-        try:
-            if bad is not None:
-                raise ResponsibilityUnderflowError(
-                    "mixture density underflows at observation value "
-                    f"{ws.values[bad]!r}",
-                    index=int(np.argmax(ws.inverse == bad)),
-                )
-            weights = _weights_from(z, zt, ws)
-            floor_hits = [i for i, wt in enumerate(weights) if wt < cfg.weight_floor]
-            if floor_hits and not degenerate:
-                degenerate = True
-                warnings.append(
-                    f"component(s) {floor_hits} fell below the weight floor "
-                    f"{cfg.weight_floor}; fit continues with them flagged"
-                )
-            if cfg.m_step_variant == MStepVariant.DIRECT_OBJECTIVE:
-                comps = _direct_m_step_ws(ws, model, z, zt, cfg)
-            else:
-                comps = _mle_m_step_ws(ws, model, z, zt, cfg)
-            model = MixtureModel(weights, comps)
-        except (
-            DegenerateComponentError,
-            BracketError,
-            ResponsibilityUnderflowError,
-            NonConvergenceError,
-            OverflowError,
-        ) as exc:
-            degenerate = True
-            error = f"{type(exc).__name__}: {exc}"
-            warnings.append(f"stopped at iteration {iterations + 1}: {error}")
-            break
-        iterations += 1
-        ll, z, zt, bad, dead = _ws_e_pass(ws, model)
-        note_underflow(dead)
-        trace.append(ll)
-        if not math.isfinite(ll):
-            degenerate = True
-            error = "log-likelihood became non-finite"
-            warnings.append(error)
-            break
-        if abs(ll - ll_prev) <= cfg.epsilon:
-            converged = True
-            ll_prev = ll
-            break
-        ll_prev = ll
-
-    return FitResult(
-        model=model,
-        loglik_trace=np.asarray(trace, dtype=float),
-        iterations=iterations,
-        converged=converged,
-        final_responsibilities=(
-            None if bad is not None else Responsibilities(z[ws.inverse], zt)
-        ),
-        degenerate=degenerate,
-        warnings=warnings,
-        error=error,
-    )
-
-
-def _weights_from(z: np.ndarray, zt: np.ndarray, ws: _Workspace) -> np.ndarray:
-    acc = ws.counts @ z if ws.values.size else np.zeros(zt.shape[1] if zt.size else z.shape[1])
-    if ws.cens_counts.size:
-        acc = acc + ws.cens_counts @ zt
-    w = acc / ws.total
-    return w / w.sum()
-
-
-def _mle_m_step_ws(
-    ws: _Workspace,
-    model: MixtureModel,
-    z: np.ndarray,
-    zt: np.ndarray,
-    cfg: EmConfig,
-) -> list[ComponentSpec]:
-    comps = []
-    floor = cfg.weight_floor * ws.total
-    for i, prev in enumerate(model.components):
-        w = ws.counts * z[:, i] if ws.values.size else np.empty(0)
-        cens_w = ws.cens_counts * zt[:, i] if ws.cens_counts.size else np.empty(0)
-        if prev.kind == Kind.EXPONENTIAL:
-            means = np.array(
-                [truncated_mean_exp(prev.alpha, iv) for iv in ws.intervals]
-            )
-            comps.append(
-                ComponentSpec.exponential(
-                    _exp_scale_update(ws.values, w, cens_w, means, floor)
-                )
-            )
-        else:
-            terms = [_interval_terms(iv, prev.alpha, prev.beta) for iv in ws.intervals]
-            alpha_new = _wbl_scale_update(
-                ws.values, w, cens_w, terms, prev.alpha, prev.beta, floor,
-                log_x=ws.log_values,
-            )
-            f = _wbl_shape_equation(
-                ws.values, w, cens_w, terms, alpha_new, prev.beta, log_x=ws.log_values
-            )
-            beta_new = _solve_shape(f, cfg.beta_bracket, prev.beta, cfg.root_tol)
-            comps.append(ComponentSpec.weibull(alpha_new, beta_new))
-    return comps
-
-
-def _direct_m_step_ws(
-    ws: _Workspace,
-    model: MixtureModel,
-    z: np.ndarray,
-    zt: np.ndarray,
-    cfg: EmConfig,
-) -> list[ComponentSpec]:
-    comps = []
-    for i, prev in enumerate(model.components):
-        w = ws.counts * z[:, i] if ws.values.size else np.empty(0)
-        cens_w = ws.cens_counts * zt[:, i] if ws.cens_counts.size else np.empty(0)
-        comps.append(
-            _direct_component(
-                ws.values, w, cens_w, ws.intervals, prev, cfg, log_x=ws.log_values
-            )
-        )
-    return comps
+    (res,) = fit_batch([s], model_shape, config)
+    if isinstance(res, DomainError):
+        raise res
+    return res
 
 
 # ---------------------------------------------------------------------------
-# batched fit loop (mle variant)
+# the batched fit loop
 #
-# fit_batch runs the scalar loop's arithmetic for many samples at once on
-# padded arrays: exact values as (B, U), intervals as (B, L) and the
-# parameters, z and z_tilde with the component axis first, as (M, B),
-# (M, B, U) and (M, B, L).  All members advance in lockstep, so they share
-# one iteration counter; a member leaves the arrays when it stops.
+# fit_batch runs the EM for many samples at once on padded arrays: exact
+# values as (B, U), intervals as (B, L) and the parameters, z and z_tilde
+# with the component axis first, as (M, B), (M, B, U) and (M, B, L).  All
+# members advance in lockstep, so they share one iteration counter; a
+# member leaves the arrays when it stops.  The E-step is one array pass;
+# the mle M-step is array arithmetic, the direct M-step runs
+# _direct_component on each member's own unpadded slices.
 # ---------------------------------------------------------------------------
 
-# Failure points inside one component's M-step, in the order the scalar
-# code reaches them.  A member reports the failure with the lowest
-# (component, stage) key, which is the exception the scalar loop raises.
+# Failure points inside one component's M-step, in the order the public
+# m_step_* operations reach them.  A member reports the failure with the
+# lowest (component, stage) key, which is the exception an EM loop built
+# from those operations raises first.
 (_ST_ZETA, _ST_POW, _ST_MASS, _ST_ALPHA, _ST_BRACKET, _ST_SPEC) = range(6)
 _STAGES = 6
 
@@ -1156,7 +949,8 @@ class _Failures:
 
 class _Batch:
     """Working arrays of the members still iterating, and their last E-step
-    pass (ll, z, zt, bad).  ids maps each row back to its member.
+    pass (ll, z, zt, bad).  ids maps each row back to its member, and
+    wss[member] is that member's unpadded workspace.
 
     Padding rows repeat the member's first exact value with count 0, and
     padding intervals are [0, inf) with count 0, so every padded entry is
@@ -1173,6 +967,7 @@ class _Batch:
         u = max(ws.values.size for ws in wss)
         nl = max(len(ws.intervals) for ws in wss)
         self.p = p
+        self.wss = wss
         self.ids = np.arange(b)
         self.vals = np.ones((b, u))
         self.cnt = np.zeros((b, u))
@@ -1214,9 +1009,13 @@ class _Batch:
     # -- E-step ---------------------------------------------------------------
 
     def e_pass(self) -> np.ndarray:
-        """_ws_e_pass for every member: sets ll (B,), z (M, B, U), zt
-        (M, B, L) and bad, the first underflowing exact row per member
-        (-1 for none), and returns the underflowing intervals (B, L)."""
+        """One E-step pass of every member's model over its collapsed
+        sample: sets ll (B,), z (M, B, U), zt (M, B, L) and bad, the first
+        underflowing exact row per member (-1 for none), and returns the
+        underflowing intervals (B, L).  The log matrix, its row max and
+        exp(logmat - max) serve both the log-likelihood and z; each
+        interval's log masses serve both its log-likelihood term and its
+        z_tilde row."""
         self.z = self.zt = None  # the last pass is spent; free it for this one
         logw = np.log(self.w)
         logmat = np.empty((self.w.shape[0],) + self.vals.shape)
@@ -1244,7 +1043,11 @@ class _Batch:
         self.bad = np.where(dead.any(axis=1), dead.argmax(axis=1) if dead.size else 0, -1)
         pz = np.exp(np.subtract(logmat, mx, out=logmat), out=logmat)
         rowsum = pz.sum(axis=0)
-        ll = (self.cnt * (mx + np.log(rowsum))).sum(axis=1)
+        # counts @ rows for each member, reduced as a dot product is: a
+        # batch of one gives ws.counts @ rows bit for bit, which the
+        # multiply-and-sum form does not
+        rows = mx + np.log(rowsum)
+        ll = np.matmul(self.cnt[:, None, :], rows[:, :, None])[:, 0, 0]
         self.z = np.divide(pz, rowsum, out=pz)
 
         lip = np.empty((self.w.shape[0],) + self.lo.shape)
@@ -1282,10 +1085,11 @@ class _Batch:
 
     # -- M-step ---------------------------------------------------------------
 
-    def m_step(self, weights: np.ndarray, cfg: EmConfig):
-        """New (alphas, betas) from the last pass and each member's first
-        failure, following _mle_m_step_ws and the MixtureModel checks that
-        come after it."""
+    def m_step(self, cfg: EmConfig):
+        """The mle M-step: new (alphas, betas) from the last pass and each
+        member's first failure, in the order m_step_exponential,
+        m_step_weibull_alpha, m_step_weibull_beta and the ComponentSpec
+        checks reach them."""
         m_count, b = self.alpha.shape
         fails = _Failures(b)
         alpha = self.alpha.copy()
@@ -1354,12 +1158,31 @@ class _Batch:
             )
         for i in range(self.p, m_count):
             _check_spec(fails, i * _STAGES, alpha[i])
-        key = m_count * _STAGES
-        bad_w = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
-        fails.add(bad_w, key, lambda k: DomainError("weights must be finite and non-negative"))
-        wsum = weights.sum(axis=0)
-        fails.add(np.abs(wsum - 1.0) > 1e-12, key,
-                  lambda k: DomainError(f"weights must sum to 1, got {wsum[k]!r}"))
+        return alpha, beta, fails
+
+    def direct_m_step(self, cfg: EmConfig):
+        """The direct M-step: _direct_component per member and component on
+        the member's own unpadded slices, as m_step_direct runs it.  A
+        component's exception is that member's failure at the component's
+        key, and the member's later components are not run."""
+        m_count, b = self.alpha.shape
+        fails = _Failures(b)
+        alpha = self.alpha.copy()
+        beta = self.beta.copy()
+        for pos, member in enumerate(self.ids):
+            ws = self.wss[member]
+            u, nl = ws.values.size, len(ws.intervals)
+            for i, prev in enumerate(self.model(pos).components):
+                try:
+                    c = _direct_component(
+                        ws.values, ws.counts * self.z[i, pos, :u],
+                        ws.cens_counts * self.zt[i, pos, :nl], ws.intervals, prev, cfg,
+                        log_x=ws.log_values,
+                    )
+                except (CensemError, OverflowError) as exc:
+                    fails.add(np.arange(b) == pos, i * _STAGES, lambda _, exc=exc: exc)
+                    break
+                alpha[i, pos], beta[i, pos] = c.alpha, c.beta
         return alpha, beta, fails
 
     def _solve_shapes(self, l_rel, wl, a_mass, b_const, fails: _Failures, beta, cfg: EmConfig):
@@ -1403,11 +1226,21 @@ class _Batch:
 
 
 def _sum_l(terms: np.ndarray) -> np.ndarray:
-    """Sum over the interval axis in interval order, as the scalar loops add."""
+    """Sum over the interval axis in interval order, as the public
+    operations' loops add."""
     acc = np.zeros(terms.shape[0])
     for l in range(terms.shape[1]):
         acc = acc + terms[:, l]
     return acc
+
+
+def _check_weights(fails: _Failures, key: int, weights: np.ndarray) -> None:
+    """The MixtureModel checks on the new weights."""
+    bad_w = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
+    fails.add(bad_w, key, lambda k: DomainError("weights must be finite and non-negative"))
+    wsum = weights.sum(axis=0)
+    fails.add(np.abs(wsum - 1.0) > 1e-12, key,
+              lambda k: DomainError(f"weights must sum to 1, got {wsum[k]!r}"))
 
 
 def _check_spec(fails: _Failures, key: int, alpha: np.ndarray) -> None:
@@ -1549,19 +1382,21 @@ def fit_batch(
     config: EmConfig | None = None,
     inits: Sequence[InitSpec | None] | None = None,
 ) -> list[FitResult | DomainError]:
-    """`fit` for many samples at once, mle M-step only.
+    """The censored EM for many samples at once, with either M-step.
 
     Member j starts from inits[j] (config.init where that is None or
-    inits is not given) and follows the scalar loop step for step: the
-    same stopping rule, iteration count, warnings and named error, with
-    floating-point results that differ from fit's only by rounding.  A
-    sample that fit would reject with a DomainError gets that error in
-    its slot instead of a FitResult.  A configuration that fit rejects
-    for every sample raises.
+    inits is not given).  Its stopping rule, iteration count, warnings
+    and named error are those of an EM loop built from e_step,
+    update_weights and the m_step_* operations, and its numbers differ
+    from that loop's only by rounding (which also moves with the other
+    members' sizes, through the padded sums).  A sample that cannot be
+    fitted gets the DomainError that says why in its slot instead of a
+    FitResult.  A configuration that no sample can run with, or an inits
+    list whose length differs from samples', raises.
     """
     cfg = config or EmConfig()
-    if cfg.m_step_variant != MStepVariant.SELF_CONSISTENT_MLE:
-        raise DomainError("fit_batch runs the self-consistent mle M-step only")
+    if inits is not None and len(inits) != len(samples):
+        raise DomainError(f"got {len(inits)} inits for {len(samples)} samples")
     p, r = int(model_shape[0]), int(model_shape[1])
     d = dof(p, r)
     if cfg.weight_floor >= 1.0 / (p + r):
@@ -1592,6 +1427,8 @@ def fit_batch(
 def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: EmConfig):
     """Yield (member, FitResult or DomainError) as members stop."""
     st = _Batch(wss, models, p)
+    mle = cfg.m_step_variant == MStepVariant.SELF_CONSISTENT_MLE
+    m_step = st.m_step if mle else st.direct_m_step
     n = len(wss)
     warnings: list[list[str]] = [[] for _ in wss]
     flagged = np.zeros(n, dtype=bool)
@@ -1606,7 +1443,7 @@ def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: 
         if iterations == history.shape[1]:
             history = np.concatenate([history, np.empty_like(history)], axis=1)
         history[st.ids, iterations] = st.ll
-        # _ws_e_pass stops at an underflowing row before the intervals
+        # e_step raises at an underflowing row before the intervals
         fresh = idead & ~warned[st.ids] & (st.bad < 0)[:, None]
         for pos, l in zip(*np.nonzero(fresh)):
             m = st.ids[pos]
@@ -1658,7 +1495,8 @@ def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: 
                     f"component(s) {floor_hits} fell below the weight floor "
                     f"{cfg.weight_floor}; fit continues with them flagged"
                 )
-        alpha, beta, fails = st.m_step(weights, cfg)
+        alpha, beta, fails = m_step(cfg)
+        _check_weights(fails, alpha.shape[0] * _STAGES, weights)
         failed = np.zeros(st.ids.size, dtype=bool)
         for pos, exc in sorted(fails.exc.items()):
             failed[pos] = True

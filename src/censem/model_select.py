@@ -8,11 +8,10 @@ and ask whether any alternative's BIC distribution significantly beats
 the baseline mixture of one exponential and one Weibull.
 
 Each ensemble's subsample and replicas are drawn once and reused for
-every shape.  With the mle M-step, each shape is fitted to all the
-ensembles' subsamples in one batched EM call (em_core.fit_batch), then
-to all replicas, each warm-started from its own ensemble's fit, in
-batches of at most BATCH_MEMBERS; the direct M-step fits one sample at
-a time.  The intraday profile goes through the same helper
+every shape.  Each shape is fitted to all the ensembles' subsamples in
+one batched EM call (em_core.fit_batch), then to all replicas, each
+warm-started from its own ensemble's fit, in batches of at most
+BATCH_MEMBERS.  The intraday profile goes through the same helper
 (_fit_samples) one trading day at a time: a day's eligible buckets are
 one batch, summarised as soon as it returns.
 """
@@ -21,14 +20,17 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import stats as _scipy_stats
 
 from .components import dof as dof_fn
-from .em_core import EmConfig, FitResult, InitSpec, MStepVariant, fit, fit_batch
+from .em_core import EmConfig, FitResult, InitSpec, fit_batch
+# Unused here, but kept importable: the benchmark's tracer wraps the name
+# model_select.fit, and fails where it is missing.
+from .em_core import fit  # noqa: F401
 from .errors import DomainError
 from .sample_data import (
     BucketSpec,
@@ -206,10 +208,6 @@ def _warm_init(res: FitResult) -> InitSpec:
     )
 
 
-def _warm_config(base: EmConfig, res: FitResult) -> EmConfig:
-    return replace(base, init=_warm_init(res))
-
-
 def _fit_samples(
     samples: Sequence[CensoredSample],
     shape: ModelShape,
@@ -218,27 +216,18 @@ def _fit_samples(
 ) -> list[FitResult | DomainError]:
     """Fit the shape to every sample, sample j warm-started from the model
     of warm_from[j] (from config.init where that is None); the DomainError
-    fit would raise stands in place of a FitResult.  The mle variant runs
-    as batched EM, BATCH_MEMBERS samples per fit_batch call; the direct
-    variant calls fit once per sample."""
+    fit would raise stands in place of a FitResult.  Either M-step runs as
+    batched EM, BATCH_MEMBERS samples per fit_batch call."""
     pr = (shape.p, shape.r)
-    if config.m_step_variant == MStepVariant.SELF_CONSISTENT_MLE:
-        inits = [None if res is None else _warm_init(res) for res in warm_from]
-        out: list[FitResult | DomainError] = []
-        for k in range(0, len(samples), BATCH_MEMBERS):
-            part = slice(k, k + BATCH_MEMBERS)
-            try:
-                out += fit_batch(samples[part], pr, config, inits[part])
-            except DomainError as exc:  # a configuration fit rejects for every sample
-                out += [exc] * len(samples[part])
-        return out
-    results: list[FitResult | DomainError] = []
-    for sample, res in zip(samples, warm_from):
+    inits = [None if res is None else _warm_init(res) for res in warm_from]
+    out: list[FitResult | DomainError] = []
+    for k in range(0, len(samples), BATCH_MEMBERS):
+        part = slice(k, k + BATCH_MEMBERS)
         try:
-            results.append(fit(sample, pr, config if res is None else _warm_config(config, res)))
-        except DomainError as exc:
-            results.append(exc)
-    return results
+            out += fit_batch(samples[part], pr, config, inits[part])
+        except DomainError as exc:  # a configuration fit rejects for every sample
+            out += [exc] * len(samples[part])
+    return out
 
 
 def _bic_of(
@@ -449,7 +438,7 @@ def profile_intraday(
     Differences are always taken within a bucket, never across bucket
     boundaries.  Each day's eligible buckets are fitted together, as
     run_selection fits its samples (_fit_samples: one fit_batch call per
-    day for the mle M-step), and summarised before the next day starts.
+    day), and summarised before the next day starts.
     """
     cfg = config or EmConfig()
     acc: dict[int, list[dict[str, float]]] = {}

@@ -8,8 +8,10 @@ from scipy.optimize import brentq
 from censem import (
     CensoringInterval,
     ComponentSpec,
+    Kind,
     MixtureModel,
     censored_log_likelihood,
+    dof,
     e_step,
     fit,
     interval_prob,
@@ -35,12 +37,24 @@ from censem.em_core import (
     _wbl_shape_equation,
     _interval_pass,
     _row_pass,
+    _shape_series_bracket,
     _workspace,
-    _ws_log_matrix,
+    default_init,
     fit_batch,
 )
-from censem.components import _log_mixture_interval, _logsumexp
-from censem.errors import BracketError, DomainError, ResponsibilityUnderflowError
+from censem.components import (
+    _log_mixture_interval,
+    _log_mixture_matrix,
+    _logsumexp,
+    log_interval_prob,
+)
+from censem.errors import (
+    BracketError,
+    DegenerateComponentError,
+    DomainError,
+    NonConvergenceError,
+    ResponsibilityUnderflowError,
+)
 from censem.rootfind import golden_max
 from censem.sample_data import (
     CensoredSample,
@@ -376,6 +390,7 @@ CENSORED_TERM_CASES = [
     (ComponentSpec.weibull(2500.0, 0.57), 2000.0, 0.5, CensoringInterval(0.0, 0.5)),
     (ComponentSpec.weibull(3.0, 1.4), 3.5, 1.8, CensoringInterval(0.5, 1.5)),
     (ComponentSpec.weibull(10.0, 0.6), 8.0, 0.75, CensoringInterval(1.0, 4.0)),
+    (ComponentSpec.weibull(1.0, 0.8), 1.1, 0.9, CensoringInterval(5.0, math.inf)),
 ]
 
 
@@ -397,6 +412,19 @@ def test_shape_term_matches_quadrature_derivative(prev, alpha, beta, iv):
     d_expect = (e_plus - e_minus) / (2 * h)
     want = (d_expect - 1.0 / beta - math.log(prev.alpha / alpha)) * terms.mass
     assert got == pytest.approx(want, rel=2e-7, abs=2e-7)
+
+
+@pytest.mark.parametrize("s", [1.5, 2.7])
+@pytest.mark.parametrize("z_lo", [0.0, 0.5, 2.0, 4.0])
+def test_shape_bracket_open_tail_matches_quadrature(s, z_lo):
+    """The bracket of the full-ratio shape term for [z_lo, inf) is
+    int_{z_lo}^inf t^(s-1) e^-t log t dt."""
+    # pieces split where log t changes sign, so quad meets its tolerance
+    ends = sorted({z_lo, max(z_lo, 1.0), z_lo + 1.0}) + [math.inf]
+    want = sum(quad(lambda t: t ** (s - 1.0) * math.exp(-t) * math.log(t), a, b,
+                    epsabs=0.0, epsrel=1e-13, limit=400)[0]
+               for a, b in zip(ends, ends[1:]))
+    assert _shape_series_bracket(s, z_lo, math.inf) == pytest.approx(want, rel=1e-11)
 
 
 # --- q_objective ---------------------------------------------------------------------
@@ -591,7 +619,7 @@ def two_pass_loglik(m: MixtureModel, s: CensoredSample) -> float:
     ws = _workspace(s)
     total = 0.0
     if ws.values.size:
-        rows = _logsumexp(_ws_log_matrix(ws, m), axis=1)
+        rows = _logsumexp(_log_mixture_matrix(m, ws.values), axis=1)
         if not np.all(np.isfinite(rows)):
             return -math.inf
         total += float(ws.counts @ rows)
@@ -636,7 +664,7 @@ def test_pass_kernels_match_logsumexp_bitwise(reference_mixture, shape):
     )
     model = fit(s, shape, EmConfig(max_iter=5)).model
     ws = _workspace(s)
-    logmat = _ws_log_matrix(ws, model)
+    logmat = _log_mixture_matrix(model, ws.values)
     rows, _, bad = _row_pass(logmat)
     assert bad is None
     assert np.array_equal(rows, _logsumexp(logmat, axis=1))
@@ -681,6 +709,103 @@ def test_config_validation():
         EmConfig(weight_floor=1.5)
 
 
+# --- the reference EM loop --------------------------------------------------------------
+
+UNDERFLOW_MSG = ("interval [%s, %s) mass underflows for every component; "
+                 "using a uniform responsibility row")
+
+
+def reference_fit(s: CensoredSample, shape, cfg: EmConfig = EmConfig()) -> FitResult:
+    """The censored EM loop built from the public uncompressed operations
+    and censored_log_likelihood: the oracle fit and fit_batch are held
+    to.  It rejects what they reject with a DomainError, stops by the
+    same rule, and gives the same flags, warnings and named errors; it
+    keeps no final responsibilities."""
+    p, r = shape
+    if cfg.weight_floor >= 1.0 / (p + r) or s.total < dof(p, r) + 1:
+        raise DomainError("the fit cannot run")
+    model = default_init(s, p, r, cfg.init)
+    warnings, warned = [], set()
+
+    def e_pass(m):
+        """m's loglik, and its responsibilities or the error to stop with.
+        An interval whose mass underflows is warned about once per fit."""
+        try:
+            resp = e_step(m, s)
+        except ResponsibilityUnderflowError as exc:
+            value = s.uncensored[exc.index]
+            resp = ResponsibilityUnderflowError(
+                f"mixture density underflows at observation value {value!r}")
+        else:
+            for k, iv in enumerate(s.intervals):
+                lw = m.log_weights + [log_interval_prob(c, iv) for c in m.components]
+                if k not in warned and not np.isfinite(lw.max()):
+                    warned.add(k)
+                    warnings.append(UNDERFLOW_MSG % (iv.lo, iv.hi))
+        return censored_log_likelihood(m, s), resp
+
+    def mle_component(resp, i, c):
+        if c.kind == Kind.EXPONENTIAL:
+            return ComponentSpec.exponential(
+                m_step_exponential(resp, s, i, c.alpha, cfg.weight_floor))
+        alpha = m_step_weibull_alpha(resp, s, i, c, cfg.weight_floor)
+        return ComponentSpec.weibull(alpha, m_step_weibull_beta(resp, s, i, c, alpha, cfg))
+
+    ll, resp = e_pass(model)
+    trace, iterations, converged, degenerate, error = [ll], 0, False, False, None
+    for _ in range(cfg.max_iter):
+        try:
+            if isinstance(resp, ResponsibilityUnderflowError):
+                raise resp
+            weights = update_weights(resp, s)
+            hits = [i for i, w in enumerate(weights) if w < cfg.weight_floor]
+            if hits and not degenerate:
+                degenerate = True
+                warnings.append(f"component(s) {hits} fell below the weight floor "
+                                f"{cfg.weight_floor}; fit continues with them flagged")
+            if cfg.m_step_variant == MStepVariant.DIRECT_OBJECTIVE:
+                comps = m_step_direct(resp, s, model.components, cfg)
+            else:
+                comps = [mle_component(resp, i, c) for i, c in enumerate(model.components)]
+            model = MixtureModel(weights, comps)
+        except (BracketError, DegenerateComponentError, NonConvergenceError, OverflowError,
+                ResponsibilityUnderflowError) as exc:
+            degenerate, error = True, f"{type(exc).__name__}: {exc}"
+            warnings.append(f"stopped at iteration {iterations + 1}: {error}")
+            break
+        iterations += 1
+        ll, resp = e_pass(model)
+        trace.append(ll)
+        if not math.isfinite(ll):
+            degenerate, error = True, "log-likelihood became non-finite"
+            warnings.append(error)
+            break
+        if abs(ll - trace[-2]) <= cfg.epsilon:
+            converged = True
+            break
+    return FitResult(model, np.asarray(trace), iterations, converged, None,
+                     degenerate, warnings, error)
+
+
+def params(res: FitResult) -> np.ndarray:
+    m = res.model
+    return np.concatenate(
+        [m.weights, [c.alpha for c in m.components], [c.beta for c in m.components]]
+    )
+
+
+def assert_matches_reference(res: FitResult, ref: FitResult) -> None:
+    """A fit against the reference loop: same flags, stopping iteration,
+    error and warnings, loglik to 1e-8 and parameters to 1e-6 relative."""
+    assert (res.converged, res.degenerate, res.iterations) == (
+        ref.converged, ref.degenerate, ref.iterations)
+    assert res.error == ref.error
+    assert res.warnings == ref.warnings
+    assert res.loglik == pytest.approx(ref.loglik, rel=1e-8)
+    np.testing.assert_allclose(params(res), params(ref), rtol=1e-6)
+    assert res.loglik_trace.size == ref.loglik_trace.size
+
+
 # --- fit: overflow and underflow bookkeeping ---------------------------------------------
 
 
@@ -700,9 +825,7 @@ def test_fit_zeta_overflow_ends_degenerate(shape):
     assert res.error == "OverflowError: math range error"
     assert res.iterations == 0
     assert res.warnings[-1] == "stopped at iteration 1: OverflowError: math range error"
-    (batched,) = fit_batch([overflow_sample()], shape, cfg)
-    assert (batched.degenerate, batched.error, batched.iterations) == (True, res.error, 0)
-    assert batched.warnings == res.warnings
+    assert_matches_reference(res, reference_fit(overflow_sample(), shape, cfg))
 
 
 def underflow_sample() -> CensoredSample:
@@ -711,8 +834,7 @@ def underflow_sample() -> CensoredSample:
 
 
 def test_interval_underflow_warned_once_per_fit(caplog):
-    message = ("interval [1e+308, inf) mass underflows for every component; "
-               "using a uniform responsibility row")
+    message = UNDERFLOW_MSG % (1e308, math.inf)
     with caplog.at_level("WARNING", logger="censem.em_core"):
         res = fit(underflow_sample(), (2, 0))
     assert res.converged and res.iterations == 32
@@ -722,30 +844,12 @@ def test_interval_underflow_warned_once_per_fit(caplog):
     with caplog.at_level("WARNING", logger="censem.em_core"):
         batched = fit_batch([underflow_sample(), underflow_sample()], (2, 0))
     assert [rec.getMessage() for rec in caplog.records] == [message, message]
+    ref = reference_fit(underflow_sample(), (2, 0))
     for b in batched:
-        assert b.warnings == [message] and b.iterations == 32
+        assert_matches_reference(b, ref)
 
 
 # --- fit_batch ---------------------------------------------------------------------------
-
-
-def params(res: FitResult) -> np.ndarray:
-    m = res.model
-    return np.concatenate(
-        [m.weights, [c.alpha for c in m.components], [c.beta for c in m.components]]
-    )
-
-
-def assert_matches_scalar(batched: FitResult, scalar: FitResult) -> None:
-    """The fit_batch member against the scalar fit: same flags, stopping
-    iteration and error, loglik to 1e-8 and parameters to 1e-6 relative."""
-    assert (batched.converged, batched.degenerate, batched.iterations) == (
-        scalar.converged, scalar.degenerate, scalar.iterations)
-    assert batched.error == scalar.error
-    assert batched.warnings == scalar.warnings
-    assert batched.loglik == pytest.approx(scalar.loglik, rel=1e-8)
-    np.testing.assert_allclose(params(batched), params(scalar), rtol=1e-6)
-    assert batched.loglik_trace.size == scalar.loglik_trace.size
 
 
 @pytest.mark.parametrize("start", ["cold", "warm"])
@@ -753,9 +857,9 @@ def assert_matches_scalar(batched: FitResult, scalar: FitResult) -> None:
 @pytest.mark.parametrize("n", [200, 2000])
 @pytest.mark.parametrize("shape", [(1, 1), (0, 2), (3, 0), (2, 1)])
 def test_fit_batch_matches_scalar_fit(reference_mixture, shape, n, spec, start):
-    """Cold: three samples of different sizes in one batch.  Warm: three
-    bootstrap replicas started from the original's fit, as the tournament
-    runs them."""
+    """Each member against the scalar reference loop.  Cold: three samples
+    of different sizes in one batch.  Warm: three bootstrap replicas
+    started from the original's fit, as the tournament runs them."""
     spec_ivs = CENSOR_SPECS[spec]
     if start == "cold":
         samples = [build_sample(generate_synthetic(reference_mixture, n + 37 * k, rng_seed=211 + k),
@@ -771,7 +875,30 @@ def test_fit_batch_matches_scalar_fit(reference_mixture, shape, n, spec, start):
     if spec == "two-with-empty":
         assert all(s.intervals[1].count == 0 for s in samples)
     for batched, s in zip(fit_batch(samples, shape, cfg), samples):
-        assert_matches_scalar(batched, fit(s, shape, cfg))
+        assert_matches_reference(batched, reference_fit(s, shape, cfg))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (0, 2), (2, 1)])
+def test_fit_batch_direct_matches_reference_loop(reference_mixture, shape):
+    """The direct M-step in a batch of two samples of about 200 points."""
+    cfg = EmConfig(m_step_variant=MStepVariant.DIRECT_OBJECTIVE, max_iter=60)
+    samples = [build_sample(generate_synthetic(reference_mixture, 200 + 37 * k, rng_seed=241 + k))
+               for k in range(2)]
+    for batched, s in zip(fit_batch(samples, shape, cfg), samples):
+        assert_matches_reference(batched, reference_fit(s, shape, cfg))
+
+
+def test_fit_batch_direct_failure_stops_only_its_member(reference_mixture):
+    cfg = EmConfig(m_step_variant=MStepVariant.DIRECT_OBJECTIVE, max_iter=5)
+    members = [overflow_sample(), build_sample(generate_synthetic(reference_mixture, 200, 269))]
+    inits = [InitSpec(betas=(1.0, 2.0)), None]
+    out = fit_batch(members, (1, 1), cfg, inits)
+    assert out[0].error == "OverflowError: math range error" and out[0].iterations == 0
+    assert out[1].iterations == 5 and not out[1].degenerate
+    for res, s, init in zip(out, members, inits):
+        ref_cfg = cfg if init is None else EmConfig(m_step_variant=cfg.m_step_variant,
+                                                    max_iter=5, init=init)
+        assert_matches_reference(res, reference_fit(s, (1, 1), ref_cfg))
 
 
 def test_fit_batch_member_order_invariant(reference_mixture):
@@ -810,29 +937,35 @@ def test_fit_batch_mixed_members_keep_their_own_state(reference_mixture):
     assert not out[1].converged and not out[1].degenerate and out[1].iterations == 5
     assert isinstance(out[2], DomainError)
     with pytest.raises(DomainError):
+        reference_fit(tiny, (1, 1), cfg)
+    with pytest.raises(DomainError):
         fit(tiny, (1, 1), cfg)
     assert out[3].degenerate and out[3].error == "OverflowError: math range error"
     for res, s, init in zip(out, members, inits):
         if s is not tiny:
-            scalar_cfg = cfg if init is None else EmConfig(max_iter=5, init=init)
-            assert_matches_scalar(res, fit(s, (1, 1), scalar_cfg))
+            ref_cfg = cfg if init is None else EmConfig(max_iter=5, init=init)
+            assert_matches_reference(res, reference_fit(s, (1, 1), ref_cfg))
 
 
 def test_fit_batch_exact_row_underflow_matches_scalar():
+    """Against the scalar reference loop, with a well-behaved member in
+    the same batch."""
     s = CensoredSample(np.array([1.0, 2.0, 5.0, 1e300]), [])
     ok = CensoredSample(np.array([1.0, 2.0, 5.0, 3.0, 4.0]), [])
     cfg = EmConfig(init=InitSpec(alphas=(1.0,), betas=(2.0,)))
     bad, good = fit_batch([s, ok], (0, 1), cfg)
-    ref = fit(s, (0, 1), cfg)
+    ref = reference_fit(s, (0, 1), cfg)
     assert bad.final_responsibilities is None and bad.loglik == -math.inf
     assert (bad.error, bad.warnings, bad.iterations) == (ref.error, ref.warnings, 0)
-    assert_matches_scalar(good, fit(ok, (0, 1), cfg))
+    assert_matches_reference(good, reference_fit(ok, (0, 1), cfg))
 
 
-def test_fit_batch_rejects_direct_variant(reference_mixture):
-    s = build_sample(generate_synthetic(reference_mixture, 200, rng_seed=241))
-    with pytest.raises(DomainError):
-        fit_batch([s], (1, 1), EmConfig(m_step_variant=MStepVariant.DIRECT_OBJECTIVE))
+@pytest.mark.parametrize("n_inits", [1, 3])
+def test_fit_batch_rejects_inits_of_another_length(reference_mixture, n_inits):
+    samples = [build_sample(generate_synthetic(reference_mixture, 200, rng_seed=k))
+               for k in (1, 2)]
+    with pytest.raises(DomainError, match="inits"):
+        fit_batch(samples, (1, 1), inits=[None] * n_inits)
 
 
 def open_tail_sample() -> CensoredSample:
@@ -847,5 +980,51 @@ def test_fit_with_occupied_open_tail_interval_converges():
     res = fit(s, (1, 1))
     assert res.converged and not res.degenerate and res.error is None
     assert math.isfinite(res.loglik)
-    (batched,) = fit_batch([s], (1, 1))
-    assert_matches_scalar(batched, res)
+    assert_matches_reference(res, reference_fit(s, (1, 1)))
+
+
+# --- invariances the maths guarantees ----------------------------------------------------
+
+
+VARIANTS = [MStepVariant.SELF_CONSISTENT_MLE, MStepVariant.DIRECT_OBJECTIVE]
+
+
+def scaled(s: CensoredSample, c: float) -> CensoredSample:
+    return CensoredSample(s.uncensored * c, [CensoringInterval(iv.lo * c, iv.hi * c, iv.count)
+                                             for iv in s.intervals])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_scale_equivariance(reference_mixture, variant):
+    """Scaling the data and the intervals by 1024 scales every alpha by
+    1024, keeps beta and the weights, and shifts the loglik by
+    -n_exact log 1024."""
+    s = build_sample(generate_synthetic(reference_mixture, 400, rng_seed=251))
+    cfg = EmConfig(m_step_variant=variant, max_iter=100)
+    res, big = fit(s, (1, 1), cfg), fit(scaled(s, 1024.0), (1, 1), cfg)
+    assert big.iterations == res.iterations and big.converged == res.converged
+    np.testing.assert_allclose(big.model.weights, res.model.weights, rtol=1e-6)
+    for cb, c in zip(big.model.components, res.model.components):
+        assert cb.alpha == pytest.approx(1024.0 * c.alpha, rel=1e-6)
+        assert cb.beta == pytest.approx(c.beta, rel=1e-6)
+    assert big.loglik == pytest.approx(res.loglik - s.n * math.log(1024.0), rel=1e-8)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_permutation_invariance(reference_mixture, variant):
+    s = build_sample(generate_synthetic(reference_mixture, 400, rng_seed=257))
+    perm = np.random.default_rng(5).permutation(s.n)
+    shuffled = CensoredSample(s.uncensored[perm], s.intervals)
+    cfg = EmConfig(m_step_variant=variant, max_iter=100)
+    res, other = fit(s, (1, 1), cfg), fit(shuffled, (1, 1), cfg)
+    assert np.array_equal(other.loglik_trace, res.loglik_trace)
+    assert np.array_equal(params(other), params(res))
+    assert (other.iterations, other.converged) == (res.iterations, res.converged)
+    assert np.array_equal(other.final_responsibilities.z, res.final_responsibilities.z[perm])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_loglik_equals_uncompressed_objective(reference_mixture, variant):
+    s = build_sample(generate_synthetic(reference_mixture, 400, rng_seed=263))
+    res = fit(s, (1, 1), EmConfig(m_step_variant=variant, max_iter=100))
+    assert res.loglik == pytest.approx(censored_log_likelihood(res.model, s), rel=1e-12)

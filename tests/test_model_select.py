@@ -11,7 +11,6 @@ from censem.errors import DomainError
 import censem.model_select as model_select
 from censem.model_select import (
     ModelShape,
-    _warm_config,
     avg_loglik,
     bic,
     profile_intraday,
@@ -195,22 +194,8 @@ def test_selection_tally_sums_to_one(reference_mixture):
     assert all(v >= 0 for v in rep.winner_tally.values())
 
 
-def test_warm_config_keeps_every_base_setting(reference_mixture):
-    base = EmConfig(epsilon=1e-7, max_iter=77, m_step_variant=MStepVariant.DIRECT_OBJECTIVE,
-                    weight_floor=1e-6, beta_bracket=(0.1, 10.0), root_tol=1e-9,
-                    direct_sweeps=3, direct_xtol=1e-7)
-    res = fit(build_sample(generate_synthetic(reference_mixture, 300, rng_seed=20)), (1, 1))
-    warm = _warm_config(base, res)
-    for f in dataclasses.fields(EmConfig):
-        if f.name != "init":
-            assert getattr(warm, f.name) == getattr(base, f.name), f.name
-    assert warm.init.alphas == tuple(c.alpha for c in res.model.components)
-    assert warm.init.betas == tuple(c.beta for c in res.model.components)
-    assert warm.init.weights == tuple(float(w) for w in res.model.weights)
-
-
 def scalar_fit_batch(samples, shape, config, inits):
-    """fit_batch's contract met by one scalar fit per sample."""
+    """fit_batch's contract met by one single-sample fit per sample."""
     out = []
     for s, init in zip(samples, inits):
         cfg = config if init is None else dataclasses.replace(config, init=init)
@@ -249,20 +234,21 @@ def test_selection_draws_each_replica_once(reference_mixture, monkeypatch):
     assert len(calls) == 2 * 4 and len(set(calls)) == 8
 
 
-def test_selection_direct_variant_fits_one_sample_at_a_time(reference_mixture, monkeypatch):
+def test_selection_direct_variant_runs_through_fit_batch(reference_mixture, monkeypatch):
     calls = []
-    scalar = model_select.fit
-    monkeypatch.setattr(model_select, "fit",
-                        lambda s, shape, cfg: calls.append(cfg.init) or scalar(s, shape, cfg))
-    monkeypatch.setattr(model_select, "fit_batch", None)
+    batched = model_select.fit_batch
+    monkeypatch.setattr(model_select, "fit_batch", lambda samples, shape, cfg, inits: (
+        calls.append((len(samples), cfg, inits)) or batched(samples, shape, cfg, inits)))
     diffs = generate_synthetic(reference_mixture, 3000, rng_seed=23)
     cfg = EmConfig(m_step_variant=MStepVariant.DIRECT_OBJECTIVE, max_iter=20)
     rep = run_selection(diffs, [ModelShape(1, 0)], n_boot=2, subsample_size=100, days=2,
                         rng_seed=10, config=cfg)
-    assert len(calls) == 2 * 3
+    # the originals in one batch, then the replicas in another
+    assert [(n, c) for n, c, _ in calls] == [(2, cfg), (4, cfg)]
     assert all(st.samples.size + st.skipped == 3 for e in rep.ensembles for st in e.stats.values())
     # replicas start from their ensemble's original fit
-    assert calls[0] == cfg.init and calls[2].alphas is not None
+    assert calls[0][2] == [None, None]
+    assert all(init.alphas is not None for init in calls[1][2])
 
 
 def test_selection_requires_enough_data(reference_mixture):
@@ -440,8 +426,10 @@ def test_profile_batched_matches_reference_loop(monkeypatch):
 
 
 def test_profile_direct_variant_report_equals_reference_loop(tmp_path, monkeypatch):
-    """With the direct M-step profile still fits one bucket at a time, so
-    its report bytes equal those of the per-bucket loop."""
+    """With the direct M-step and one bucket per fit_batch call, the
+    report bytes equal those of the per-bucket loop.  With a day's
+    buckets in one batch, the padded arrays round differently, so the
+    text is the same and the numbers agree to the fit_batch contract."""
     from censem import cli
 
     width = 600_000  # --bucket-minutes 10 from the 09:00 session start
@@ -456,12 +444,21 @@ def test_profile_direct_variant_report_equals_reference_loop(tmp_path, monkeypat
             "--m-step", "direct", "--max-iter", "40"]
     for p in paths:
         argv += ["--input", str(p)]
-    argv[2] = str(tmp_path / "batched.txt")
-    assert cli.main(argv) == 0
+
+    def report(name: str) -> str:
+        argv[2] = str(tmp_path / name)
+        assert cli.main(argv) == 0
+        return (tmp_path / name).read_text()
+
+    batched = report("batched.txt")
+    monkeypatch.setattr(model_select, "BATCH_MEMBERS", 1)
+    one_by_one = report("one_by_one.txt")
     monkeypatch.setattr(cli, "profile_intraday", reference_profile)
-    argv[2] = str(tmp_path / "reference.txt")
-    assert cli.main(argv) == 0
-    assert (tmp_path / "batched.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+    reference = report("reference.txt")
+    assert one_by_one == reference
+    assert _NUMBER.sub("#", batched) == _NUMBER.sub("#", reference)
+    np.testing.assert_allclose([float(v) for v in _NUMBER.findall(batched)],
+                               [float(v) for v in _NUMBER.findall(reference)], rtol=1e-6)
 
 
 def test_profile_config_rejected_for_every_bucket_skips_each():
