@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -896,8 +897,7 @@ def test_fit_batch_direct_failure_stops_only_its_member(reference_mixture):
     assert out[0].error == "OverflowError: math range error" and out[0].iterations == 0
     assert out[1].iterations == 5 and not out[1].degenerate
     for res, s, init in zip(out, members, inits):
-        ref_cfg = cfg if init is None else EmConfig(m_step_variant=cfg.m_step_variant,
-                                                    max_iter=5, init=init)
+        ref_cfg = cfg if init is None else dataclasses.replace(cfg, init=init)
         assert_matches_reference(res, reference_fit(s, (1, 1), ref_cfg))
 
 
