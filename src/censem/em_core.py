@@ -213,7 +213,8 @@ def _shape_series_bracket(s: float, z_lo: float, z_hi: float) -> float:
     Equals d/ds [Gamma(s, z_lo) - Gamma(s, z_hi)] up to sign bookkeeping
     handled by the caller: the bracket is int_{z_lo}^{z_hi} t^(s-1)
     e^(-t) log t dt.  z_lo = 0 uses the finite limit, and z_hi = inf the
-    limit Gamma(s) psi(s) - gamma(s, z_lo) log z_lo + S(s, z_lo).
+    limit Gamma(s) psi(s) - gamma(s, z_lo) log z_lo + S(s, z_lo), which
+    raises DomainError for z_lo > 5, where S loses its digits.
 
     For s = 2, from z_hi = 1 on the bracket is taken as a difference of
     tails (_bracket2_tail), which stays accurate where the series S
@@ -222,6 +223,9 @@ def _shape_series_bracket(s: float, z_lo: float, z_hi: float) -> float:
     if s == 2.0 and z_hi >= 1.0:
         return _bracket2_tail(z_lo) - _bracket2_tail(z_hi)
     if math.isinf(z_hi):
+        if z_lo > 5.0:
+            # beyond here d_series(s - 1, z_lo) misses quadrature by more than 1e-11
+            raise DomainError(f"open-tail shape bracket needs z_lo <= 5, got {z_lo}")
         whole = gamma_complete(s) * float(digamma(s))
         if z_lo == 0.0:
             return whole
@@ -955,19 +959,25 @@ class _Batch:
     Padding rows repeat the member's first exact value with count 0, and
     padding intervals are [0, inf) with count 0, so every padded entry is
     finite and drops out of each count-weighted sum; the underflow tests
-    mask it out explicitly.
+    mask it out explicitly.  A sum over the padded axis still rounds with
+    the padded width; with own_sums the log-likelihood and weight sums
+    run over each member's unpadded slices instead, so a member's numbers
+    do not depend on its batch mates.
     """
 
     _ROWS = ("ids", "vals", "logv", "cnt", "valid", "lo", "hi", "loglo", "loghi", "ccnt",
              "ivalid", "total", "ll", "bad")
     _COLUMNS = ("w", "alpha", "beta", "z", "zt")
 
-    def __init__(self, wss: list[_Workspace], models: list[MixtureModel], p: int):
+    def __init__(
+        self, wss: list[_Workspace], models: list[MixtureModel], p: int, own_sums: bool = False
+    ):
         b = len(wss)
         u = max(ws.values.size for ws in wss)
         nl = max(len(ws.intervals) for ws in wss)
         self.p = p
         self.wss = wss
+        self.own_sums = own_sums
         self.ids = np.arange(b)
         self.vals = np.ones((b, u))
         self.cnt = np.zeros((b, u))
@@ -1047,7 +1057,13 @@ class _Batch:
         # batch of one gives ws.counts @ rows bit for bit, which the
         # multiply-and-sum form does not
         rows = mx + np.log(rowsum)
-        ll = np.matmul(self.cnt[:, None, :], rows[:, :, None])[:, 0, 0]
+        if self.own_sums:
+            ll = np.array([
+                self.wss[m].counts @ rows[pos, : self.wss[m].values.size]
+                for pos, m in enumerate(self.ids)
+            ])
+        else:
+            ll = np.matmul(self.cnt[:, None, :], rows[:, :, None])[:, 0, 0]
         self.z = np.divide(pz, rowsum, out=pz)
 
         lip = np.empty((self.w.shape[0],) + self.lo.shape)
@@ -1077,9 +1093,17 @@ class _Batch:
         return idead
 
     def weights_from_pass(self) -> np.ndarray:
-        acc = (self.cnt * self.z).sum(axis=2)
-        if self.ccnt.shape[1]:
-            acc = acc + (self.ccnt * self.zt).sum(axis=2)
+        if self.own_sums:
+            acc = np.empty(self.w.shape)
+            for pos, m in enumerate(self.ids):
+                ws = self.wss[m]
+                u, nl = ws.values.size, len(ws.intervals)
+                acc[:, pos] = (self.z[:, pos, :u] * ws.counts).sum(axis=1) + (
+                    self.zt[:, pos, :nl] * ws.cens_counts).sum(axis=1)
+        else:
+            acc = (self.cnt * self.z).sum(axis=2)
+            if self.ccnt.shape[1]:
+                acc = acc + (self.ccnt * self.zt).sum(axis=2)
         w = acc / self.total
         return w / w.sum(axis=0)
 
@@ -1388,8 +1412,9 @@ def fit_batch(
     inits is not given).  Its stopping rule, iteration count, warnings
     and named error are those of an EM loop built from e_step,
     update_weights and the m_step_* operations, and its numbers differ
-    from that loop's only by rounding (which also moves with the other
-    members' sizes, through the padded sums).  A sample that cannot be
+    from that loop's only by rounding.  With the mle M-step that rounding
+    also moves with the other members' sizes, through the padded sums;
+    a direct-variant member equals fit on its sample alone.  A sample that cannot be
     fitted gets the DomainError that says why in its slot instead of a
     FitResult.  A configuration that no sample can run with, or an inits
     list whose length differs from samples', raises.
@@ -1426,8 +1451,10 @@ def fit_batch(
 
 def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: EmConfig):
     """Yield (member, FitResult or DomainError) as members stop."""
-    st = _Batch(wss, models, p)
     mle = cfg.m_step_variant == MStepVariant.SELF_CONSISTENT_MLE
+    # the direct M-step loops over the members anyway, so its sums can
+    # run per member at little cost
+    st = _Batch(wss, models, p, own_sums=not mle)
     m_step = st.m_step if mle else st.direct_m_step
     n = len(wss)
     warnings: list[list[str]] = [[] for _ in wss]

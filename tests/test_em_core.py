@@ -428,6 +428,18 @@ def test_shape_bracket_open_tail_matches_quadrature(s, z_lo):
     assert _shape_series_bracket(s, z_lo, math.inf) == pytest.approx(want, rel=1e-11)
 
 
+def test_shape_bracket_open_tail_raises_where_series_loses_digits():
+    """Above z_lo = 5 the series in the open-tail limit misses quadrature
+    by more than 1e-11, so the bracket raises instead of answering."""
+    with pytest.raises(DomainError):
+        _shape_series_bracket(1.5, 6.0, math.inf)
+    prev = ComponentSpec.weibull(1.0, 0.8)
+    terms = _interval_terms(CensoringInterval(10.0, math.inf), prev.alpha, prev.beta)
+    assert terms.z_lo > 5.0
+    with pytest.raises(DomainError):
+        censored_weibull_shape_term(prev, 1.1, 0.9, terms)
+
+
 # --- q_objective ---------------------------------------------------------------------
 
 
@@ -887,6 +899,24 @@ def test_fit_batch_direct_matches_reference_loop(reference_mixture, shape):
                for k in range(2)]
     for batched, s in zip(fit_batch(samples, shape, cfg), samples):
         assert_matches_reference(batched, reference_fit(s, shape, cfg))
+
+
+def test_fit_batch_direct_member_equals_batch_of_one(reference_mixture):
+    """With the direct M-step a member's sums run over its own unpadded
+    slices, so its numbers do not depend on its batch mates: each member
+    equals fit on its sample alone, bit for bit."""
+    cfg = EmConfig(m_step_variant=MStepVariant.DIRECT_OBJECTIVE, max_iter=30)
+    specs = [None, CENSOR_SPECS["two-with-empty"],
+             [CensoringInterval(0.0, 0.5), CensoringInterval(0.5, 0.75),
+              CensoringInterval(40.5, 60.5)]]
+    samples = [build_sample(generate_synthetic(reference_mixture, n, rng_seed=271 + k), spec)
+               for k, (n, spec) in enumerate(zip((150, 420, 260), specs))]
+    for batched, s in zip(fit_batch(samples, (1, 1), cfg), samples):
+        alone = fit(s, (1, 1), cfg)
+        assert np.array_equal(batched.loglik_trace, alone.loglik_trace)
+        assert np.array_equal(batched.model.weights, alone.model.weights)
+        assert [(c.alpha, c.beta) for c in batched.model.components] == [
+            (c.alpha, c.beta) for c in alone.model.components]
 
 
 def test_fit_batch_direct_failure_stops_only_its_member(reference_mixture):
