@@ -547,7 +547,7 @@ def e_step(m: MixtureModel, s: CensoredSample) -> Responsibilities:
     for every component gets a uniform row and a warning.
     """
     x = np.asarray(s.uncensored, dtype=float)
-    _, z, bad = _row_pass(_log_weighted_matrix(m, x))
+    _, z, bad = _row_pass(_log_mixture_matrix(m, x))
     if bad is not None:
         raise ResponsibilityUnderflowError(
             f"mixture density underflows at observation index {bad}", index=bad
@@ -557,12 +557,6 @@ def e_step(m: MixtureModel, s: CensoredSample) -> Responsibilities:
         if lp == -math.inf:
             _warn_underflow(iv)
     return Responsibilities(z=z, z_tilde=zt)
-
-
-def _log_weighted_matrix(m: MixtureModel, x: np.ndarray) -> np.ndarray:
-    if x.size == 0:
-        return np.empty((0, m.m))
-    return _log_mixture_matrix(m, x)
 
 
 def _row_pass(
@@ -1058,10 +1052,8 @@ class _Batch:
         # multiply-and-sum form does not
         rows = mx + np.log(rowsum)
         if self.own_sums:
-            ll = np.array([
-                self.wss[m].counts @ rows[pos, : self.wss[m].values.size]
-                for pos, m in enumerate(self.ids)
-            ])
+            ll = np.array([self.wss[m].counts @ rows[pos, : self.wss[m].values.size]
+                           for pos, m in enumerate(self.ids)])
         else:
             ll = np.matmul(self.cnt[:, None, :], rows[:, :, None])[:, 0, 0]
         self.z = np.divide(pz, rowsum, out=pz)
