@@ -49,7 +49,6 @@ from .sample_data import (
     subsample,
 )
 from .special_fn import (
-    SpecialFnConfig,
     d_series,
     euler_gamma,
     gamma_complete,

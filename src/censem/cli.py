@@ -380,14 +380,9 @@ def _write_selection_report(
     for ens in report.ensembles:
         for s in report.shapes:
             st = ens.stats[s]
-            if st.samples.size:
-                stat_rows.append(
-                    (ens.index, ens.start_index, s.key, st.mean, st.sd, st.samples.size, st.skipped)
-                )
-            else:
-                stat_rows.append(
-                    (ens.index, ens.start_index, s.key, "-", "-", 0, st.skipped)
-                )
+            n = st.samples.size
+            stat_rows.append((ens.index, ens.start_index, s.key, st.mean if n else "-",
+                              st.sd if n > 1 else "-", n, st.skipped))
     test_rows = [
         (e_idx, t.shape_a.key, t.shape_b.key, t.t, t.dof, t.significant)
         for e_idx, t in report.tests_flat()

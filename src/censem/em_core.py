@@ -75,6 +75,9 @@ from .special_fn import (
 
 log = logging.getLogger(__name__)
 
+# Bracket width, relative to max(1, |lo| + |hi|), at which the shape root solves stop.
+_ROOT_TOL = 1e-10
+
 
 class MStepVariant(str, Enum):
     SELF_CONSISTENT_MLE = "mle"
@@ -99,7 +102,6 @@ class EmConfig:
     m_step_variant: MStepVariant = MStepVariant.SELF_CONSISTENT_MLE
     weight_floor: float = 1e-8
     beta_bracket: tuple[float, float] = (0.05, 20.0)
-    root_tol: float = 1e-10
     init: InitSpec = field(default_factory=InitSpec)
     direct_sweeps: int = 2
     direct_xtol: float = 1e-8
@@ -114,8 +116,6 @@ class EmConfig:
         lo, hi = self.beta_bracket
         if not (0.0 < lo < hi):
             raise DomainError("beta_bracket must satisfy 0 < lo < hi")
-        if not (self.root_tol > 0.0):
-            raise DomainError("root_tol must be positive")
 
 
 @dataclass
@@ -178,8 +178,9 @@ def _gamma_upper_diff(s: float, z_lo: float, z_hi: float) -> float:
     """Gamma(s, z_lo) - Gamma(s, z_hi) without catastrophic cancellation.
 
     Equal to gamma_lower(s, z_hi) - gamma_lower(s, z_lo); the lower
-    form is used whenever both arguments sit in the series regime, so
-    tiny intervals near 0 keep relative accuracy.
+    form is used whenever both arguments sit below s + 1, where the
+    lower values are the small ones, so tiny intervals near 0 keep
+    relative accuracy.
     """
     if z_hi < s + 1.0:
         lo_part = 0.0 if z_lo == 0.0 else gamma_lower(s, z_lo)
@@ -680,7 +681,7 @@ def m_step_weibull_beta(
     cens_w = counts * r.z_tilde[:, comp_index] if counts.size else np.empty(0)
     terms = [_interval_terms(iv, theta_prev.alpha, theta_prev.beta) for iv in s.intervals]
     f = _wbl_shape_equation(x, w, cens_w, terms, alpha_new, theta_prev.beta)
-    return _solve_shape(f, cfg.beta_bracket, theta_prev.beta, cfg.root_tol)
+    return _solve_shape(f, cfg.beta_bracket, theta_prev.beta, _ROOT_TOL)
 
 
 def q_objective(
@@ -1229,7 +1230,7 @@ class _Batch:
             return am / x + bc - np.multiply(tail, w, out=tail).sum(axis=1)
 
         roots, ok, g_lo, g_hi = _solve_shape_array(
-            score, cfg.beta_bracket, self.beta[comp, member], cfg.root_tol
+            score, cfg.beta_bracket, self.beta[comp, member], _ROOT_TOL
         )
         lo, hi = cfg.beta_bracket
         for k in np.flatnonzero(~ok):

@@ -269,6 +269,9 @@ def run_selection(
     shapes = list(shapes)
     if not shapes:
         raise DomainError("run_selection needs at least one candidate shape")
+    repeated = sorted({s.key for s in shapes if shapes.count(s) > 1})
+    if repeated:
+        raise DomainError(f"candidate shapes listed more than once: {', '.join(repeated)}")
     base_shape = baseline or ModelShape(1, 1)
     if base_shape not in shapes:
         base_shape = shapes[0]

@@ -1,18 +1,19 @@
-"""Self-contained special-function kernel.
+"""Special-function kernels.
 
-Provides the complete and upper incomplete gamma functions for real
-non-negative order (including order 0, where the upper incomplete gamma
-is the exponential integral E1), the Euler-Mascheroni constant, and the
-alternating series
+Provides the complete, lower and upper incomplete gamma functions for
+real non-negative order (including order 0, where the upper incomplete
+gamma is the exponential integral E1), the Euler-Mascheroni constant,
+and the alternating series
 
     d_series(a, z) = sum_{p>=0} (-1)^p / p! * z^(a+1+p) / (a+1+p)^2
 
 that shows up when differentiating incomplete-gamma expressions with
 respect to their order.
 
-The scalar functions are pure and thread-safe.  Accuracy is controlled
-by a SpecialFnConfig; the defaults (rel_tol=1e-12, max_terms=200) leave
-several orders of margin over the 1e-5 tolerance the EM loop runs at.
+The incomplete gammas are scalar calls of scipy.special (exp1 and the
+regularized gammainc / gammaincc, DLMF 8.2); d_series has no scipy
+equivalent and is summed directly, to a relative tolerance of 1e-12.
+The scalar functions are pure and thread-safe.
 
 The array functions at the end (e1_array, gamma_lower2_array,
 gamma_upper2_array, d_series1_array) evaluate the fixed-order cases the
@@ -23,7 +24,6 @@ and closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -35,26 +35,10 @@ EULER_GAMMA = 0.5772156649015329
 # Largest argument for which Gamma(s) is representable in a double.
 _GAMMA_OVERFLOW = 171.62437695630272
 
-
-@dataclass(frozen=True)
-class SpecialFnConfig:
-    """Termination tuning for the series / continued-fraction kernels.
-
-    rel_tol: relative tolerance at which series and continued fractions stop.
-    max_terms: hard cap on the number of terms / CF iterations.
-    """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 200
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1e-6):
-            raise DomainError(f"rel_tol must be in (0, 1e-6), got {self.rel_tol}")
-        if self.max_terms < 50:
-            raise DomainError(f"max_terms must be >= 50, got {self.max_terms}")
-
-
-DEFAULT_CONFIG = SpecialFnConfig()
+# d_series stops once past its hump and a term is below this share of the
+# partial sum, and gives up after this many terms.
+_D_SERIES_REL_TOL = 1e-12
+_D_SERIES_MAX_TERMS = 200
 
 
 def euler_gamma() -> float:
@@ -62,7 +46,7 @@ def euler_gamma() -> float:
     return EULER_GAMMA
 
 
-def gamma_complete(s: float, config: SpecialFnConfig | None = None) -> float:
+def gamma_complete(s: float) -> float:
     """Gamma(s) for s > 0.  Saturates to +inf beyond the double range."""
     if not (s > 0.0) or math.isnan(s):
         raise DomainError(f"gamma_complete requires s > 0, got {s}")
@@ -71,63 +55,49 @@ def gamma_complete(s: float, config: SpecialFnConfig | None = None) -> float:
     return math.gamma(s)
 
 
-def gamma_upper(s: float, x: float, config: SpecialFnConfig | None = None) -> float:
+def _unregularize(s: float, ratio: float) -> float:
+    # Gamma(s) saturates to inf for large s; a ratio of 0 stays 0, not inf * 0.
+    return 0.0 if ratio == 0.0 else gamma_complete(s) * ratio
+
+
+def gamma_upper(s: float, x: float) -> float:
     """Upper incomplete gamma Gamma(s, x) = int_x^inf t^(s-1) e^(-t) dt.
 
     Valid for s >= 0 and x >= 0, except (s=0, x=0) where the integral
     diverges.  For s = 0 this is the exponential integral E1(x).
-
-    The evaluation splits at x = s + 1: a power series for the lower
-    incomplete gamma below the split, a continued fraction above it.
-    Both branches converge geometrically in their regime.
     """
-    cfg = config or DEFAULT_CONFIG
     if math.isnan(s) or math.isnan(x) or s < 0.0 or x < 0.0:
         raise DomainError(f"gamma_upper requires s >= 0 and x >= 0, got s={s}, x={x}")
     if x == 0.0:
         if s == 0.0:
             raise DomainError("gamma_upper(0, 0) diverges")
         return gamma_complete(s)
-    if math.isinf(x):
-        return 0.0
-    if s == 0.0 and x < 1.0:
-        return _e1_small(x, cfg)
-    if x < s + 1.0:
-        return gamma_complete(s) - _gamma_lower_series(s, x, cfg)
-    return _gamma_upper_cf(s, x, cfg)
+    if s == 0.0:
+        return float(_sp.exp1(x))
+    return _unregularize(s, float(_sp.gammaincc(s, x)))
 
 
-def gamma_lower(s: float, x: float, config: SpecialFnConfig | None = None) -> float:
+def gamma_lower(s: float, x: float) -> float:
     """Lower incomplete gamma gamma(s, x) = int_0^x t^(s-1) e^(-t) dt, s > 0.
 
-    Computed by the power series in its convergent regime so that tiny
-    values near x = 0 keep full relative accuracy (the complementary
+    Tiny values near x = 0 keep full relative accuracy (the complementary
     difference Gamma(s) - Gamma(s, x) would cancel catastrophically
-    there).
+    there), which _gamma_upper_diff in em_core relies on.
     """
-    cfg = config or DEFAULT_CONFIG
     if not (s > 0.0) or math.isnan(x) or x < 0.0:
         raise DomainError(f"gamma_lower requires s > 0 and x >= 0, got s={s}, x={x}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return gamma_complete(s)
-    if x < s + 1.0:
-        return _gamma_lower_series(s, x, cfg)
-    # Above the split both terms are O(Gamma(s)); the subtraction is benign.
-    return gamma_complete(s) - _gamma_upper_cf(s, x, cfg)
+    return _unregularize(s, float(_sp.gammainc(s, x)))
 
 
-def d_series(a: float, z: float, config: SpecialFnConfig | None = None) -> float:
+def d_series(a: float, z: float) -> float:
     """sum_{p>=0} (-1)^p / p! * z^(a+1+p) / (a+1+p)^2 for a > 0, z >= 0.
 
     Terms are built by the recursion t_{p+1} = -t_p * z/(p+1) *
     ((s+p)/(s+p+1))^2 with s = a+1, which never forms z^p or p!
     explicitly, and the final sum is exact over the rounded terms
     (math.fsum).  The alternating tail is truncated once past the hump
-    (|t| decreasing) and |t| <= rel_tol * |partial sum|.
+    (|t| decreasing) and |t| <= 1e-12 * |partial sum|.
     """
-    cfg = config or DEFAULT_CONFIG
     if not (a > 0.0) or math.isnan(z) or z < 0.0 or math.isinf(z):
         raise DomainError(f"d_series requires a > 0 and finite z >= 0, got a={a}, z={z}")
     if z == 0.0:
@@ -141,7 +111,7 @@ def d_series(a: float, z: float, config: SpecialFnConfig | None = None) -> float
     terms = [t]
     running = t
     prev_abs = abs(t)
-    for p in range(1, cfg.max_terms + 1):
+    for p in range(1, _D_SERIES_MAX_TERMS + 1):
         t *= -z / p * ((s + p - 1.0) / (s + p)) ** 2
         if not math.isfinite(t):
             raise NonConvergenceError(f"d_series term overflow at p={p} for a={a}, z={z}")
@@ -149,65 +119,11 @@ def d_series(a: float, z: float, config: SpecialFnConfig | None = None) -> float
         running += t
         decreasing = abs(t) < prev_abs
         prev_abs = abs(t)
-        if decreasing and abs(t) <= cfg.rel_tol * abs(running):
+        if decreasing and abs(t) <= _D_SERIES_REL_TOL * abs(running):
             return math.fsum(terms)
     raise NonConvergenceError(
-        f"d_series did not converge within {cfg.max_terms} terms for a={a}, z={z}"
+        f"d_series did not converge within {_D_SERIES_MAX_TERMS} terms for a={a}, z={z}"
     )
-
-
-def _gamma_lower_series(s: float, x: float, cfg: SpecialFnConfig) -> float:
-    # gamma(s,x) = x^s e^(-x) sum_n x^n / (s (s+1) ... (s+n)); all terms
-    # positive, geometric decay once n > x.
-    term = 1.0 / s
-    total = term
-    ap = s
-    for _ in range(cfg.max_terms):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if term <= cfg.rel_tol * total:
-            return total * math.exp(-x + s * math.log(x))
-    raise NonConvergenceError(f"lower-gamma series stalled for s={s}, x={x}")
-
-
-def _gamma_upper_cf(s: float, x: float, cfg: SpecialFnConfig) -> float:
-    # Modified Lentz evaluation of the continued fraction
-    # Gamma(s,x) = e^(-x) x^s / (x+1-s - 1(1-s)/(x+3-s - 2(2-s)/(...))).
-    # Convergent for x >= s+1, including s = 0.
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, cfg.max_terms + 1):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < cfg.rel_tol:
-            return math.exp(-x + s * math.log(x)) * h
-    raise NonConvergenceError(f"upper-gamma continued fraction stalled for s={s}, x={x}")
-
-
-def _e1_small(x: float, cfg: SpecialFnConfig) -> float:
-    # E1(x) = -gamma - log x + sum_{p>=1} (-1)^(p+1) x^p / (p * p!), x < 1.
-    total = -EULER_GAMMA - math.log(x)
-    term = 1.0
-    for p in range(1, cfg.max_terms + 1):
-        term *= -x / p
-        contrib = -term / p
-        total += contrib
-        if abs(contrib) <= cfg.rel_tol * abs(total):
-            return total
-    raise NonConvergenceError(f"E1 series stalled for x={x}")
 
 
 # ---------------------------------------------------------------------------

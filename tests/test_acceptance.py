@@ -12,7 +12,6 @@ strict-xfail rather than silently loosened.
 
 import math
 import time
-from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
@@ -43,6 +42,8 @@ from censem.em_core import (
 )
 from censem.model_select import ModelShape, bic, run_selection
 from censem.special_fn import d_series
+
+from conftest import d_series_decimal
 
 
 def _report(num: int, name: str, detail: str = ""):
@@ -342,21 +343,6 @@ def test_criterion_6_shape_bracket_oracle_at_large_zeta(z):
 # ---------------------------------------------------------------------------
 
 
-def _d_series_decimal(a, z, terms=200):
-    getcontext().prec = 60
-    s = Decimal(a) + 1
-    log_z = Decimal(z).ln()
-    total = Decimal(0)
-    fact = Decimal(1)
-    for p in range(terms):
-        if p:
-            fact *= p
-        e = s + p
-        term = (log_z * e).exp() / (fact * e * e)
-        total += term if p % 2 == 0 else -term
-    return float(total)
-
-
 def test_criterion_7_special_function_identities():
     svals = np.linspace(0.1, 10.0, 50)
     xvals = np.geomspace(0.01, 30.0, 50)
@@ -371,7 +357,7 @@ def test_criterion_7_special_function_identities():
         assert gamma_upper(s, 0.0) == pytest.approx(gamma_complete(s), rel=1e-12)
     for a in (0.1, 0.5, 1.0, 2.0, 5.0):
         for z in (0.05, 0.5, 1.0, 2.5, 5.0):
-            assert d_series(a, z) == pytest.approx(_d_series_decimal(a, z), rel=1e-10)
+            assert d_series(a, z) == pytest.approx(d_series_decimal(a, z), rel=1e-10)
     _report(7, "special-function identities", "recurrence, survivals, series oracle")
 
 

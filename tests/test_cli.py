@@ -258,6 +258,46 @@ def test_select_default_candidate_set(tmp_path, reference_mixture):
     assert [r[0] for r in sections["tally"]["rows"]] == ["1,1", "0,2", "3,0", "2,1"]
 
 
+def test_select_repeated_shape_exits_2(tmp_path, reference_mixture):
+    from censem.sample_data import generate_synthetic
+
+    diffs = tmp_path / "d.txt"
+    write_lines(diffs, generate_synthetic(reference_mixture, 500, rng_seed=6).tolist())
+    out = tmp_path / "sel.txt"
+    assert run("select", "--input", str(diffs), "--output", str(out), "--shapes", "1,1;0,2;1,1",
+               "--boot", "2", "--subsample", "100", "--days", "1", "--seed", "3") == 2
+    assert not out.exists()
+
+
+def test_selection_report_marks_sd_of_a_single_fit(tmp_path):
+    """A shape with one usable fit in an ensemble has no sd: its column
+    reads '-', as the mean column does with none, and the report is whole."""
+    from types import SimpleNamespace
+
+    from censem.cli import _write_selection_report
+    from censem.model_select import BicStats, EnsembleResult, ModelShape, SelectionReport
+    from censem.sample_data import default_censor_spec
+
+    base, alt, dead = ModelShape(1, 1), ModelShape(0, 3), ModelShape(3, 0)
+    stats = {base: BicStats(base, np.array([10.0, 12.0, 14.0]), 0),
+             alt: BicStats(alt, np.array([11.0]), 2),
+             dead: BicStats(dead, np.empty(0), 3)}
+    report = SelectionReport([base, alt, dead], base, 2, 20,
+                             [EnsembleResult(0, 7, stats, [], base)],
+                             {base: 1.0, alt: 0.0, dead: 0.0})
+    args = SimpleNamespace(days=1, alpha_level=0.05, two_sided=False, epsilon=1e-5,
+                           max_iter=500, m_step="mle")
+    out = tmp_path / "sel.txt"
+    _write_selection_report(str(out), "d.txt", args, 0, default_censor_spec(), report)
+    _, sections = parse_report(out)
+    assert sections["bic"]["rows"] == [
+        ["0", "7", "1,1", "12", "2", "3", "0"],
+        ["0", "7", "0,3", "11", "-", "1", "2"],
+        ["0", "7", "3,0", "-", "-", "0", "3"],
+    ]
+    assert sections["winners"]["rows"] == [["0", "1,1"]]
+
+
 # --- profile ----------------------------------------------------------------------
 
 

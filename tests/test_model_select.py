@@ -263,6 +263,14 @@ def test_selection_requires_enough_data(reference_mixture):
                       days=1, rng_seed=1)
 
 
+def test_selection_rejects_repeated_shape(reference_mixture):
+    # counted twice, a shape's BIC samples, Welch tests and tally row would double
+    diffs = generate_synthetic(reference_mixture, 500, rng_seed=19)
+    shapes = [ModelShape(1, 1), ModelShape(0, 2), ModelShape(1, 1)]
+    with pytest.raises(DomainError, match="1,1"):
+        run_selection(diffs, shapes, n_boot=2, subsample_size=100, days=1, rng_seed=1)
+
+
 # --- profile_intraday ----------------------------------------------------------------
 
 

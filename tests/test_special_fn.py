@@ -1,5 +1,6 @@
 import math
-from decimal import Decimal, getcontext
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from scipy.integrate import quad
 from censem.errors import DomainError, NonConvergenceError
 from censem.special_fn import (
     EULER_GAMMA,
-    SpecialFnConfig,
     d_series,
     d_series1_array,
     e1_array,
@@ -19,6 +19,8 @@ from censem.special_fn import (
     gamma_upper,
     gamma_upper2_array,
 )
+
+from conftest import d_series_decimal
 
 SQRT_PI = 1.7724538509055159
 
@@ -35,26 +37,40 @@ def gamma_quad(s: float) -> float:
 
 
 def gamma_upper_quad(s: float, x: float) -> float:
-    f = lambda t: t ** (s - 1.0) * math.exp(-t)
-    v, _ = quad(f, x, np.inf, epsabs=1e-13, epsrel=1e-13)
-    return v
+    """Quadrature of the defining integral with relative accuracy from
+    x = 1e-150 to 600: from x = 1 on as e^-x int_0^inf (x+u)^(s-1) e^-u du,
+    below 1 as Gamma(s, 1) plus int_x^1 taken in u = log t."""
+    if x >= 1.0:
+        v, _ = quad(lambda u: (x + u) ** (s - 1.0) * math.exp(-u), 0.0, np.inf,
+                    epsabs=0.0, epsrel=1e-13)
+        return math.exp(-x) * v
+    v, _ = quad(lambda u: math.exp(s * u - math.exp(u)), math.log(x), 0.0,
+                epsabs=0.0, epsrel=1e-13, limit=200)
+    return v + gamma_upper_quad(s, 1.0)
 
 
-def d_series_decimal(a: float, z: float, terms: int = 200) -> float:
-    """Brute-force 200-term summation at 60-digit precision."""
-    getcontext().prec = 60
-    s = Decimal(a) + 1
-    zd = Decimal(z)
-    log_z = zd.ln()
-    total = Decimal(0)
-    fact = Decimal(1)
-    for p in range(terms):
-        if p:
-            fact *= p
-        exponent = s + p
-        term = (log_z * exponent).exp() / (fact * exponent * exponent)
-        total += term if p % 2 == 0 else -term
-    return float(total)
+def gamma_lower_decimal(s: float, x: float, terms: int = 30) -> float:
+    """x^s e^-x sum_n x^n / (s (s+1) ... (s+n)) at 60 digits, for small x."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        sd, xd = Decimal(s), Decimal(x)
+        term = 1 / sd
+        total = term
+        for n in range(1, terms):
+            term = term * xd / (sd + n)
+            total += term
+        return float(total * (sd * xd.ln() - xd).exp())
+
+
+def gamma2_decimal(x: float) -> tuple[float, float]:
+    """(gamma(2, x), Gamma(2, x)) from the closed forms 1 - (1 + x) e^-x and
+    (1 + x) e^-x, at enough digits to survive the cancellation down to
+    x = 1e-150."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        xd = Decimal(x)
+        upper = (1 + xd) * (-xd).exp()
+        return float(1 - upper), float(upper)
 
 
 # --- gamma_complete ---------------------------------------------------------
@@ -103,7 +119,7 @@ def test_gamma_upper_order_zero_vs_quadrature():
 
 
 def test_gamma_upper_order_zero_small_x_branch():
-    # the series and continued-fraction branches must agree near x = 1
+    # E1 on both sides of x = 1
     for x in (0.2, 0.8, 0.999, 1.0, 1.001, 3.0):
         assert gamma_upper(0.0, x) == pytest.approx(gamma_upper_quad(0.0, x), rel=1e-10)
 
@@ -245,25 +261,6 @@ def test_d_series_domain():
         d_series(1.0, -1.0)
 
 
-# --- config -----------------------------------------------------------------
-
-
-def test_config_validation():
-    with pytest.raises(DomainError):
-        SpecialFnConfig(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        SpecialFnConfig(rel_tol=1e-3)
-    with pytest.raises(DomainError):
-        SpecialFnConfig(max_terms=10)
-
-
-def test_config_controls_termination():
-    loose = SpecialFnConfig(rel_tol=1e-7, max_terms=500)
-    assert gamma_upper(2.0, 3.0, config=loose) == pytest.approx(
-        gamma_upper(2.0, 3.0), rel=1e-6
-    )
-
-
 # --- array kernels -------------------------------------------------------------
 
 ARRAY_GRID = np.concatenate([np.geomspace(1e-150, 1e-3, 40), np.geomspace(1e-3, 600.0, 400)])
@@ -275,21 +272,50 @@ def relative_gap(array_values, scalar_fn, xs):
 
 
 def test_e1_array_matches_scalar():
-    # The scalar continued fraction stops at |delta - 1| < 1e-12, which
-    # leaves up to ~3e-12 near x = 1; exp1 is within ~1e-15 there.
-    assert relative_gap(e1_array(ARRAY_GRID), lambda x: gamma_upper(0.0, x), ARRAY_GRID) < 5e-12
-    small = ARRAY_GRID[ARRAY_GRID < 0.9]
-    assert relative_gap(e1_array(small), lambda x: gamma_upper(0.0, x), small) < 1e-12
+    """e1_array and the scalar gamma_upper(0, .) against quadrature."""
+    oracle = lambda x: gamma_upper_quad(0.0, x)
+    assert relative_gap(e1_array(ARRAY_GRID), oracle, ARRAY_GRID) < 1e-13
+    scalar = np.array([gamma_upper(0.0, float(x)) for x in ARRAY_GRID])
+    assert relative_gap(scalar, oracle, ARRAY_GRID) < 1e-13
     assert e1_array(np.array([0.0, np.inf])).tolist() == [np.inf, 0.0]
 
 
 def test_gamma2_arrays_match_scalar():
-    assert relative_gap(gamma_lower2_array(ARRAY_GRID), lambda x: gamma_lower(2.0, x),
-                        ARRAY_GRID) < 1e-12
-    upper = ARRAY_GRID[ARRAY_GRID < 700.0]
-    assert relative_gap(gamma_upper2_array(upper), lambda x: gamma_upper(2.0, x), upper) < 1e-12
+    """The order-2 array kernels against their Decimal closed forms."""
+    assert relative_gap(gamma_lower2_array(ARRAY_GRID), lambda x: gamma2_decimal(x)[0],
+                        ARRAY_GRID) < 1e-13
+    assert relative_gap(gamma_upper2_array(ARRAY_GRID), lambda x: gamma2_decimal(x)[1],
+                        ARRAY_GRID) < 1e-13
     assert gamma_lower2_array(np.array([0.0, np.inf])).tolist() == [0.0, 1.0]
     assert gamma_upper2_array(np.array([0.0, 1e300, np.inf])).tolist() == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("s", [1.25, 2.0, 5.0])
+def test_gamma_lower_keeps_relative_accuracy_near_zero(s):
+    """_gamma_upper_diff takes tiny intervals near 0 as a difference of
+    lower gammas, so gamma_lower must not lose digits there."""
+    for x in np.geomspace(1e-100, 1e-3, 300):
+        want = gamma_lower_decimal(s, float(x))
+        got = gamma_lower(s, float(x))
+        if want < sys.float_info.min:
+            # below the normal range only the absolute size is kept
+            assert abs(got - want) <= sys.float_info.min, (x, want, got)
+            continue
+        # x^s e^-x is formed as exp(s log x - x), whose rounding grows with
+        # the size of that exponent: about eps per unit of |log want|.
+        tol = max(1e-13, 2.0 * sys.float_info.epsilon * abs(math.log(want)))
+        assert abs(got - want) <= tol * want, (x, want, got)
+
+
+def test_large_order_gives_no_nan():
+    # Gamma(s) saturates to inf above s ~ 171.6, while the regularized
+    # ratio underflows to 0 far out in the tail.
+    assert gamma_upper(200.0, 1e4) == 0.0
+    assert gamma_lower(200.0, 1e-3) == 0.0
+    for s in (171.0, 172.0, 200.0, 1e3):
+        for x in (1e-300, 1e-3, 1.0, 50.0, 1e4, 1e300, math.inf):
+            assert not math.isnan(gamma_upper(s, x)), (s, x)
+            assert not math.isnan(gamma_lower(s, x)), (s, x)
 
 
 def test_d_series1_array_matches_scalar_where_the_series_is_accurate():
