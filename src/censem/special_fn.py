@@ -80,9 +80,10 @@ def gamma_upper(s: float, x: float) -> float:
 def gamma_lower(s: float, x: float) -> float:
     """Lower incomplete gamma gamma(s, x) = int_0^x t^(s-1) e^(-t) dt, s > 0.
 
-    Tiny values near x = 0 keep full relative accuracy (the complementary
-    difference Gamma(s) - Gamma(s, x) would cancel catastrophically
-    there), which _gamma_upper_diff in em_core relies on.
+    Tiny values near x = 0 keep their relative accuracy down to the
+    normal double range (the complementary difference Gamma(s) - Gamma(s, x)
+    would cancel catastrophically there), which _gamma_upper_diff in
+    em_core relies on.
     """
     if not (s > 0.0) or math.isnan(x) or x < 0.0:
         raise DomainError(f"gamma_lower requires s > 0 and x >= 0, got s={s}, x={x}")
