@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 input error, 3 numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -173,15 +174,29 @@ def write_censored_sample(path: str, s: CensoredSample) -> None:
 
 
 def _write_report(path: str, header: list[tuple[str, object]], sections) -> None:
-    """key=value header plus [name] sections with a column-header line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in header:
-            fh.write(f"{key}={value if isinstance(value, str) else _fmt(value)}\n")
-        for name, columns, rows in sections:
-            fh.write(f"[{name}]\n")
-            fh.write(" ".join(columns) + "\n")
-            for row in rows:
-                fh.write(" ".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) + "\n")
+    """key=value header plus [name] sections with a column-header line.
+
+    The report goes to a temporary file beside `path` and replaces it
+    only once complete, so a failure while formatting leaves any
+    previous report as it was and no partial file behind.
+    """
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for key, value in header:
+                fh.write(f"{key}={value if isinstance(value, str) else _fmt(value)}\n")
+            for name, columns, rows in sections:
+                fh.write(f"[{name}]\n")
+                fh.write(" ".join(columns) + "\n")
+                for row in rows:
+                    fh.write(" ".join(cell if isinstance(cell, str) else _fmt(cell)
+                                      for cell in row) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

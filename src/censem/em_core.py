@@ -23,8 +23,9 @@ incomplete-gamma expression.
 There is one EM loop, `fit_batch`; `fit` is a batch of one.  The
 samples are collapsed to unique values and padded into shared arrays,
 every iteration is one array E-step and weight update plus the M-step
-(for mle one array scale update and one array shape root solve), and a
-member leaves the arrays when it converges, reaches max_iter or fails.
+(for mle one array scale update and one safeguarded-Newton shape root
+solve), and a member leaves the arrays when it converges, reaches
+max_iter or fails.
 The public uncompressed operations (e_step, update_weights, the m_step_*
 functions, q_objective) are the readable reference: an EM loop built
 from them stops at the same iteration, with the same flags and named
@@ -59,7 +60,7 @@ from .errors import (
     NonConvergenceError,
     ResponsibilityUnderflowError,
 )
-from .rootfind import golden_max, solve_bracketed, solve_bracketed_array
+from .rootfind import golden_max, solve_bracketed, solve_newton_array
 from .sample_data import CensoredSample
 from .special_fn import (
     EULER_GAMMA,
@@ -75,7 +76,9 @@ from .special_fn import (
 
 log = logging.getLogger(__name__)
 
-# Bracket width, relative to max(1, |lo| + |hi|), at which the shape root solves stop.
+# Relative tolerance of the shape root solves: the scalar Illinois solve stops at a
+# bracket width of _ROOT_TOL * max(1, |lo| + |hi|), the batch's Newton solve at a
+# step of _ROOT_TOL * max(1, 2|beta|).
 _ROOT_TOL = 1e-10
 
 
@@ -1215,22 +1218,8 @@ class _Batch:
         if rows.size < a_mass.size:
             l_rel, wl, a_mass, b_const = l_rel[rows], wl[rows], a_mass[rows], b_const[rows]
             comp, member = comp[rows], member[rows]
-        n = rows.size
-        # The solvers call back with the same index array for several
-        # steps in a row, so the rows it selects are gathered once.
-        picked = [None, a_mass, b_const, wl, l_rel]
-
-        def score(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            if idx is not picked[0]:
-                full = idx.size == n
-                picked[:] = [idx] + [v if full else v[idx] for v in (a_mass, b_const, wl, l_rel)]
-            _, am, bc, w, lr = picked
-            tail = np.multiply(x[:, None], lr)
-            np.exp(tail, out=tail)
-            return am / x + bc - np.multiply(tail, w, out=tail).sum(axis=1)
-
         roots, ok, g_lo, g_hi = _solve_shape_array(
-            score, cfg.beta_bracket, self.beta[comp, member], _ROOT_TOL
+            l_rel, wl, a_mass, b_const, cfg.beta_bracket, self.beta[comp, member]
         )
         lo, hi = cfg.beta_bracket
         for k in np.flatnonzero(~ok):
@@ -1343,54 +1332,42 @@ def _shape_bracket2_array(z_lo: np.ndarray, z_hi: np.ndarray, reach: np.ndarray)
 
 
 def _solve_shape_array(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    l_rel: np.ndarray,
+    wl: np.ndarray,
+    a_mass: np.ndarray,
+    b_const: np.ndarray,
     bracket: tuple[float, float],
     start: np.ndarray,
-    xtol: float,
 ):
-    """_solve_shape over many strictly decreasing scores at once.
+    """_solve_shape over many shape scores at once, by safeguarded Newton.
 
-    Returns (roots, ok, f(lo), f(hi)): where ok is False no sign change
-    was found inside `bracket`, and the endpoint values (evaluated as
-    _solve_shape does for its BracketError) explain why.
+    Row k's score is f(beta) = a_mass[k] / beta + b_const[k]
+    - sum_u wl[k, u] e^(beta l_rel[k, u]), strictly decreasing for
+    a_mass > 0 and wl * l_rel >= 0; its derivative
+    -a_mass / beta^2 - sum_u wl l_rel e^(beta l_rel) reuses the score's
+    exponentials.  Each row starts at start[k].  Returns (roots, ok,
+    f(lo), f(hi)): where ok is False no sign change was found inside
+    `bracket`, and the endpoint values explain why.
     """
+    n = a_mass.size
+    # The solver calls back with the same index array for several steps
+    # in a row, so the rows it selects are gathered once.
+    picked = [None, a_mass, b_const, wl, l_rel]
+
+    def score(x: np.ndarray, idx: np.ndarray):
+        if idx is not picked[0]:
+            full = idx.size == n
+            picked[:] = [idx] + [v if full else v[idx] for v in (a_mass, b_const, wl, l_rel)]
+        _, am, bc, w, lr = picked
+        tail = np.multiply(x[:, None], lr)
+        np.exp(tail, out=tail)
+        terms = np.multiply(tail, w)
+        value = am / x + bc - terms.sum(axis=1)
+        slope = -am / (x * x) - np.multiply(terms, lr, out=tail).sum(axis=1)
+        return value, slope
+
     lo, hi = bracket
-    start = np.minimum(np.maximum(start, lo), hi)
-    a = np.maximum(lo, 0.8 * start)
-    b = np.minimum(hi, 1.25 * start)
-    every = np.arange(a.size)
-    fa = f(a, every)
-    fb = f(b, every)
-    for _ in range(64):
-        left = (fa < 0.0) & (a > lo)
-        right = ~left & (fb > 0.0) & (b < hi)
-        il, ir = np.flatnonzero(left), np.flatnonzero(right)
-        if il.size == 0 and ir.size == 0:
-            break
-        b[il], fb[il] = a[il], fa[il]
-        a[il] = np.maximum(lo, a[il] / 2.0)
-        a[ir], fa[ir] = b[ir], fb[ir]
-        b[ir] = np.minimum(hi, b[ir] * 2.0)
-        move = np.flatnonzero(left | right)
-        to_left = left[move]
-        fx = f(np.where(to_left, a[move], b[move]), move)
-        fa[il], fb[ir] = fx[to_left], fx[~to_left]
-    ok = ((fa > 0.0) & (fb < 0.0)) | (fa == 0.0) | (fb == 0.0)
-    roots = np.full(a.size, math.nan)
-    g_lo, g_hi = fa.copy(), fb.copy()
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        g_lo[bad] = np.where(a[bad] == lo, fa[bad], f(np.full(bad.size, lo), bad))
-        g_hi[bad] = np.where(b[bad] == hi, fb[bad], f(np.full(bad.size, hi), bad))
-    good = np.flatnonzero(ok)
-    if good.size == a.size:
-        roots = solve_bracketed_array(f, a, b, xtol=xtol, f_lo=fa, f_hi=fb)
-    elif good.size:
-        roots[good] = solve_bracketed_array(
-            lambda x, j: f(x, good[j]), a[good], b[good], xtol=xtol,
-            f_lo=fa[good], f_hi=fb[good],
-        )
-    return roots, ok, g_lo, g_hi
+    return solve_newton_array(score, lo, hi, start, xtol=_ROOT_TOL)
 
 
 def fit_batch(

@@ -1,7 +1,8 @@
 """Bracketed 1-D root finding and maximization used by the M-step solvers.
 
-solve_bracketed_array runs the same root search over many brackets at
-once, for the batched EM.
+solve_bracketed (Illinois secant) and golden_max serve the scalar M-step
+operations; solve_newton_array (safeguarded Newton) solves many roots at
+once for the batched EM.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BracketError, NonConvergenceError
+from .errors import BracketError, DomainError, NonConvergenceError
 
 _GOLDEN = 0.6180339887498949  # (sqrt(5) - 1) / 2
 
@@ -115,70 +116,92 @@ def golden_max(
     return best_x, best_f
 
 
-def solve_bracketed_array(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lo,
-    hi,
+def solve_newton_array(
+    fdf: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    lo: float,
+    hi: float,
+    start,
     xtol: float = 1e-10,
     max_iter: int = 200,
-    f_lo=None,
-    f_hi=None,
-) -> np.ndarray:
-    """solve_bracketed over many independent brackets at once.
+):
+    """Roots in [lo, hi], 0 < lo < hi, of many strictly decreasing
+    functions at once by safeguarded Newton (rtsafe, Press et al.,
+    Numerical Recipes, 3rd ed., section 9.4).
 
-    f(x, idx) returns the values at x of the functions numbered idx (a
-    sorted index array), so each step evaluates only the brackets still
-    open.  Every bracket takes exactly the steps solve_bracketed would
-    take on it, Illinois halving included; the loop runs until the
-    slowest one is done.  Raises BracketError, for the first offending
-    bracket, when any bracket lacks a sign change.
+    fdf(x, idx) returns the values and derivatives at x of the functions
+    numbered idx (a sorted index array, the same object for as long as
+    the set of open rows does not change).  Row k starts at start[k] and
+    keeps the bracket [a, b] that the signs it has seen give it.  A
+    Newton step that leaves the bracket, is not finite, or is more than
+    half the step before last (Newton crawling, as down the exponential
+    tail of a score) becomes a bisection or, while only one side is
+    known, a doubling or halving toward the unknown end.  With
+    tol = xtol * max(1, 2|x|), a row ends at an exact zero, at a Newton
+    step of at most tol (x minus the step, kept inside the bracket), or
+    at a bracket narrower than tol (its midpoint).
+
+    Returns (roots, ok, f(lo), f(hi)).  ok is False where f is positive
+    at hi or negative at lo, so that [lo, hi] holds no sign change, or
+    where f is NaN; those rows' roots are NaN and their endpoint values
+    are evaluated for the diagnostics (NaN on the other rows).
     """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    every = np.arange(a.size)
-    fa = np.array(f(a, every) if f_lo is None else f_lo, dtype=float)
-    fb = np.array(f(b, every) if f_hi is None else f_hi, dtype=float)
-    out = np.where(fa == 0.0, a, b)
-    open_ = (fa != 0.0) & (fb != 0.0)
-    bad = open_ & (np.isnan(fa) | np.isnan(fb) | ((fa > 0.0) == (fb > 0.0)))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise BracketError(
-            f"no sign change on [{a[k]}, {b[k]}]: f(lo)={fa[k]}, f(hi)={fb[k]}",
-            lo=float(a[k]), hi=float(b[k]), f_lo=float(fa[k]), f_hi=float(fb[k]),
-        )
-    # Working arrays hold the open brackets only; idx maps them back.
-    idx = np.flatnonzero(open_)
-    a, b, fa, fb = a[idx], b[idx], fa[idx], fb[idx]
-    side = np.zeros(idx.size, dtype=np.int8)
+    if not 0.0 < lo < hi:
+        raise DomainError(f"solve_newton_array needs 0 < lo < hi, got [{lo}, {hi}]")
+    x = np.minimum(np.maximum(np.asarray(start, dtype=float), lo), hi)
+    n = x.size
+    roots = np.full(n, math.nan)
+    ok = np.ones(n, dtype=bool)
+    # Working arrays hold the open rows only; idx maps them back.
+    idx = np.arange(n)
+    a, b = np.full(n, lo), np.full(n, hi)
+    seen_a = np.zeros(n, dtype=bool)  # f(a) > 0 was seen, not just a = lo
+    seen_b = np.zeros(n, dtype=bool)  # f(b) < 0 was seen
+    last = np.full(n, math.inf)  # the last step taken, and the one before
+    before = np.full(n, math.inf)
     for _ in range(max_iter):
-        narrow = (b - a) <= xtol * np.maximum(1.0, np.abs(a) + np.abs(b))
-        if narrow.any():
-            out[idx[narrow]] = 0.5 * (a[narrow] + b[narrow])
-            keep = ~narrow
-            idx, a, b, fa, fb, side = idx[keep], a[keep], b[keep], fa[keep], fb[keep], side[keep]
-        if idx.size == 0:
-            return out
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            x = (a * fb - b * fa) / (fb - fa)
-            # fa and fb have opposite signs, so their sum is finite
-            # exactly when both are.
-            secant = np.isfinite(fa + fb) & (a < x) & (x < b)
-        x = np.where(secant, x, 0.5 * (a + b))
-        fx = np.asarray(f(x, idx), dtype=float)
-        # Illinois-weighted secant, as in solve_bracketed: when the same
-        # side survives twice, the retained endpoint's value halves (a
-        # no-op on an infinite value, which the scalar code skips).
-        left = (fx > 0.0) == (fa > 0.0)
-        fb_kept = np.where(side == -1, 0.5 * fb, fb)
-        fa_kept = np.where(side == 1, 0.5 * fa, fa)
-        a, fa = np.where(left, x, a), np.where(left, fx, fa_kept)
-        b, fb = np.where(left, b, x), np.where(left, fb_kept, fx)
-        side = np.where(left, -1, 1).astype(np.int8)
-        stop = (fx == 0.0) | np.isnan(fx)
-        if stop.any():
-            out[idx[stop]] = x[stop]
-            keep = ~stop
-            idx, a, b, fa, fb, side = idx[keep], a[keep], b[keep], fa[keep], fb[keep], side[keep]
-    out[idx] = 0.5 * (a + b)
-    return out
+        fx, dfx = fdf(x, idx)
+        pos, neg = fx > 0.0, fx < 0.0
+        a = np.where(pos, x, a)
+        b = np.where(neg, x, b)
+        seen_a |= pos
+        seen_b |= neg
+        both = seen_a & seen_b
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = fx / dfx
+        xn = x - step
+        tol = xtol * np.maximum(1.0, 2.0 * np.abs(x))
+        small = np.abs(step) <= tol
+        # a reaches hi only where f(hi) > 0, b reaches lo only where f(lo) < 0
+        fail = np.isnan(fx) | (a >= hi) | (b <= lo)
+        zero = fx == 0.0
+        done = fail | zero | small | (both & (b - a <= tol))
+        if done.any():
+            # The tolerance test comes first: a step that rounds back to
+            # x or onto a bracket end still ends the row.
+            fin = np.where(zero, x, np.where(small, np.minimum(np.maximum(xn, a), b),
+                                             0.5 * (a + b)))
+            roots[idx[done & ~fail]] = fin[done & ~fail]
+            ok[idx[fail]] = False
+            keep = ~done
+            if not keep.any():
+                break
+            idx, x, xn, step, a, b = idx[keep], x[keep], xn[keep], step[keep], a[keep], b[keep]
+            pos, both, seen_a, seen_b = pos[keep], both[keep], seen_a[keep], seen_b[keep]
+            last, before = last[keep], before[keep]
+        newton = (a < xn) & (xn < b) & (np.abs(step) <= 0.5 * before)
+        grow = np.where(pos, np.minimum(hi, 2.0 * x), np.maximum(lo, 0.5 * x))
+        x_next = np.where(newton, xn, np.where(both, 0.5 * (a + b), grow))
+        before, last = last, np.abs(x_next - x)
+        x = x_next
+    else:
+        # out of iterations: a row whose sign change was seen ends at the
+        # midpoint of its bracket; one that never saw both signs fails
+        roots[idx[both]] = 0.5 * (a[both] + b[both])
+        ok[idx[~both]] = False
+    f_lo = np.full(n, math.nan)
+    f_hi = np.full(n, math.nan)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        f_lo[bad] = fdf(np.full(bad.size, lo), bad)[0]
+        f_hi[bad] = fdf(np.full(bad.size, hi), bad)[0]
+    return roots, ok, f_lo, f_hi

@@ -298,6 +298,26 @@ def test_selection_report_marks_sd_of_a_single_fit(tmp_path):
     assert sections["winners"]["rows"] == [["0", "1,1"]]
 
 
+def test_report_write_is_all_or_nothing(tmp_path):
+    """A row that fails to format mid-report (a NaN, which the report
+    format refuses) leaves the previous report byte-identical and no
+    temporary file beside it."""
+    from censem.cli import _write_report
+    from censem.errors import DomainError
+
+    out = tmp_path / "report.txt"
+    sections = [("rows", ["k", "v"], [(k, 0.5 * k) for k in range(200)])]
+    _write_report(str(out), [("run", "first")], sections)
+    before = out.read_bytes()
+    broken = [("rows", ["k", "v"], [(k, math.nan if k == 150 else 0.25 * k) for k in range(200)])]
+    with pytest.raises(DomainError, match="NaN"):
+        _write_report(str(out), [("run", "second")], broken)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+    _write_report(str(out), [("run", "first")], sections)
+    assert out.read_bytes() == before
+
+
 # --- profile ----------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from censem import (
     update_weights,
 )
 from censem.em_core import (
+    _ROOT_TOL,
     EmConfig,
     FitResult,
     InitSpec,
@@ -39,6 +41,8 @@ from censem.em_core import (
     _interval_pass,
     _row_pass,
     _shape_series_bracket,
+    _solve_shape,
+    _solve_shape_array,
     _workspace,
     default_init,
     fit_batch,
@@ -346,6 +350,63 @@ def test_wbl_beta_bracket_failure_reports_endpoints():
     with pytest.raises(BracketError) as err:
         m_step_weibull_beta(r, s, 0, prev, alpha_new=2.0, config=EmConfig(beta_bracket=(0.5, 4.0)))
     assert err.value.f_lo is not None and err.value.f_hi is not None
+
+
+def random_shape_scores(rows: int, seed: int):
+    """Strictly decreasing shape scores A / beta + B - sum wl e^(beta l),
+    with wl = w l and w > 0, as the batched M-step builds them.  The
+    spread of l varies by row, so the roots spread over (1e-2, 1e2)."""
+    rng = np.random.default_rng(seed)
+    spread = np.exp(rng.uniform(np.log(0.02), np.log(20.0), (rows, 1)))
+    l_rel = rng.normal(0.0, 1.0, (rows, 25)) * spread
+    w = rng.exponential(1.0, l_rel.shape)
+    wl = w * l_rel
+    a_mass = w.sum(axis=1) + rng.exponential(1.0, rows)
+    b_const = wl.sum(axis=1) + rng.normal(0.0, 1.0, rows) * spread[:, 0]
+    return l_rel, wl, a_mass, b_const
+
+
+def test_batch_shape_solve_matches_scalar_solve():
+    """_solve_shape_array (safeguarded Newton) against the scalar Illinois
+    _solve_shape, root for root and failure for failure."""
+    rows, bracket = 300, (0.05, 20.0)
+    l_rel, wl, a_mass, b_const = random_shape_scores(rows, seed=41)
+    start = np.exp(np.random.default_rng(43).uniform(np.log(0.03), np.log(30.0), rows))
+    # the steepest scores overflow to -inf near the top of the bracket
+    with np.errstate(over="ignore"):
+        roots, ok, f_lo, f_hi = _solve_shape_array(l_rel, wl, a_mass, b_const, bracket, start)
+    failures = 0
+    for k in range(rows):
+        def f(beta, k=k):
+            return a_mass[k] / beta + b_const[k] - float(wl[k] @ np.exp(beta * l_rel[k]))
+        try:
+            with np.errstate(over="ignore"):
+                ref = _solve_shape(f, bracket, start[k], _ROOT_TOL)
+        except BracketError as exc:
+            failures += 1
+            assert not ok[k] and np.isnan(roots[k])
+            assert (f_lo[k], f_hi[k]) == pytest.approx((exc.f_lo, exc.f_hi), rel=1e-12)
+            continue
+        assert ok[k]
+        assert abs(roots[k] - ref) <= _ROOT_TOL * max(1.0, 2.0 * ref)
+    assert 0 < failures < rows // 2
+
+
+def test_batch_bracket_failure_text_matches_reference_loop():
+    """A beta_bracket that holds no root: the batch names the reference
+    loop's BracketError at the same iteration, with the same text up to
+    the digits of f(lo) and f(hi)."""
+    xs = sample(MixtureModel([1.0], [ComponentSpec.weibull(1.0, 3.0)]), 500, rng_seed=47)
+    s = CensoredSample(xs, [])
+    cfg = EmConfig(beta_bracket=(0.5, 2.0))
+    res, ref = fit(s, (0, 1), cfg), reference_fit(s, (0, 1), cfg)
+    assert res.degenerate and not res.converged
+    assert res.error.startswith("BracketError: shape root not bracketed in [0.5, 2.0]: f(lo)=")
+    assert res.iterations == ref.iterations
+    number = re.compile(r"-?\d+\.\d+(?:e[-+]\d+)?")
+    assert number.sub("#", res.error) == number.sub("#", ref.error)
+    np.testing.assert_allclose([float(v) for v in number.findall(res.error)],
+                               [float(v) for v in number.findall(ref.error)], rtol=1e-8)
 
 
 # --- residuals of the score equations at the returned updates --------------------------

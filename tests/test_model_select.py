@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 
 import numpy as np
@@ -153,6 +154,46 @@ def test_welch_two_sided_flag():
 def test_welch_needs_two_observations():
     with pytest.raises(DomainError):
         welch_t([1.0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_welch_p_value_equals_scipy_stats(two_sided):
+    """welch_t calls scipy.special.stdtr directly; its p-values are
+    scipy.stats' t distribution function, bit for bit, over a grid of t
+    (shifts from far below to far above) and dof (sample sizes 2 to 400,
+    equal and unequal spreads)."""
+    from scipy import stats
+
+    rng = np.random.default_rng(17)
+    seen_dof = []
+    for n_a, n_b, spread in [(2, 2, 1.0), (3, 7, 0.1), (12, 5, 4.0), (40, 55, 1.0),
+                             (400, 9, 25.0), (150, 150, 1.0)]:
+        a0 = rng.normal(0.0, 1.0, n_a)
+        b0 = rng.normal(0.0, spread, n_b)
+        for shift in (-1e3, -20.0, -3.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 3.0, 20.0, 1e3):
+            res = welch_t(a0 + shift, b0, two_sided=two_sided)
+            if two_sided:
+                expected = 2.0 * float(stats.t.sf(abs(res.t), res.dof))
+            else:
+                expected = float(stats.t.cdf(res.t, res.dof))
+            assert res.p_value == expected
+            assert res.significant == (expected < 0.05)
+        seen_dof.append(res.dof)
+    assert min(seen_dof) < 2.0 and max(seen_dof) > 100.0
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """A fresh `import censem.cli` does not pull in scipy.stats (and with
+    it scipy.optimize and scipy.spatial), about a second of cold start."""
+    import subprocess
+    import sys
+
+    code = ("import sys, censem.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.spatial') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert out.stdout.strip() == "[]"
 
 
 # --- run_selection -----------------------------------------------------------------

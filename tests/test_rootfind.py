@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from censem.errors import BracketError
-from censem.rootfind import solve_bracketed, solve_bracketed_array
+from censem.errors import DomainError
+from censem.rootfind import solve_bracketed, solve_newton_array
 
 
 def family(k: np.ndarray):
     """Strictly decreasing test functions with roots spread over (0.05, 20):
-    f_k(x) = c_k / x + d_k - x^p_k."""
+    f_k(x) = c_k / x + d_k - x^p_k.  f(x, idx) gives values and derivatives."""
     c = 0.5 + 0.37 * k
     d = np.sin(k) + 0.2
     p = 0.5 + 0.25 * (k % 7)
 
     def f(x, idx):
-        return c[idx] / x + d[idx] - x ** p[idx]
+        return c[idx] / x + d[idx] - x ** p[idx], -c[idx] / x**2 - p[idx] * x ** (p[idx] - 1.0)
 
     def scalar(j):
         return lambda x: c[j] / x + d[j] - x ** p[j]
@@ -23,45 +23,94 @@ def family(k: np.ndarray):
     return f, scalar
 
 
-def test_array_solve_matches_scalar_solve_within_xtol():
-    k = np.arange(60.0)
-    f, scalar = family(k)
-    lo = np.full(k.size, 0.05)
-    hi = 20.0 - 0.1 * k
-    xtol = 1e-10
-    roots = solve_bracketed_array(f, lo, hi, xtol=xtol)
-    for j in range(k.size):
-        ref = solve_bracketed(scalar(j), lo[j], hi[j], xtol=xtol)
-        assert abs(roots[j] - ref) <= xtol * max(1.0, abs(lo[j]) + abs(hi[j]))
-
-
-def test_array_solve_takes_the_scalar_steps():
-    """Given the same function values the array solver reproduces the scalar
-    Illinois path, so the roots agree exactly and cost the same evaluations."""
-    k = np.arange(25.0)
-    f, scalar = family(k)
-    lo, hi = np.full(k.size, 0.1), np.full(k.size, 15.0)
-    calls = np.zeros(k.size, dtype=int)
+def counting(f, n):
+    """f, and the number of times each row was evaluated."""
+    calls = np.zeros(n, dtype=int)
 
     def counted(x, idx):
         calls[idx] += 1
         return f(x, idx)
 
-    roots = solve_bracketed_array(counted, lo, hi)
+    return counted, calls
+
+
+def test_newton_solve_matches_scalar_solve_within_xtol():
+    k = np.arange(60.0)
+    f, scalar = family(k)
+    xtol = 1e-10
+    for lo, hi in ((0.05, 20.0), (0.05, 14.0), (0.1, 30.0)):
+        for start in (1.0, lo, hi, 0.5 * (lo + hi)):
+            roots, ok, f_lo, f_hi = solve_newton_array(f, lo, hi, np.full(k.size, start), xtol=xtol)
+            assert ok.all() and np.isnan(f_lo).all() and np.isnan(f_hi).all()
+            for j in range(k.size):
+                ref = solve_bracketed(scalar(j), lo, hi, xtol=xtol)
+                assert abs(roots[j] - ref) <= xtol * max(1.0, abs(lo) + abs(hi))
+
+
+def test_newton_solve_warm_start_takes_at_most_four_calls():
+    """Started within 1e-3 relative of its root, every row ends after at
+    most 4 evaluations: a step that rounds back onto x or onto a bracket
+    end must end its row rather than fall back to bisection."""
+    k = np.arange(60.0)
+    f, scalar = family(k)
+    ref = np.array([solve_bracketed(scalar(j), 0.05, 20.0) for j in range(k.size)])
+    for rel in (1e-3, -1e-3, 1e-6, 0.0):
+        counted, calls = counting(f, k.size)
+        roots, ok, _, _ = solve_newton_array(counted, 0.05, 20.0, ref * (1.0 + rel))
+        assert ok.all()
+        assert calls.max() <= 4
+        np.testing.assert_allclose(roots, ref, rtol=0.0, atol=1e-9)
+
+
+def test_newton_solve_endpoint_roots_are_exact():
+    f = lambda x, idx: (1.0 - x, np.full(x.size, -1.0))
+    for lo, hi in ((1.0, 2.0), (0.5, 1.0), (1.0, 3.0)):
+        roots, ok, _, _ = solve_newton_array(f, lo, hi, np.array([0.5 * (lo + hi), lo, hi]))
+        assert ok.all()
+        assert roots.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_newton_solve_reports_rows_without_sign_change():
+    """Rows whose root lies outside [lo, hi] end with ok False and the
+    endpoint values for the diagnostics; the other rows are unaffected."""
+    k = np.arange(6.0)
+    root = np.array([0.01, 0.5, 30.0, 2.0, 0.04, 25.0])
+    f = lambda x, idx: (root[idx] - x, np.full(x.size, -1.0))
+    lo, hi = 0.05, 20.0
+    counted, calls = counting(f, k.size)
+    roots, ok, f_lo, f_hi = solve_newton_array(counted, lo, hi, np.full(k.size, 1.0))
+    bad = (root < lo) | (root > hi)
+    assert ok.tolist() == (~bad).tolist()
+    np.testing.assert_array_equal(roots[~bad], root[~bad])
+    assert np.isnan(roots[bad]).all()
+    np.testing.assert_array_equal(f_lo[bad], root[bad] - lo)
+    np.testing.assert_array_equal(f_hi[bad], root[bad] - hi)
+    assert np.isnan(f_lo[~bad]).all() and np.isnan(f_hi[~bad]).all()
+    assert calls.max() <= 8
+
+
+def test_newton_solve_nan_ends_its_row_only():
+    k = np.arange(40.0)
+    f, scalar = family(k)
+    poisoned = 7
+
+    def g(x, idx):
+        value, slope = f(x, idx)
+        return np.where(idx == poisoned, math.nan, value), slope
+
+    counted, calls = counting(g, k.size)
+    roots, ok, f_lo, f_hi = solve_newton_array(counted, 0.05, 20.0, np.full(k.size, 1.0))
+    assert ok.tolist() == [j != poisoned for j in range(k.size)]
+    assert np.isnan(roots[poisoned]) and np.isnan(f_lo[poisoned]) and np.isnan(f_hi[poisoned])
+    # one evaluation ends the poisoned row; the two after it are its diagnostics
+    assert calls[poisoned] == 3
     for j in range(k.size):
-        n = 0
-
-        def g(x):
-            nonlocal n
-            n += 1
-            return float(f(np.array([x]), np.array([j]))[0])
-
-        assert roots[j] == solve_bracketed(g, lo[j], hi[j])
-        assert calls[j] == n
+        if j != poisoned:
+            assert abs(roots[j] - solve_bracketed(scalar(j), 0.05, 20.0)) <= 1e-10 * 20.05
 
 
-def test_array_solve_endpoint_roots_and_bracket_errors():
-    f = lambda x, idx: 1.0 - x
-    assert solve_bracketed_array(f, np.array([1.0, 0.0]), np.array([2.0, 1.0])).tolist() == [1.0, 1.0]
-    with pytest.raises(BracketError):
-        solve_bracketed_array(f, np.array([0.0, 2.0]), np.array([3.0, 5.0]))
+def test_newton_solve_rejects_a_bad_bracket():
+    f = lambda x, idx: (1.0 - x, -np.ones(x.size))
+    for lo, hi in ((0.0, 1.0), (2.0, 1.0), (-1.0, 1.0)):
+        with pytest.raises(DomainError):
+            solve_newton_array(f, lo, hi, np.array([0.5]))
