@@ -141,9 +141,11 @@ def solve_newton_array(
     at a bracket narrower than tol (its midpoint).
 
     Returns (roots, ok, f(lo), f(hi)).  ok is False where f is positive
-    at hi or negative at lo, so that [lo, hi] holds no sign change, or
-    where f is NaN; those rows' roots are NaN and their endpoint values
-    are evaluated for the diagnostics (NaN on the other rows).
+    at hi or negative at lo, so that [lo, hi] holds no sign change, where
+    f is NaN, or where max_iter evaluations end before both signs were
+    seen (a row that has seen both ends at its bracket's midpoint); the
+    failed rows' roots are NaN and their endpoint values are evaluated
+    for the diagnostics (NaN on the other rows).
     """
     if not 0.0 < lo < hi:
         raise DomainError(f"solve_newton_array needs 0 < lo < hi, got [{lo}, {hi}]")

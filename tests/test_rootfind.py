@@ -109,6 +109,18 @@ def test_newton_solve_nan_ends_its_row_only():
             assert abs(roots[j] - solve_bracketed(scalar(j), 0.05, 20.0)) <= 1e-10 * 20.05
 
 
+def test_newton_solve_out_of_iterations():
+    """A row still open after max_iter evaluations ends at the midpoint of
+    its bracket where it has seen both signs, and fails where it has not."""
+    f = lambda x, idx: (8.0 - x**3, -3.0 * x**2)
+    # From 1, Newton overshoots the root 2 to 10/3; from 4 it stays above.
+    roots, ok, f_lo, f_hi = solve_newton_array(f, 0.5, 10.0, np.array([1.0, 4.0]), max_iter=2)
+    assert ok.tolist() == [True, False]
+    assert roots[0] == pytest.approx(0.5 * (1.0 + 10.0 / 3.0), rel=1e-15)
+    assert np.isnan(roots[1])
+    assert (f_lo[1], f_hi[1]) == (8.0 - 0.125, 8.0 - 1000.0)
+
+
 def test_newton_solve_rejects_a_bad_bracket():
     f = lambda x, idx: (1.0 - x, -np.ones(x.size))
     for lo, hi in ((0.0, 1.0), (2.0, 1.0), (-1.0, 1.0)):
