@@ -10,10 +10,10 @@ observations and for censoring intervals.  The M-step has two variants:
   Fast, and its fixed points are exact stationary points of the
   censored log-likelihood (at a fixed point the pinned ratios equal 1
   identically).
-* direct objective: per-component coordinate-wise bracketed 1-D
-  maximization of the exact conditional-expectation objective.  Slower
-  but a genuine generalized-EM step, so the log-likelihood trace is
-  non-decreasing; used as a cross-check.
+* direct objective: one exact ECM step per component on the exact
+  conditional-expectation objective (closed-form scales, one profiled
+  shape search per Weibull).  Slower, but a genuine generalized-EM step,
+  so the log-likelihood trace is non-decreasing; used as a cross-check.
 
 Censored-term bookkeeping uses the unit-exponential transform
 u = (y/alpha)^beta, under which an interval [lo, hi) maps to
@@ -106,8 +106,6 @@ class EmConfig:
     weight_floor: float = 1e-8
     beta_bracket: tuple[float, float] = (0.05, 20.0)
     init: InitSpec = field(default_factory=InitSpec)
-    direct_sweeps: int = 2
-    direct_xtol: float = 1e-8
 
     def __post_init__(self):
         if not (self.epsilon > 0.0):
@@ -170,11 +168,6 @@ def _zeta(bound: float, alpha: float, beta: float) -> float:
     if math.isinf(bound):
         return math.inf
     return math.exp(beta * (math.log(bound) - math.log(alpha)))
-
-
-def _interval_mass_unit(z_lo: float, z_hi: float) -> float:
-    """e^(-z_lo) - e^(-z_hi), accurate for narrow and tiny intervals."""
-    return math.exp(-z_lo) * (-math.expm1(z_lo - z_hi))
 
 
 def _gamma_upper_diff(s: float, z_lo: float, z_hi: float) -> float:
@@ -283,7 +276,8 @@ class _IntervalTerms:
 def _interval_terms(iv: CensoringInterval, alpha: float, beta: float) -> _IntervalTerms:
     z_lo = _zeta(iv.lo, alpha, beta)
     z_hi = _zeta(iv.hi, alpha, beta)
-    return _IntervalTerms(z_lo, z_hi, _interval_mass_unit(z_lo, z_hi), _elog_numerator(z_lo, z_hi))
+    mass = math.exp(-z_lo) * (-math.expm1(z_lo - z_hi))  # accurate for narrow, tiny intervals
+    return _IntervalTerms(z_lo, z_hi, mass, _elog_numerator(z_lo, z_hi))
 
 
 def truncated_mean_exp(alpha_prev: float, iv: CensoringInterval) -> float:
@@ -631,6 +625,14 @@ def update_weights(r: Responsibilities, s: CensoredSample) -> np.ndarray:
     return w / w.sum()
 
 
+def _weighted(r: Responsibilities, s: CensoredSample, i: int):
+    """Component i's exact values x, their weights z and the intervals' count * z_tilde."""
+    w = r.z[:, i] if r.z.size else np.empty(0)
+    counts = np.array([iv.count for iv in s.intervals], dtype=float)
+    return np.asarray(s.uncensored, dtype=float), w, (
+        counts * r.z_tilde[:, i] if counts.size else np.empty(0))
+
+
 def m_step_exponential(
     r: Responsibilities,
     s: CensoredSample,
@@ -640,10 +642,7 @@ def m_step_exponential(
 ) -> float:
     """Closed-form exponential scale update (responsibility-weighted mean,
     censored atoms contributing their conditional means)."""
-    x = np.asarray(s.uncensored, dtype=float)
-    w = r.z[:, comp_index] if r.z.size else np.empty(0)
-    counts = np.array([iv.count for iv in s.intervals], dtype=float)
-    cens_w = counts * r.z_tilde[:, comp_index] if counts.size else np.empty(0)
+    x, w, cens_w = _weighted(r, s, comp_index)
     means = np.array([truncated_mean_exp(alpha_prev, iv) for iv in s.intervals])
     return _exp_scale_update(x, w, cens_w, means, weight_floor * s.total)
 
@@ -657,10 +656,7 @@ def m_step_weibull_alpha(
 ) -> float:
     """Closed-form Weibull scale update with the shape held at its
     previous value."""
-    x = np.asarray(s.uncensored, dtype=float)
-    w = r.z[:, comp_index] if r.z.size else np.empty(0)
-    counts = np.array([iv.count for iv in s.intervals], dtype=float)
-    cens_w = counts * r.z_tilde[:, comp_index] if counts.size else np.empty(0)
+    x, w, cens_w = _weighted(r, s, comp_index)
     terms = [_interval_terms(iv, theta_prev.alpha, theta_prev.beta) for iv in s.intervals]
     return _wbl_scale_update(
         x, w, cens_w, terms, theta_prev.alpha, theta_prev.beta, weight_floor * s.total
@@ -678,10 +674,7 @@ def m_step_weibull_beta(
     """Shape update: root of the score equation with the censored-term
     parameter ratios set to 1, found inside config.beta_bracket."""
     cfg = config or EmConfig()
-    x = np.asarray(s.uncensored, dtype=float)
-    w = r.z[:, comp_index] if r.z.size else np.empty(0)
-    counts = np.array([iv.count for iv in s.intervals], dtype=float)
-    cens_w = counts * r.z_tilde[:, comp_index] if counts.size else np.empty(0)
+    x, w, cens_w = _weighted(r, s, comp_index)
     terms = [_interval_terms(iv, theta_prev.alpha, theta_prev.beta) for iv in s.intervals]
     f = _wbl_shape_equation(x, w, cens_w, terms, alpha_new, theta_prev.beta)
     return _solve_shape(f, cfg.beta_bracket, theta_prev.beta, _ROOT_TOL)
@@ -699,14 +692,11 @@ def q_objective(
     log-density under the previous parameters."""
     if len(theta_candidate) != len(theta_prev):
         raise DomainError("candidate/previous component lists differ in length")
-    x = np.asarray(s.uncensored, dtype=float)
-    counts = np.array([iv.count for iv in s.intervals], dtype=float)
     total = 0.0
     for i, (cand, prev) in enumerate(zip(theta_candidate, theta_prev)):
         if cand.kind != prev.kind:
             raise DomainError(f"component {i}: candidate kind differs from previous kind")
-        w = r.z[:, i] if r.z.size else np.empty(0)
-        cens_w = counts * r.z_tilde[:, i] if counts.size else np.empty(0)
+        x, w, cens_w = _weighted(r, s, i)
         if cand.kind == Kind.EXPONENTIAL:
             means = np.array([truncated_mean_exp(prev.alpha, iv) for iv in s.intervals])
             total += _q_block_exp(cand.alpha, x, w, cens_w, means)
@@ -722,22 +712,19 @@ def m_step_direct(
     theta_prev: Sequence[ComponentSpec],
     config: EmConfig | None = None,
 ) -> list[ComponentSpec]:
-    """Per-component coordinate-wise maximization of the exact objective.
-
-    Scale (and shape, for Weibulls) are maximized alternately by
-    golden-section search on log-scale brackets re-centred each sweep.
-    A candidate is only accepted when it does not lower the component's
-    block, so the step is a genuine generalized-EM move.
+    """Per-component maximization of the exact objective by one exact ECM
+    step (Meng & Rubin, Biometrika 80 (1993) 267-278): a closed-form scale,
+    profiled out for a Weibull, whose shape comes from one golden-section
+    search over log beta on [max(lo, beta/4), min(hi, 4 beta)].  A
+    component with no mass, or whose new values would lower its block,
+    keeps its previous ones, so the step is a genuine generalized-EM move.
     """
-    cfg = config or EmConfig()
-    x = np.asarray(s.uncensored, dtype=float)
-    counts = np.array([iv.count for iv in s.intervals], dtype=float)
-    out = []
-    for i, prev in enumerate(theta_prev):
-        w = r.z[:, i] if r.z.size else np.empty(0)
-        cens_w = counts * r.z_tilde[:, i] if counts.size else np.empty(0)
-        out.append(_direct_component(x, w, cens_w, s.intervals, prev, cfg))
-    return out
+    bracket = (config or EmConfig()).beta_bracket
+    return [_direct_component(*_weighted(r, s, i), s.intervals, prev, bracket)
+            for i, prev in enumerate(theta_prev)]
+
+
+_DIRECT_XTOL = 1e-8  # golden_max's xtol on log beta in the direct M-step
 
 
 def _direct_component(
@@ -746,57 +733,70 @@ def _direct_component(
     cens_w: np.ndarray,
     intervals: Sequence[CensoringInterval],
     prev: ComponentSpec,
-    cfg: EmConfig,
+    bracket: tuple[float, float],
     log_x: np.ndarray | None = None,
 ) -> ComponentSpec:
+    """One component's ECM step; see m_step_direct.
+
+    At a Weibull shape beta, with q = beta / beta_prev, the best scale is
+    alpha^beta = S(beta) / den: S(beta) = sum w x^beta + sum cw
+    alpha_prev^beta (Gamma(q+1, z_lo) - Gamma(q+1, z_hi)) / mass and
+    den = sum w + sum cw, over the occupied intervals.  The profiled block,
+
+        Q(beta) = den (log beta - log S(beta) + log den - 1) + (beta - 1) C,
+        C = sum w log x + sum cw (log alpha_prev + elog_num / (mass beta_prev)),
+
+    takes one exponential pass over the values, scaled by the largest
+    x^beta or alpha_prev^beta so that none can overflow.
+    """
     if prev.kind == Kind.EXPONENTIAL:
         means = np.array([truncated_mean_exp(prev.alpha, iv) for iv in intervals])
+        if not math.isfinite(_q_block_exp(prev.alpha, x, w, cens_w, means)):
+            raise DegenerateComponentError("objective not finite at the previous parameters")
+        try:
+            return ComponentSpec.exponential(_exp_scale_update(x, w, cens_w, means, 0.0))
+        except (DegenerateComponentError, DomainError):  # no mass, or an infinite scale
+            return prev
 
-        def block(alpha: float, _beta: float) -> float:
-            return _q_block_exp(alpha, x, w, cens_w, means)
+    terms = [_interval_terms(iv, prev.alpha, prev.beta) for iv in intervals]
+    log_x = np.log(x) if log_x is None else log_x
 
-    else:
-        terms = [_interval_terms(iv, prev.alpha, prev.beta) for iv in intervals]
+    def block(alpha: float, beta: float) -> float:
+        try:
+            return _q_block_wbl(alpha, beta, x, w, cens_w, terms, prev, log_x=log_x)
+        except (NonConvergenceError, DegenerateComponentError, OverflowError):
+            return -math.inf
 
-        def block(alpha: float, beta: float) -> float:
-            try:
-                return _q_block_wbl(alpha, beta, x, w, cens_w, terms, prev, log_x=log_x)
-            except (NonConvergenceError, DegenerateComponentError, OverflowError):
-                return -math.inf
-
-    alpha, beta = prev.alpha, prev.beta
-    best_q = block(alpha, beta)
-    if not math.isfinite(best_q):
+    q_prev = block(prev.alpha, prev.beta)
+    if not math.isfinite(q_prev):
         raise DegenerateComponentError("objective not finite at the previous parameters")
-    span = math.log(8.0)
-    for _ in range(max(1, cfg.direct_sweeps)):
-        moved = 0.0
-        la, qa = golden_max(
-            lambda u: block(math.exp(u), beta),
-            math.log(alpha) - span,
-            math.log(alpha) + span,
-            xtol=cfg.direct_xtol,
-        )
-        if qa > best_q:
-            moved = max(moved, abs(la - math.log(alpha)))
-            alpha, best_q = math.exp(la), qa
-        if prev.kind == Kind.WEIBULL:
-            blo = max(cfg.beta_bracket[0], beta / 4.0)
-            bhi = min(cfg.beta_bracket[1], beta * 4.0)
-            lb, qb = golden_max(
-                lambda u: block(alpha, math.exp(u)),
-                math.log(blo),
-                math.log(bhi),
-                xtol=cfg.direct_xtol,
-            )
-            if qb > best_q:
-                moved = max(moved, abs(lb - math.log(beta)))
-                beta, best_q = math.exp(lb), qb
-        if moved < 1e-12:
-            break
-    if prev.kind == Kind.EXPONENTIAL:
-        return ComponentSpec.exponential(alpha)
-    return ComponentSpec.weibull(alpha, beta)
+    occupied = [(float(cw), t) for cw, t in zip(cens_w, terms) if cw > 0.0 and t.mass > 0.0]
+    den = float(w.sum()) + sum(cw for cw, _ in occupied)
+    if not den > 0.0:
+        return prev
+    w_pos, lx_pos = w[w > 0.0], log_x[w > 0.0]
+    la_prev = math.log(prev.alpha)
+    top = float(np.max(lx_pos, initial=la_prev))
+    shifted = lx_pos - top
+    c_const = float(w_pos @ lx_pos) + sum(
+        cw * (la_prev + t.elog_num / (t.mass * prev.beta)) for cw, t in occupied)
+
+    def log_s(beta: float) -> float:
+        s = float(w_pos @ np.exp(beta * shifted)) + math.exp(beta * (la_prev - top)) * sum(
+            cw * _gamma_upper_diff(beta / prev.beta + 1.0, t.z_lo, t.z_hi) / t.mass
+            for cw, t in occupied)
+        return beta * top + math.log(s) if s > 0.0 else math.inf
+
+    def profile(u: float) -> float:  # -inf where S(beta) is 0 or not finite
+        return den * (u - log_s(math.exp(u)) + math.log(den) - 1.0) + (math.exp(u) - 1.0) * c_const
+
+    u, _ = golden_max(profile, math.log(max(bracket[0], prev.beta / 4.0)),
+                      math.log(min(bracket[1], 4.0 * prev.beta)), xtol=_DIRECT_XTOL)
+    beta = math.exp(u)
+    log_alpha = (log_s(beta) - math.log(den)) / beta
+    if log_alpha < 709.0 and block(math.exp(log_alpha), beta) >= q_prev:
+        return ComponentSpec.weibull(math.exp(log_alpha), beta)
+    return prev
 
 
 # ---------------------------------------------------------------------------
@@ -1194,11 +1194,9 @@ class _Batch:
             u, nl = ws.values.size, len(ws.intervals)
             for i, prev in enumerate(self.model(pos).components):
                 try:
-                    c = _direct_component(
-                        ws.values, ws.counts * self.z[i, pos, :u],
-                        ws.cens_counts * self.zt[i, pos, :nl], ws.intervals, prev, cfg,
-                        log_x=ws.log_values,
-                    )
+                    c = _direct_component(ws.values, ws.counts * self.z[i, pos, :u],
+                                          ws.cens_counts * self.zt[i, pos, :nl], ws.intervals,
+                                          prev, cfg.beta_bracket, ws.log_values)
                 except (CensemError, OverflowError) as exc:
                     fails.add(np.arange(b) == pos, i * _STAGES, lambda _, exc=exc: exc)
                     break
@@ -1316,15 +1314,16 @@ def _shape_bracket2_array(z_lo: np.ndarray, z_hi: np.ndarray, reach: np.ndarray)
     at0 = zl == 0.0
     # below z_hi = 1: the series form, term for term as the scalar bracket
     zh_s = np.where(tails, 0.5, zh)
-    zl_s = np.where(at0, 1.0, zl)
     d_hi = d_series1_array(zh_s)
     log_hi = np.log(zh_s)
-    log_lo = np.log(zl_s)
     g_hi = gamma_upper2_array(zh_s) * log_hi
-    from_zero = -d_hi + log_hi - g_hi
-    general = (d_series1_array(zl_s) - d_hi - (log_lo - log_hi)
-               + gamma_upper2_array(zl_s) * log_lo - g_hi)
-    series = np.where(at0, from_zero, general)
+    series = -d_hi + log_hi - g_hi
+    if not at0.all():  # never under the default censoring [0, 0.5)
+        zl_s = np.where(at0, 1.0, zl)
+        log_lo = np.log(zl_s)
+        general = (d_series1_array(zl_s) - d_hi - (log_lo - log_hi)
+                   + gamma_upper2_array(zl_s) * log_lo - g_hi)
+        series = np.where(at0, series, general)
     if tails.any():
         series = np.where(tails, _bracket2_tail_array(zl) - _bracket2_tail_array(zh), series)
     out[rows, cols] = series

@@ -1,8 +1,9 @@
 """Bracketed 1-D root finding and maximization used by the M-step solvers.
 
-solve_bracketed (Illinois secant) and golden_max serve the scalar M-step
-operations; solve_newton_array (safeguarded Newton) solves many roots at
-once for the batched EM.
+solve_bracketed (Illinois secant) serves the scalar shape root solve of
+the public M-step operations, and golden_max the direct M-step's one
+profiled shape search per Weibull component; solve_newton_array
+(safeguarded Newton) solves many roots at once for the batched EM.
 """
 
 from __future__ import annotations

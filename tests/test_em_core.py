@@ -40,6 +40,7 @@ from censem.em_core import (
     _wbl_shape_equation,
     _interval_pass,
     _row_pass,
+    _shape_bracket2_array,
     _shape_series_bracket,
     _solve_shape,
     _solve_shape_array,
@@ -489,6 +490,23 @@ def test_shape_bracket_open_tail_matches_quadrature(s, z_lo):
     assert _shape_series_bracket(s, z_lo, math.inf) == pytest.approx(want, rel=1e-11)
 
 
+def test_shape_bracket2_at_zero_equals_its_entries_in_a_mixed_call():
+    """A call whose reached entries all have z_lo = 0, as under the default
+    censoring, skips the z_lo > 0 form; its entries still equal, bit for
+    bit, the same entries of a call that also holds z_lo > 0, z_hi >= 1
+    and z_hi = inf entries."""
+    z_hi = np.array([[1e-9, 0.03, 0.5, 0.99], [0.2, 1.0, 7.0, math.inf]])
+    reach = np.array([[True, True, True, True], [True, True, False, True]])
+    alone = _shape_bracket2_array(np.zeros(z_hi.shape), z_hi, reach)
+    mixed = _shape_bracket2_array(
+        np.hstack([np.zeros(z_hi.shape), [[0.1, 0.4, 2.0], [0.3, 5.0, 1.5]]]),
+        np.hstack([z_hi, [[0.6, 3.0, math.inf], [0.9, 9.0, math.inf]]]),
+        np.hstack([reach, np.ones((2, 3), dtype=bool)]),
+    )
+    assert np.all(mixed[:, 4:] != 0.0)
+    assert np.array_equal(alone, mixed[:, :4])
+
+
 def test_shape_bracket_open_tail_raises_where_series_loses_digits():
     """Above z_lo = 5 the series in the open-tail limit misses quadrature
     by more than 1e-11, so the bracket raises instead of answering."""
@@ -548,8 +566,7 @@ def _two_component_setup(seed=37):
 def test_direct_exp_agrees_with_closed_form():
     truth, s, r = _two_component_setup()
     out = m_step_direct(r, s, truth.components)
-    closed = m_step_exponential(r, s, 0, truth.components[0].alpha)
-    assert out[0].alpha == pytest.approx(closed, rel=1e-6)
+    assert out[0].alpha == m_step_exponential(r, s, 0, truth.components[0].alpha)
 
 
 def test_direct_weibull_uncensored_agrees_with_mle():
@@ -557,7 +574,7 @@ def test_direct_weibull_uncensored_agrees_with_mle():
     s = CensoredSample(xs, [])
     r = resp(np.ones((xs.size, 1)), np.empty((0, 1)))
     prev = ComponentSpec.weibull(3.0, 1.0)
-    out = m_step_direct(r, s, [prev], EmConfig(direct_sweeps=30, direct_xtol=1e-10))
+    out = m_step_direct(r, s, [prev])
 
     # textbook MLE oracle: profile the shape equation, closed-form scale
     def shape_eq(beta):
@@ -573,7 +590,7 @@ def test_direct_weibull_uncensored_agrees_with_mle():
 
 def test_direct_solution_is_local_max_of_q():
     truth, s, r = _two_component_setup(seed=43)
-    out = m_step_direct(r, s, truth.components, EmConfig(direct_sweeps=40, direct_xtol=1e-11))
+    out = m_step_direct(r, s, truth.components)
     q0 = q_objective(out, r, s, truth.components)
     for i, c in enumerate(out):
         for field_name in ("alpha", "beta"):
@@ -588,6 +605,72 @@ def test_direct_solution_is_local_max_of_q():
                 else:
                     cand[i] = ComponentSpec.weibull(c.alpha, c.beta * (1 + 1e-3 * sign))
                 assert q_objective(cand, r, s, truth.components) < q0
+
+
+CENSOR_SPECS = {
+    "default": None,
+    "two-with-empty": [CensoringInterval(0.0, 0.5), CensoringInterval(0.5, 0.75)],
+}
+
+# censoring intervals with z_lo > 0: a bounded one and an open tail [lo, inf)
+DIRECT_SPECS = {
+    **CENSOR_SPECS,
+    "inner": [CensoringInterval(0.0, 0.5), CensoringInterval(40.5, 60.5)],
+    "open-tail": [CensoringInterval(0.0, 0.5), CensoringInterval(3000.0, math.inf)],
+}
+
+
+def tight_coordinate_search(r, s, i, prev, bracket=(0.05, 20.0)):
+    """Component i's block maximized by coordinate-wise golden sections in
+    log alpha and log beta, to xtol 1e-12 and until a sweep stops moving;
+    beta stays in the direct step's bracket [max(lo, beta/4), min(hi, 4 beta)]."""
+    r_i = resp(r.z[:, [i]], r.z_tilde[:, [i]])
+
+    def block(alpha, beta):
+        cand = (ComponentSpec.exponential(alpha) if prev.kind == Kind.EXPONENTIAL
+                else ComponentSpec.weibull(alpha, beta))
+        return q_objective([cand], r_i, s, [prev])
+
+    blo = math.log(max(bracket[0], prev.beta / 4.0))
+    bhi = math.log(min(bracket[1], 4.0 * prev.beta))
+    alpha, beta = prev.alpha, prev.beta
+    best = block(alpha, beta)
+    for _ in range(200):
+        start = (alpha, beta)
+        la, qa = golden_max(lambda u: block(math.exp(u), beta),
+                            math.log(alpha) - 2.0, math.log(alpha) + 2.0, xtol=1e-12)
+        if qa > best:
+            alpha, best = math.exp(la), qa
+        if prev.kind == Kind.WEIBULL:
+            lb, qb = golden_max(lambda u: block(alpha, math.exp(u)), blo, bhi, xtol=1e-12)
+            if qb > best:
+                beta, best = math.exp(lb), qb
+        if (alpha, beta) == start:
+            break
+    return best, block
+
+
+@pytest.mark.parametrize("spec", sorted(DIRECT_SPECS))
+@pytest.mark.parametrize("shape", [(1, 1), (0, 2)])
+def test_direct_step_reaches_tight_coordinate_search(reference_mixture, shape, spec):
+    """Each component's block at the ECM point is at least its value at a
+    tight coordinate-wise search, up to the rounding of the block."""
+    s = build_sample(generate_synthetic(reference_mixture, 1500, rng_seed=281), DIRECT_SPECS[spec])
+    if spec in ("inner", "open-tail"):
+        assert s.intervals[1].count > 0
+    prev = fit(s, shape, EmConfig(max_iter=2)).model
+    r = e_step(prev, s)
+    out = m_step_direct(r, s, prev.components)
+    for i, c in enumerate(prev.components):
+        best, block = tight_coordinate_search(r, s, i, c)
+        assert block(out[i].alpha, out[i].beta) >= best - 1e-14 * abs(best)
+
+
+def test_direct_zero_mass_component_keeps_previous_parameters():
+    truth, s, _ = _two_component_setup()
+    zeros = resp(np.zeros((s.n, 1)), np.zeros((len(s.intervals), 1)))
+    for prev in truth.components:
+        assert m_step_direct(zeros, s, [prev]) == [prev]
 
 
 # --- fit ---------------------------------------------------------------------------------
@@ -705,12 +788,6 @@ def two_pass_loglik(m: MixtureModel, s: CensoredSample) -> float:
             return -math.inf
         total += iv.count * lp
     return total
-
-
-CENSOR_SPECS = {
-    "default": None,
-    "two-with-empty": [CensoringInterval(0.0, 0.5), CensoringInterval(0.5, 0.75)],
-}
 
 
 @pytest.mark.parametrize("spec", sorted(CENSOR_SPECS))
