@@ -18,7 +18,6 @@ from .components import (
 from .em_core import (
     EmConfig,
     FitResult,
-    InitSpec,
     MStepVariant,
     Responsibilities,
     e_step,

@@ -81,6 +81,9 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def read_integer_series(path: str) -> np.ndarray:
     """One non-negative integer per line; '#' comments and blanks ignored."""
     values = []
@@ -99,6 +102,10 @@ def read_integer_series(path: str) -> np.ndarray:
                 if v < 0:
                     raise InputFormatError(
                         f"{path}: line {lineno}: negative value {v}", line=lineno
+                    )
+                if v > _INT64_MAX:
+                    raise InputFormatError(
+                        f"{path}: line {lineno}: value {v} exceeds {_INT64_MAX}", line=lineno
                     )
                 values.append(v)
     except OSError as exc:
@@ -205,15 +212,18 @@ def _write_report(path: str, header: list[tuple[str, object]], sections) -> None
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed, source = int(env), SEED_ENV_VAR
         except ValueError as exc:
             raise InputFormatError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    if seed < 0:
+        raise InputFormatError(f"{source} must be non-negative, got {seed}")
+    return seed
 
 
 def _censor_spec(args) -> list[CensoringInterval]:

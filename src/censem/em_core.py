@@ -81,6 +81,12 @@ log = logging.getLogger(__name__)
 # step of _ROOT_TOL * max(1, 2|beta|).
 _ROOT_TOL = 1e-10
 
+# A component whose weight falls below WEIGHT_FLOOR flags the fit degenerate
+# (the fit goes on), and a scale update whose mass is at most WEIGHT_FLOOR
+# times the sample size fails.  Every Weibull shape is sought in BETA_BRACKET.
+WEIGHT_FLOOR = 1e-8
+BETA_BRACKET = (0.05, 20.0)
+
 
 class MStepVariant(str, Enum):
     SELF_CONSISTENT_MLE = "mle"
@@ -88,35 +94,16 @@ class MStepVariant(str, Enum):
 
 
 @dataclass(frozen=True)
-class InitSpec:
-    """Optional starting values; anything left None uses the data-driven
-    defaults (uniform weights, beta = 1, quantile-block means for the
-    scales)."""
-
-    weights: tuple[float, ...] | None = None
-    alphas: tuple[float, ...] | None = None
-    betas: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
 class EmConfig:
     epsilon: float = 1e-5
     max_iter: int = 500
     m_step_variant: MStepVariant = MStepVariant.SELF_CONSISTENT_MLE
-    weight_floor: float = 1e-8
-    beta_bracket: tuple[float, float] = (0.05, 20.0)
-    init: InitSpec = field(default_factory=InitSpec)
 
     def __post_init__(self):
         if not (self.epsilon > 0.0):
             raise DomainError("epsilon must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
-        if not (0.0 <= self.weight_floor < 1.0):
-            raise DomainError("weight_floor must be in [0, 1)")
-        lo, hi = self.beta_bracket
-        if not (0.0 < lo < hi):
-            raise DomainError("beta_bracket must satisfy 0 < lo < hi")
 
 
 @dataclass
@@ -638,13 +625,12 @@ def m_step_exponential(
     s: CensoredSample,
     comp_index: int,
     alpha_prev: float,
-    weight_floor: float = 0.0,
 ) -> float:
     """Closed-form exponential scale update (responsibility-weighted mean,
     censored atoms contributing their conditional means)."""
     x, w, cens_w = _weighted(r, s, comp_index)
     means = np.array([truncated_mean_exp(alpha_prev, iv) for iv in s.intervals])
-    return _exp_scale_update(x, w, cens_w, means, weight_floor * s.total)
+    return _exp_scale_update(x, w, cens_w, means, WEIGHT_FLOOR * s.total)
 
 
 def m_step_weibull_alpha(
@@ -652,14 +638,13 @@ def m_step_weibull_alpha(
     s: CensoredSample,
     comp_index: int,
     theta_prev: ComponentSpec,
-    weight_floor: float = 0.0,
 ) -> float:
     """Closed-form Weibull scale update with the shape held at its
     previous value."""
     x, w, cens_w = _weighted(r, s, comp_index)
     terms = [_interval_terms(iv, theta_prev.alpha, theta_prev.beta) for iv in s.intervals]
     return _wbl_scale_update(
-        x, w, cens_w, terms, theta_prev.alpha, theta_prev.beta, weight_floor * s.total
+        x, w, cens_w, terms, theta_prev.alpha, theta_prev.beta, WEIGHT_FLOOR * s.total
     )
 
 
@@ -669,15 +654,13 @@ def m_step_weibull_beta(
     comp_index: int,
     theta_prev: ComponentSpec,
     alpha_new: float,
-    config: EmConfig | None = None,
 ) -> float:
     """Shape update: root of the score equation with the censored-term
-    parameter ratios set to 1, found inside config.beta_bracket."""
-    cfg = config or EmConfig()
+    parameter ratios set to 1, found inside BETA_BRACKET."""
     x, w, cens_w = _weighted(r, s, comp_index)
     terms = [_interval_terms(iv, theta_prev.alpha, theta_prev.beta) for iv in s.intervals]
     f = _wbl_shape_equation(x, w, cens_w, terms, alpha_new, theta_prev.beta)
-    return _solve_shape(f, cfg.beta_bracket, theta_prev.beta, _ROOT_TOL)
+    return _solve_shape(f, BETA_BRACKET, theta_prev.beta, _ROOT_TOL)
 
 
 def q_objective(
@@ -710,17 +693,15 @@ def m_step_direct(
     r: Responsibilities,
     s: CensoredSample,
     theta_prev: Sequence[ComponentSpec],
-    config: EmConfig | None = None,
 ) -> list[ComponentSpec]:
     """Per-component maximization of the exact objective by one exact ECM
     step (Meng & Rubin, Biometrika 80 (1993) 267-278): a closed-form scale,
     profiled out for a Weibull, whose shape comes from one golden-section
-    search over log beta on [max(lo, beta/4), min(hi, 4 beta)].  A
+    search over log beta on BETA_BRACKET cut to [beta/4, 4 beta].  A
     component with no mass, or whose new values would lower its block,
     keeps its previous ones, so the step is a genuine generalized-EM move.
     """
-    bracket = (config or EmConfig()).beta_bracket
-    return [_direct_component(*_weighted(r, s, i), s.intervals, prev, bracket)
+    return [_direct_component(*_weighted(r, s, i), s.intervals, prev)
             for i, prev in enumerate(theta_prev)]
 
 
@@ -733,7 +714,6 @@ def _direct_component(
     cens_w: np.ndarray,
     intervals: Sequence[CensoringInterval],
     prev: ComponentSpec,
-    bracket: tuple[float, float],
     log_x: np.ndarray | None = None,
 ) -> ComponentSpec:
     """One component's ECM step; see m_step_direct.
@@ -790,8 +770,8 @@ def _direct_component(
     def profile(u: float) -> float:  # -inf where S(beta) is 0 or not finite
         return den * (u - log_s(math.exp(u)) + math.log(den) - 1.0) + (math.exp(u) - 1.0) * c_const
 
-    u, _ = golden_max(profile, math.log(max(bracket[0], prev.beta / 4.0)),
-                      math.log(min(bracket[1], 4.0 * prev.beta)), xtol=_DIRECT_XTOL)
+    u, _ = golden_max(profile, math.log(max(BETA_BRACKET[0], prev.beta / 4.0)),
+                      math.log(min(BETA_BRACKET[1], 4.0 * prev.beta)), xtol=_DIRECT_XTOL)
     beta = math.exp(u)
     log_alpha = (log_s(beta) - math.log(den)) / beta
     if log_alpha < 709.0 and block(math.exp(log_alpha), beta) >= q_prev:
@@ -804,9 +784,7 @@ def _direct_component(
 # ---------------------------------------------------------------------------
 
 
-def default_init(
-    s: CensoredSample, p: int, r: int, init: InitSpec | None = None
-) -> MixtureModel:
+def default_init(s: CensoredSample, p: int, r: int) -> MixtureModel:
     """Starting model: uniform weights, beta = 1, scales from the data.
 
     With one exponential its scale starts at the mean of the smallest
@@ -814,8 +792,6 @@ def default_init(
     lone Weibull starts at the overall mean.  Multiple components of a
     family spread over quantile-block means so no two start identical.
     """
-    m = p + r
-    spec = init or InitSpec()
     x = np.sort(np.asarray(s.uncensored, dtype=float))
     if x.size == 0:
         base = max((iv.hi for iv in s.intervals if math.isfinite(iv.hi)), default=1.0)
@@ -825,35 +801,15 @@ def default_init(
         blocks = np.array_split(x, k)
         return [float(b.mean()) if b.size else float(x.mean()) for b in blocks]
 
-    alphas: list[float]
-    if spec.alphas is not None:
-        if len(spec.alphas) != m:
-            raise DomainError("init alphas length must equal the component count")
-        alphas = [float(a) for a in spec.alphas]
+    if p == 1:
+        decile = x[: max(1, x.size // 10)]
+        exp_alphas = [float(decile.mean())]
     else:
-        if p == 1:
-            decile = x[: max(1, x.size // 10)]
-            exp_alphas = [float(decile.mean())]
-        else:
-            exp_alphas = block_means(p) if p else []
-        wbl_alphas = [float(x.mean())] if r == 1 else (block_means(r) if r else [])
-        alphas = exp_alphas + wbl_alphas
-    if spec.betas is not None:
-        if len(spec.betas) != m:
-            raise DomainError("init betas length must equal the component count")
-        betas = [float(b) for b in spec.betas]
-    else:
-        betas = [1.0] * m
-    if spec.weights is not None:
-        if len(spec.weights) != m:
-            raise DomainError("init weights length must equal the component count")
-        weights = np.asarray(spec.weights, dtype=float)
-        weights = weights / weights.sum()
-    else:
-        weights = np.full(m, 1.0 / m)
-    comps = [ComponentSpec.exponential(alphas[i]) for i in range(p)]
-    comps += [ComponentSpec.weibull(alphas[p + i], betas[p + i]) for i in range(r)]
-    return MixtureModel(weights, comps)
+        exp_alphas = block_means(p) if p else []
+    wbl_alphas = [float(x.mean())] if r == 1 else (block_means(r) if r else [])
+    comps = [ComponentSpec.exponential(a) for a in exp_alphas]
+    comps += [ComponentSpec.weibull(a, 1.0) for a in wbl_alphas]
+    return MixtureModel(np.full(p + r, 1.0 / (p + r)), comps)
 
 
 @dataclass
@@ -901,8 +857,8 @@ def fit(
     is hit (converged=False then, no exception).  Numerical degeneracies
     (component death, shape-bracket failures, responsibility underflow)
     are surfaced on the result with the last valid state rather than
-    raised; a sample or configuration the fit cannot run raises
-    DomainError.  This is fit_batch on a batch of one.
+    raised; a sample the fit cannot run raises DomainError.  This is
+    fit_batch on a batch of one.
     """
     (res,) = fit_batch([s], model_shape, config)
     if isinstance(res, DomainError):
@@ -1105,7 +1061,7 @@ class _Batch:
 
     # -- M-step ---------------------------------------------------------------
 
-    def m_step(self, cfg: EmConfig):
+    def m_step(self):
         """The mle M-step: new (alphas, betas) from the last pass and each
         member's first failure, in the order m_step_exponential,
         m_step_weibull_alpha, m_step_weibull_beta and the ComponentSpec
@@ -1114,7 +1070,7 @@ class _Batch:
         fails = _Failures(b)
         alpha = self.alpha.copy()
         beta = self.beta.copy()
-        floor = cfg.weight_floor * self.total
+        floor = WEIGHT_FLOOR * self.total
         # shape-score inputs, one row per (Weibull component, member)
         n_wbl, u = m_count - self.p, self.vals.shape[1]
         l_rel = np.empty((n_wbl, b, u))
@@ -1174,13 +1130,13 @@ class _Batch:
         if n_wbl:
             self._solve_shapes(
                 l_rel.reshape(-1, u), wl.reshape(-1, u), a_mass.ravel(), b_const.ravel(),
-                fails, beta, cfg,
+                fails, beta,
             )
         for i in range(self.p, m_count):
             _check_spec(fails, i * _STAGES, alpha[i])
         return alpha, beta, fails
 
-    def direct_m_step(self, cfg: EmConfig):
+    def direct_m_step(self):
         """The direct M-step: _direct_component per member and component on
         the member's own unpadded slices, as m_step_direct runs it.  A
         component's exception is that member's failure at the component's
@@ -1196,14 +1152,14 @@ class _Batch:
                 try:
                     c = _direct_component(ws.values, ws.counts * self.z[i, pos, :u],
                                           ws.cens_counts * self.zt[i, pos, :nl], ws.intervals,
-                                          prev, cfg.beta_bracket, ws.log_values)
+                                          prev, ws.log_values)
                 except (CensemError, OverflowError) as exc:
                     fails.add(np.arange(b) == pos, i * _STAGES, lambda _, exc=exc: exc)
                     break
                 alpha[i, pos], beta[i, pos] = c.alpha, c.beta
         return alpha, beta, fails
 
-    def _solve_shapes(self, l_rel, wl, a_mass, b_const, fails: _Failures, beta, cfg: EmConfig):
+    def _solve_shapes(self, l_rel, wl, a_mass, b_const, fails: _Failures, beta):
         """One array solve for the shape root of every (Weibull component,
         member) row whose member got this far without a failure; row j is
         component p + j // B of member j % B."""
@@ -1217,9 +1173,9 @@ class _Batch:
             l_rel, wl, a_mass, b_const = l_rel[rows], wl[rows], a_mass[rows], b_const[rows]
             comp, member = comp[rows], member[rows]
         roots, ok, g_lo, g_hi = _solve_shape_array(
-            l_rel, wl, a_mass, b_const, cfg.beta_bracket, self.beta[comp, member]
+            l_rel, wl, a_mass, b_const, BETA_BRACKET, self.beta[comp, member]
         )
-        lo, hi = cfg.beta_bracket
+        lo, hi = BETA_BRACKET
         for k in np.flatnonzero(~ok):
             fails.add(np.arange(b) == member[k], int(comp[k]) * _STAGES + _ST_BRACKET,
                       lambda _, k=k: BracketError(
@@ -1373,44 +1329,43 @@ def fit_batch(
     samples: Sequence[CensoredSample],
     model_shape: tuple[int, int],
     config: EmConfig | None = None,
-    inits: Sequence[InitSpec | None] | None = None,
+    inits: Sequence[MixtureModel | None] | None = None,
 ) -> list[FitResult | DomainError]:
     """The censored EM for many samples at once, with either M-step.
 
-    Member j starts from inits[j] (config.init where that is None or
-    inits is not given).  Its stopping rule, iteration count, warnings
+    Member j starts from the model inits[j], its weights rescaled to sum
+    to 1, or from default_init where that is None or inits is not given.
+    Its stopping rule, iteration count, warnings
     and named error are those of an EM loop built from e_step,
     update_weights and the m_step_* operations, and its numbers differ
     from that loop's only by rounding.  With the mle M-step that rounding
     also moves with the other members' sizes, through the padded sums;
     a direct-variant member equals fit on its sample alone.  A sample that cannot be
-    fitted gets the DomainError that says why in its slot instead of a
-    FitResult.  A configuration that no sample can run with, or an inits
-    list whose length differs from samples', raises.
+    fitted, or whose start model's components are not p exponentials then
+    r Weibulls, gets the DomainError that says why in its slot instead of
+    a FitResult.  An inits list whose length differs from samples' raises.
     """
     cfg = config or EmConfig()
     if inits is not None and len(inits) != len(samples):
         raise DomainError(f"got {len(inits)} inits for {len(samples)} samples")
     p, r = int(model_shape[0]), int(model_shape[1])
     d = dof(p, r)
-    if cfg.weight_floor >= 1.0 / (p + r):
-        raise DomainError("weight_floor must be below 1/M")
+    kinds = [Kind.EXPONENTIAL] * p + [Kind.WEIBULL] * r
     results: list[FitResult | DomainError | None] = [None] * len(samples)
     slots, wss, models = [], [], []
     for j, s in enumerate(samples):
-        init = cfg.init if inits is None or inits[j] is None else inits[j]
+        start = None if inits is None else inits[j]
         if s.total < d + 1:
             results[j] = DomainError(
                 f"sample of size {s.total} cannot support a shape with {d} free parameters"
             )
-            continue
-        try:
-            models.append(default_init(s, p, r, init))
-        except DomainError as exc:
-            results[j] = exc
-            continue
-        slots.append(j)
-        wss.append(_workspace(s))
+        elif start is not None and [c.kind for c in start.components] != kinds:
+            results[j] = DomainError(f"start model components do not match the shape ({p}, {r})")
+        else:
+            models.append(default_init(s, p, r) if start is None else
+                          MixtureModel(start.weights / start.weights.sum(), start.components))
+            slots.append(j)
+            wss.append(_workspace(s))
     if slots:
         with np.errstate(all="ignore"):
             for k, res in _batch_loop(wss, models, p, cfg):
@@ -1481,7 +1436,7 @@ def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: 
 
     while st.ids.size:
         weights = st.weights_from_pass()
-        hits = weights < cfg.weight_floor
+        hits = weights < WEIGHT_FLOOR
         for pos in np.flatnonzero(hits.any(axis=0)):
             m = int(st.ids[pos])
             if not flagged[m]:
@@ -1489,9 +1444,9 @@ def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: 
                 floor_hits = [int(i) for i in np.flatnonzero(hits[:, pos])]
                 warnings[m].append(
                     f"component(s) {floor_hits} fell below the weight floor "
-                    f"{cfg.weight_floor}; fit continues with them flagged"
+                    f"{WEIGHT_FLOOR}; fit continues with them flagged"
                 )
-        alpha, beta, fails = m_step(cfg)
+        alpha, beta, fails = m_step()
         _check_weights(fails, alpha.shape[0] * _STAGES, weights)
         failed = np.zeros(st.ids.size, dtype=bool)
         for pos, exc in sorted(fails.exc.items()):

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from .components import dof as dof_fn
-from .em_core import EmConfig, FitResult, InitSpec, fit_batch
+from .em_core import EmConfig, FitResult, fit_batch
 # Unused here, but kept importable: the benchmark's tracer wraps the name
 # model_select.fit, and fails where it is missing.
 from .em_core import fit  # noqa: F401
@@ -201,15 +201,6 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _warm_init(res: FitResult) -> InitSpec:
-    m = res.model
-    return InitSpec(
-        weights=tuple(float(w) for w in m.weights),
-        alphas=tuple(c.alpha for c in m.components),
-        betas=tuple(c.beta for c in m.components),
-    )
-
-
 def _fit_samples(
     samples: Sequence[CensoredSample],
     shape: ModelShape,
@@ -217,18 +208,15 @@ def _fit_samples(
     warm_from: Sequence[FitResult | None],
 ) -> list[FitResult | DomainError]:
     """Fit the shape to every sample, sample j warm-started from the model
-    of warm_from[j] (from config.init where that is None); the DomainError
-    fit would raise stands in place of a FitResult.  Either M-step runs as
-    batched EM, BATCH_MEMBERS samples per fit_batch call."""
+    of warm_from[j] (from em_core.default_init where that is None); the
+    DomainError fit would raise stands in place of a FitResult.  Either
+    M-step runs as batched EM, BATCH_MEMBERS samples per fit_batch call."""
     pr = (shape.p, shape.r)
-    inits = [None if res is None else _warm_init(res) for res in warm_from]
+    inits = [None if res is None else res.model for res in warm_from]
     out: list[FitResult | DomainError] = []
     for k in range(0, len(samples), BATCH_MEMBERS):
         part = slice(k, k + BATCH_MEMBERS)
-        try:
-            out += fit_batch(samples[part], pr, config, inits[part])
-        except DomainError as exc:  # a configuration fit rejects for every sample
-            out += [exc] * len(samples[part])
+        out += fit_batch(samples[part], pr, config, inits[part])
     return out
 
 
@@ -252,7 +240,6 @@ def run_selection(
     config: EmConfig | None = None,
     alpha_level: float = 0.05,
     two_sided: bool = False,
-    baseline: ModelShape | None = None,
 ) -> SelectionReport:
     """Bootstrap BIC tournament over candidate shapes.
 
@@ -260,9 +247,10 @@ def run_selection(
     subsample of the differences, build the censored sample, fit every
     shape on it and on n_boot bootstrap replicas (warm-started from the
     original fit), collect the n_boot+1 BIC values per shape, Welch-test
-    each alternative against the baseline, and record the ensemble
-    winner.  The baseline wins unless some alternative significantly
-    beats it; among significant beaters the lowest mean BIC wins.
+    each alternative against the baseline (1,1, or the first shape where
+    1,1 is not a candidate), and record the ensemble winner.  The
+    baseline wins unless some alternative significantly beats it; among
+    significant beaters the lowest mean BIC wins.
 
     Deterministic in rng_seed: every replica derives its seed from
     (rng_seed, ensemble, replica).
@@ -274,9 +262,7 @@ def run_selection(
     repeated = sorted({s.key for s in shapes if shapes.count(s) > 1})
     if repeated:
         raise DomainError(f"candidate shapes listed more than once: {', '.join(repeated)}")
-    base_shape = baseline or ModelShape(1, 1)
-    if base_shape not in shapes:
-        base_shape = shapes[0]
+    base_shape = ModelShape(1, 1) if ModelShape(1, 1) in shapes else shapes[0]
     cfg = config or EmConfig()
     if diffs.size < subsample_size:
         raise DomainError(
@@ -284,6 +270,8 @@ def run_selection(
         )
     if days < 1 or n_boot < 0:
         raise DomainError("need days >= 1 and n_boot >= 0")
+    if not 0.0 < alpha_level < 1.0:
+        raise DomainError(f"alpha_level must lie in (0, 1), got {alpha_level}")
 
     # Each ensemble's original and replicas are drawn once and fitted with
     # every shape.

@@ -67,6 +67,16 @@ def test_preprocess_parse_error_reports_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("preprocess", "--pre-diffed"), ("select",)])
+def test_integer_too_large_for_int64_reports_line(tmp_path, capsys, argv):
+    src = tmp_path / "big.txt"
+    write_lines(src, [5, 2**63 - 1, 99999999999999999999999])
+    out = tmp_path / "out.txt"
+    assert run(argv[0], "--input", str(src), "--output", str(out), *argv[1:]) == 2
+    assert "line 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_preprocess_missing_file_exits_2(tmp_path):
     assert run("preprocess", "--input", str(tmp_path / "nope.txt"),
                "--output", str(tmp_path / "o.txt")) == 2
@@ -132,6 +142,21 @@ def test_simulate_env_seed_override(tmp_path, monkeypatch):
     assert run(*args, "--output", str(c), "--seed", "31337") == 0
     # env matches explicit seed; header line differs only if seed differed
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "select"])
+def test_negative_seed_exits_2(tmp_path, monkeypatch, capsys, command):
+    diffs = tmp_path / "d.txt"
+    write_lines(diffs, range(1, 300))
+    out = tmp_path / "o.txt"
+    args = {"simulate": ["--component", "exp,1,5", "--n", "20"],
+            "select": ["--input", str(diffs), "--subsample", "100", "--days", "1"]}[command]
+    assert run(command, *args, "--output", str(out), "--seed", "-1") == 2
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    monkeypatch.setenv("CENSEM_SEED", "-3")
+    assert run(command, *args, "--output", str(out)) == 2
+    assert "CENSEM_SEED must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- fit ------------------------------------------------------------------------

@@ -23,11 +23,11 @@ from censem import (
     sample,
     update_weights,
 )
+from censem import em_core
 from censem.em_core import (
     _ROOT_TOL,
     EmConfig,
     FitResult,
-    InitSpec,
     MStepVariant,
     Responsibilities,
     _interval_terms,
@@ -349,7 +349,7 @@ def test_wbl_beta_bracket_failure_reports_endpoints():
     r = resp(np.ones((4, 1)), np.empty((0, 1)))
     prev = ComponentSpec.weibull(2.0, 1.0)
     with pytest.raises(BracketError) as err:
-        m_step_weibull_beta(r, s, 0, prev, alpha_new=2.0, config=EmConfig(beta_bracket=(0.5, 4.0)))
+        m_step_weibull_beta(r, s, 0, prev, alpha_new=2.0)
     assert err.value.f_lo is not None and err.value.f_hi is not None
 
 
@@ -394,15 +394,14 @@ def test_batch_shape_solve_matches_scalar_solve():
 
 
 def test_batch_bracket_failure_text_matches_reference_loop():
-    """A beta_bracket that holds no root: the batch names the reference
-    loop's BracketError at the same iteration, with the same text up to
-    the digits of f(lo) and f(hi)."""
-    xs = sample(MixtureModel([1.0], [ComponentSpec.weibull(1.0, 3.0)]), 500, rng_seed=47)
+    """Data whose shape root lies above BETA_BRACKET: the batch names the
+    reference loop's BracketError at the same iteration, with the same
+    text up to the digits of f(lo) and f(hi)."""
+    xs = sample(MixtureModel([1.0], [ComponentSpec.weibull(1.0, 30.0)]), 500, rng_seed=47)
     s = CensoredSample(xs, [])
-    cfg = EmConfig(beta_bracket=(0.5, 2.0))
-    res, ref = fit(s, (0, 1), cfg), reference_fit(s, (0, 1), cfg)
+    res, ref = fit(s, (0, 1)), reference_fit(s, (0, 1))
     assert res.degenerate and not res.converged
-    assert res.error.startswith("BracketError: shape root not bracketed in [0.5, 2.0]: f(lo)=")
+    assert res.error.startswith("BracketError: shape root not bracketed in [0.05, 20.0]: f(lo)=")
     assert res.iterations == ref.iterations
     number = re.compile(r"-?\d+\.\d+(?:e[-+]\d+)?")
     assert number.sub("#", res.error) == number.sub("#", ref.error)
@@ -728,10 +727,10 @@ def test_fit_exchangeable_under_init_permutation():
     )
     xs = sample(truth, 4000, rng_seed=71)
     s = CensoredSample(xs, [])
-    cfg_a = EmConfig(init=InitSpec(alphas=(2.5, 40.0), betas=(1.0, 1.0)))
-    cfg_b = EmConfig(init=InitSpec(alphas=(40.0, 2.5), betas=(1.0, 1.0)))
-    res_a = fit(s, (0, 2), cfg_a)
-    res_b = fit(s, (0, 2), cfg_b)
+    start_a = MixtureModel([0.5, 0.5], [ComponentSpec.weibull(2.5, 1.0),
+                                        ComponentSpec.weibull(40.0, 1.0)])
+    start_b = MixtureModel([0.5, 0.5], start_a.components[::-1])
+    res_a, res_b = fit_batch([s, s], (0, 2), inits=[start_a, start_b])
     assert res_a.loglik == pytest.approx(res_b.loglik, abs=1e-9)
     order_a = np.argsort([c.alpha for c in res_a.model.components])
     order_b = np.argsort([c.alpha for c in res_b.model.components])
@@ -825,7 +824,7 @@ def test_pass_kernels_match_logsumexp_bitwise(reference_mixture, shape):
 
 def test_fit_exact_row_underflow_ends_degenerate_without_responsibilities():
     s = CensoredSample(np.array([1.0, 2.0, 5.0, 1e300]), [])
-    res = fit(s, (0, 1), EmConfig(init=InitSpec(alphas=(1.0,), betas=(2.0,))))
+    (res,) = fit_batch([s], (0, 1), inits=[MixtureModel([1.0], [ComponentSpec.weibull(1.0, 2.0)])])
     assert res.degenerate and not res.converged
     assert res.iterations == 0
     assert res.final_responsibilities is None
@@ -854,10 +853,15 @@ def test_config_validation():
         EmConfig(epsilon=0.0)
     with pytest.raises(DomainError):
         EmConfig(max_iter=0)
-    with pytest.raises(DomainError):
-        EmConfig(beta_bracket=(2.0, 1.0))
-    with pytest.raises(DomainError):
-        EmConfig(weight_floor=1.5)
+    assert [f.name for f in dataclasses.fields(EmConfig)] == ["epsilon", "max_iter",
+                                                              "m_step_variant"]
+
+
+@pytest.mark.parametrize("knob", [{"weight_floor": 1e-8}, {"beta_bracket": (0.05, 20.0)},
+                                  {"init": None}])
+def test_config_takes_no_floor_bracket_or_start(knob):
+    with pytest.raises(TypeError):
+        EmConfig(**knob)
 
 
 # --- the reference EM loop --------------------------------------------------------------
@@ -866,16 +870,18 @@ UNDERFLOW_MSG = ("interval [%s, %s) mass underflows for every component; "
                  "using a uniform responsibility row")
 
 
-def reference_fit(s: CensoredSample, shape, cfg: EmConfig = EmConfig()) -> FitResult:
+def reference_fit(s: CensoredSample, shape, cfg: EmConfig = EmConfig(),
+                  start: MixtureModel | None = None) -> FitResult:
     """The censored EM loop built from the public uncompressed operations
-    and censored_log_likelihood: the oracle fit and fit_batch are held
-    to.  It rejects what they reject with a DomainError, stops by the
-    same rule, and gives the same flags, warnings and named errors; it
-    keeps no final responsibilities."""
+    and censored_log_likelihood, from default_init or the start model: the
+    oracle fit and fit_batch are held to.  It rejects a sample they reject
+    with a DomainError, stops by the same rule, and gives the same flags,
+    warnings and named errors; it keeps no final responsibilities."""
     p, r = shape
-    if cfg.weight_floor >= 1.0 / (p + r) or s.total < dof(p, r) + 1:
+    if s.total < dof(p, r) + 1:
         raise DomainError("the fit cannot run")
-    model = default_init(s, p, r, cfg.init)
+    model = default_init(s, p, r) if start is None else MixtureModel(
+        start.weights / start.weights.sum(), start.components)
     warnings, warned = [], set()
 
     def e_pass(m):
@@ -898,9 +904,9 @@ def reference_fit(s: CensoredSample, shape, cfg: EmConfig = EmConfig()) -> FitRe
     def mle_component(resp, i, c):
         if c.kind == Kind.EXPONENTIAL:
             return ComponentSpec.exponential(
-                m_step_exponential(resp, s, i, c.alpha, cfg.weight_floor))
-        alpha = m_step_weibull_alpha(resp, s, i, c, cfg.weight_floor)
-        return ComponentSpec.weibull(alpha, m_step_weibull_beta(resp, s, i, c, alpha, cfg))
+                m_step_exponential(resp, s, i, c.alpha))
+        alpha = m_step_weibull_alpha(resp, s, i, c)
+        return ComponentSpec.weibull(alpha, m_step_weibull_beta(resp, s, i, c, alpha))
 
     ll, resp = e_pass(model)
     trace, iterations, converged, degenerate, error = [ll], 0, False, False, None
@@ -909,13 +915,13 @@ def reference_fit(s: CensoredSample, shape, cfg: EmConfig = EmConfig()) -> FitRe
             if isinstance(resp, ResponsibilityUnderflowError):
                 raise resp
             weights = update_weights(resp, s)
-            hits = [i for i, w in enumerate(weights) if w < cfg.weight_floor]
+            hits = [i for i, w in enumerate(weights) if w < em_core.WEIGHT_FLOOR]
             if hits and not degenerate:
                 degenerate = True
                 warnings.append(f"component(s) {hits} fell below the weight floor "
-                                f"{cfg.weight_floor}; fit continues with them flagged")
+                                f"{em_core.WEIGHT_FLOOR}; fit continues with them flagged")
             if cfg.m_step_variant == MStepVariant.DIRECT_OBJECTIVE:
-                comps = m_step_direct(resp, s, model.components, cfg)
+                comps = m_step_direct(resp, s, model.components)
             else:
                 comps = [mle_component(resp, i, c) for i, c in enumerate(model.components)]
             model = MixtureModel(weights, comps)
@@ -967,16 +973,23 @@ def overflow_sample() -> CensoredSample:
     return CensoredSample(xs, [CensoringInterval(1e290, 1e295, 0)])
 
 
+def weibull_shapes_at(s: CensoredSample, shape, beta: float) -> MixtureModel:
+    """default_init's model with every Weibull shape set to beta."""
+    m = default_init(s, *shape)
+    return MixtureModel(m.weights, [c if c.kind == Kind.EXPONENTIAL
+                                    else ComponentSpec.weibull(c.alpha, beta)
+                                    for c in m.components])
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (0, 2), (0, 1)])
 def test_fit_zeta_overflow_ends_degenerate(shape):
-    init = InitSpec(betas=(1.0,) * shape[0] + (2.0,) * shape[1])
-    cfg = EmConfig(init=init)
-    res = fit(overflow_sample(), shape, cfg)
+    start = weibull_shapes_at(overflow_sample(), shape, 2.0)
+    (res,) = fit_batch([overflow_sample()], shape, inits=[start])
     assert res.degenerate and not res.converged
     assert res.error == "OverflowError: math range error"
     assert res.iterations == 0
     assert res.warnings[-1] == "stopped at iteration 1: OverflowError: math range error"
-    assert_matches_reference(res, reference_fit(overflow_sample(), shape, cfg))
+    assert_matches_reference(res, reference_fit(overflow_sample(), shape, start=start))
 
 
 def underflow_sample() -> CensoredSample:
@@ -1015,18 +1028,15 @@ def test_fit_batch_matches_scalar_fit(reference_mixture, shape, n, spec, start):
     if start == "cold":
         samples = [build_sample(generate_synthetic(reference_mixture, n + 37 * k, rng_seed=211 + k),
                                 spec_ivs) for k in range(3)]
-        cfg = EmConfig()
+        model = None
     else:
         original = build_sample(generate_synthetic(reference_mixture, n, rng_seed=223), spec_ivs)
-        m = fit(original, shape).model
-        cfg = EmConfig(init=InitSpec(weights=tuple(m.weights),
-                                     alphas=tuple(c.alpha for c in m.components),
-                                     betas=tuple(c.beta for c in m.components)))
+        model = fit(original, shape).model
         samples = [bootstrap_resample(original, rng_seed=227 + k) for k in range(3)]
     if spec == "two-with-empty":
         assert all(s.intervals[1].count == 0 for s in samples)
-    for batched, s in zip(fit_batch(samples, shape, cfg), samples):
-        assert_matches_reference(batched, reference_fit(s, shape, cfg))
+    for batched, s in zip(fit_batch(samples, shape, inits=[model] * 3), samples):
+        assert_matches_reference(batched, reference_fit(s, shape, start=model))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (0, 2), (2, 1)])
@@ -1060,19 +1070,20 @@ def test_fit_batch_direct_member_equals_batch_of_one(reference_mixture):
 def test_fit_batch_direct_failure_stops_only_its_member(reference_mixture):
     cfg = EmConfig(m_step_variant=MStepVariant.DIRECT_OBJECTIVE, max_iter=5)
     members = [overflow_sample(), build_sample(generate_synthetic(reference_mixture, 200, 269))]
-    inits = [InitSpec(betas=(1.0, 2.0)), None]
+    inits = [weibull_shapes_at(members[0], (1, 1), 2.0), None]
     out = fit_batch(members, (1, 1), cfg, inits)
     assert out[0].error == "OverflowError: math range error" and out[0].iterations == 0
     assert out[1].iterations == 5 and not out[1].degenerate
-    for res, s, init in zip(out, members, inits):
-        ref_cfg = cfg if init is None else dataclasses.replace(cfg, init=init)
-        assert_matches_reference(res, reference_fit(s, (1, 1), ref_cfg))
+    for res, s, start in zip(out, members, inits):
+        assert_matches_reference(res, reference_fit(s, (1, 1), cfg, start))
 
 
 def test_fit_batch_member_order_invariant(reference_mixture):
     samples = [build_sample(generate_synthetic(reference_mixture, n, rng_seed=229 + n))
                for n in (150, 400, 220, 900, 300)]
-    inits = [None, InitSpec(alphas=(5.0, 900.0)), None, None, InitSpec(betas=(1.0, 0.7))]
+    inits = [None, MixtureModel([0.5, 0.5], [ComponentSpec.exponential(5.0),
+                                             ComponentSpec.weibull(900.0, 1.0)]),
+             None, None, weibull_shapes_at(samples[4], (1, 1), 0.7)]
     forward = fit_batch(samples, (1, 1), inits=inits)
     order = [3, 0, 4, 2, 1]
     permuted = fit_batch([samples[k] for k in order], (1, 1), inits=[inits[k] for k in order])
@@ -1090,12 +1101,10 @@ def test_fit_batch_member_order_invariant(reference_mixture):
 def test_fit_batch_mixed_members_keep_their_own_state(reference_mixture):
     """One batch, four outcomes: converged, max_iter, rejected, overflow."""
     big = build_sample(generate_synthetic(reference_mixture, 2000, rng_seed=233))
-    m = fit(big, (1, 1)).model
-    at_optimum = InitSpec(weights=tuple(m.weights), alphas=tuple(c.alpha for c in m.components),
-                          betas=tuple(c.beta for c in m.components))
+    at_optimum = fit(big, (1, 1)).model
     slow = build_sample(generate_synthetic(reference_mixture, 500, rng_seed=239))
     tiny = CensoredSample(np.array([1.0, 2.0]), [])
-    overflow = InitSpec(betas=(1.0, 2.0))
+    overflow = weibull_shapes_at(overflow_sample(), (1, 1), 2.0)
     cfg = EmConfig(max_iter=5)
     members = [big, slow, tiny, overflow_sample()]
     inits = [at_optimum, None, None, overflow]
@@ -1109,10 +1118,9 @@ def test_fit_batch_mixed_members_keep_their_own_state(reference_mixture):
     with pytest.raises(DomainError):
         fit(tiny, (1, 1), cfg)
     assert out[3].degenerate and out[3].error == "OverflowError: math range error"
-    for res, s, init in zip(out, members, inits):
+    for res, s, start in zip(out, members, inits):
         if s is not tiny:
-            ref_cfg = cfg if init is None else EmConfig(max_iter=5, init=init)
-            assert_matches_reference(res, reference_fit(s, (1, 1), ref_cfg))
+            assert_matches_reference(res, reference_fit(s, (1, 1), cfg, start))
 
 
 def test_fit_batch_exact_row_underflow_matches_scalar():
@@ -1120,12 +1128,12 @@ def test_fit_batch_exact_row_underflow_matches_scalar():
     the same batch."""
     s = CensoredSample(np.array([1.0, 2.0, 5.0, 1e300]), [])
     ok = CensoredSample(np.array([1.0, 2.0, 5.0, 3.0, 4.0]), [])
-    cfg = EmConfig(init=InitSpec(alphas=(1.0,), betas=(2.0,)))
-    bad, good = fit_batch([s, ok], (0, 1), cfg)
-    ref = reference_fit(s, (0, 1), cfg)
+    start = MixtureModel([1.0], [ComponentSpec.weibull(1.0, 2.0)])
+    bad, good = fit_batch([s, ok], (0, 1), inits=[start, start])
+    ref = reference_fit(s, (0, 1), start=start)
     assert bad.final_responsibilities is None and bad.loglik == -math.inf
     assert (bad.error, bad.warnings, bad.iterations) == (ref.error, ref.warnings, 0)
-    assert_matches_reference(good, reference_fit(ok, (0, 1), cfg))
+    assert_matches_reference(good, reference_fit(ok, (0, 1), start=start))
 
 
 @pytest.mark.parametrize("n_inits", [1, 3])
@@ -1134,6 +1142,29 @@ def test_fit_batch_rejects_inits_of_another_length(reference_mixture, n_inits):
                for k in (1, 2)]
     with pytest.raises(DomainError, match="inits"):
         fit_batch(samples, (1, 1), inits=[None] * n_inits)
+
+
+@pytest.mark.parametrize("variant", [MStepVariant.SELF_CONSISTENT_MLE,
+                                     MStepVariant.DIRECT_OBJECTIVE])
+def test_fit_batch_start_of_another_shape_fails_only_its_slot(reference_mixture, variant):
+    """A start model whose components are not the shape's p exponentials
+    then r Weibulls gets a DomainError in its slot and never joins the
+    arrays: its batch mates fit bit for bit as in a batch without it."""
+    cfg = EmConfig(m_step_variant=variant, max_iter=20)
+    a, b = [build_sample(generate_synthetic(reference_mixture, n, rng_seed=n)) for n in (180, 260)]
+    exp, wbl = ComponentSpec.exponential(5.0), ComponentSpec.weibull(900.0, 0.7)
+    swapped = MixtureModel([0.5, 0.5], [wbl, exp])
+    short = MixtureModel([1.0], [exp])
+    out = fit_batch([a, a, b, b], (1, 1), cfg, [swapped, None, short, None])
+    alone = fit_batch([a, b], (1, 1), cfg)
+    for k in (0, 2):
+        assert isinstance(out[k], DomainError)
+        assert str(out[k]) == "start model components do not match the shape (1, 1)"
+    for res, ref in zip(out[1::2], alone):
+        assert np.array_equal(res.loglik_trace, ref.loglik_trace)
+        assert np.array_equal(params(res), params(ref))
+        assert (res.iterations, res.converged, res.warnings) == (
+            ref.iterations, ref.converged, ref.warnings)
 
 
 def open_tail_sample() -> CensoredSample:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import re
@@ -6,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from censem import ComponentSpec, MixtureModel, censored_log_likelihood, fit
+from censem import ComponentSpec, MixtureModel, censored_log_likelihood, em_core, fit
 from censem.em_core import EmConfig, MStepVariant, fit_batch
 from censem.errors import DomainError
 import censem.model_select as model_select
@@ -236,15 +235,9 @@ def test_selection_tally_sums_to_one(reference_mixture):
 
 
 def scalar_fit_batch(samples, shape, config, inits):
-    """fit_batch's contract met by one single-sample fit per sample."""
-    out = []
-    for s, init in zip(samples, inits):
-        cfg = config if init is None else dataclasses.replace(config, init=init)
-        try:
-            out.append(fit(s, shape, cfg))
-        except DomainError as exc:
-            out.append(exc)
-    return out
+    """fit_batch's contract met by one batch of one per sample."""
+    return [em_core.fit_batch([s], shape, config, [start])[0]
+            for s, start in zip(samples, inits)]
 
 
 def test_selection_batched_matches_scalar_fits(reference_mixture, monkeypatch):
@@ -290,11 +283,7 @@ def test_selection_direct_variant_runs_through_fit_batch(reference_mixture, monk
     assert all(st.samples.size + st.skipped == 3 for e in rep.ensembles for st in e.stats.values())
     # replicas start from their ensemble's original fit, ensemble by ensemble
     assert calls[0][2] == [None, None]
-    for init, original in zip(calls[1][2], [r for r in results[0] for _ in range(2)]):
-        m = original.model
-        assert init.weights == tuple(float(w) for w in m.weights)
-        assert init.alphas == tuple(c.alpha for c in m.components)
-        assert init.betas == tuple(c.beta for c in m.components)
+    assert calls[1][2] == [r.model for r in results[0] for _ in range(2)]
 
 
 def test_selection_requires_enough_data(reference_mixture):
@@ -302,6 +291,16 @@ def test_selection_requires_enough_data(reference_mixture):
     with pytest.raises(DomainError):
         run_selection(diffs, [ModelShape(1, 1)], n_boot=2, subsample_size=200,
                       days=1, rng_seed=1)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.05, math.nan])
+def test_selection_rejects_alpha_level_outside_unit_interval(reference_mixture, monkeypatch,
+                                                            level):
+    monkeypatch.setattr(model_select, "fit_batch", None)  # fails if anything is fitted
+    diffs = generate_synthetic(reference_mixture, 500, rng_seed=19)
+    with pytest.raises(DomainError, match="alpha_level"):
+        run_selection(diffs, [ModelShape(1, 1), ModelShape(0, 2)], n_boot=2,
+                      subsample_size=100, days=1, rng_seed=1, alpha_level=level)
 
 
 def test_selection_rejects_repeated_shape(reference_mixture):
@@ -416,7 +415,7 @@ PROFILE_SPEC = BucketSpec.from_hhmm("09:00", "11:00", 30)
 PROFILE_MIX = MixtureModel([0.3, 0.7], [ComponentSpec.exponential(5.0),
                                         ComponentSpec.weibull(40.0, 0.8)])
 # a weight floor the single-Weibull bucket's exponential component falls through
-PROFILE_CFG = EmConfig(weight_floor=0.05)
+PROFILE_FLOOR = 0.05
 
 
 def _bucket_stamps(model, n, seed, bucket):
@@ -459,9 +458,10 @@ def assert_same_skips(got, want):
 
 def test_profile_batched_matches_reference_loop(monkeypatch):
     monkeypatch.setattr(model_select, "BATCH_MEMBERS", 3)  # day 1 spans two batches
+    monkeypatch.setattr(em_core, "WEIGHT_FLOOR", PROFILE_FLOOR)
     days = profile_days()
-    got = profile_intraday(days, PROFILE_SPEC, ModelShape(1, 1), PROFILE_CFG)
-    want = reference_profile(days, PROFILE_SPEC, ModelShape(1, 1), PROFILE_CFG)
+    got = profile_intraday(days, PROFILE_SPEC, ModelShape(1, 1))
+    want = reference_profile(days, PROFILE_SPEC, ModelShape(1, 1))
 
     reasons = [reason for _, _, reason in want.skipped]
     assert [(d, b) for d, b, _ in want.skipped] == [(0, 1), (0, 2), (0, 3), (2, 0)]
@@ -503,14 +503,3 @@ def test_profile_direct_variant_report_equals_reference_loop(tmp_path, monkeypat
     argv[2] = str(tmp_path / "reference.txt")
     assert cli.main(argv) == 0
     assert (tmp_path / "batched.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
-
-
-def test_profile_config_rejected_for_every_bucket_skips_each():
-    """A configuration fit rejects (weight_floor >= 1/M) skips every
-    eligible bucket with fit's reason, as the per-bucket loop does."""
-    days = profile_days()
-    cfg = EmConfig(weight_floor=0.4)
-    got = profile_intraday(days, PROFILE_SPEC, ModelShape(2, 1), cfg)
-    want = reference_profile(days, PROFILE_SPEC, ModelShape(2, 1), cfg)
-    assert not got.buckets and got.skipped == want.skipped
-    assert sum(r == "weight_floor must be below 1/M" for _, _, r in got.skipped) == 6
