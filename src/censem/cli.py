@@ -115,8 +115,26 @@ def read_integer_series(path: str) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Text file handle for writing `path`.  The text goes to a temporary
+    file beside `path` and replaces it only once the block completes, so a
+    failure mid-write leaves any previous file as it was and no partial
+    file behind."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_integer_series(path: str, values, header: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         for line in header:
             fh.write(f"# {line}\n")
         for v in values:
@@ -171,7 +189,7 @@ def read_censored_sample(path: str) -> CensoredSample:
 
 
 def write_censored_sample(path: str, s: CensoredSample) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path) as fh:
         fh.write(f"n={s.n}\n")
         fh.write(f"L={len(s.intervals)}\n")
         for iv in s.intervals:
@@ -181,29 +199,16 @@ def write_censored_sample(path: str, s: CensoredSample) -> None:
 
 
 def _write_report(path: str, header: list[tuple[str, object]], sections) -> None:
-    """key=value header plus [name] sections with a column-header line.
-
-    The report goes to a temporary file beside `path` and replaces it
-    only once complete, so a failure while formatting leaves any
-    previous report as it was and no partial file behind.
-    """
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            for key, value in header:
-                fh.write(f"{key}={value if isinstance(value, str) else _fmt(value)}\n")
-            for name, columns, rows in sections:
-                fh.write(f"[{name}]\n")
-                fh.write(" ".join(columns) + "\n")
-                for row in rows:
-                    fh.write(" ".join(cell if isinstance(cell, str) else _fmt(cell)
-                                      for cell in row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    """key=value header plus [name] sections with a column-header line."""
+    with _replacing(path) as fh:
+        for key, value in header:
+            fh.write(f"{key}={value if isinstance(value, str) else _fmt(value)}\n")
+        for name, columns, rows in sections:
+            fh.write(f"[{name}]\n")
+            fh.write(" ".join(columns) + "\n")
+            for row in rows:
+                fh.write(" ".join(cell if isinstance(cell, str) else _fmt(cell)
+                                  for cell in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -613,18 +618,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except DomainError as exc:
+    except (InputFormatError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DegenerateComponentError, BracketError, NonConvergenceError, ResponsibilityUnderflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -29,7 +29,10 @@ max_iter or fails.
 The public uncompressed operations (e_step, update_weights, the m_step_*
 functions, q_objective) are the readable reference: an EM loop built
 from them stops at the same iteration, with the same flags and named
-error, and its numbers differ from fit_batch's only by rounding.
+error, and its numbers differ from fit_batch's only by rounding.  The
+one kernel they share with fit_batch is the s = 2 censored shape
+bracket, _shape_bracket2_array, which is checked against quadrature
+instead.
 """
 
 from __future__ import annotations
@@ -140,11 +143,12 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# weighted-data kernels
+# scalar censored-term kernels
 #
-# The M-step math runs on (values, weights) pairs, so the same kernels
-# serve the uncompressed public operations and the fit loop's collapsed
-# samples (integer-rounded data compresses a lot).
+# These run the M-step math on (values, weights) pairs, one censoring
+# interval at a time.  They serve the uncompressed public operations and
+# the direct M-step, which fit_batch runs on each member's own collapsed
+# values; the batched mle M-step has array twins at the end of the module.
 # ---------------------------------------------------------------------------
 
 
@@ -188,65 +192,31 @@ def _elog_numerator(z_lo: float, z_hi: float) -> float:
 
 
 def _shape_series_bracket(s: float, z_lo: float, z_hi: float) -> float:
-    """The order-derivative bracket appearing in the censored shape score:
+    """The order-derivative bracket appearing in the censored shape score,
 
-        [S(s, z_lo) - S(s, z_hi)] - Gamma(s)(log z_lo - log z_hi)
-            + Gamma(s, z_lo) log z_lo - Gamma(s, z_hi) log z_hi
+        int_{z_lo}^{z_hi} t^(s-1) e^(-t) log t dt = F(z_hi) - F(z_lo),
 
-    where S(s, x) = sum_p (-1)^p x^(s+p) / (p! (s+p)^2) = d_series(s-1, x).
-    Equals d/ds [Gamma(s, z_lo) - Gamma(s, z_hi)] up to sign bookkeeping
-    handled by the caller: the bracket is int_{z_lo}^{z_hi} t^(s-1)
-    e^(-t) log t dt.  z_lo = 0 uses the finite limit, and z_hi = inf the
-    limit Gamma(s) psi(s) - gamma(s, z_lo) log z_lo + S(s, z_lo), which
-    raises DomainError for z_lo > 5, where S loses its digits.
-
-    For s = 2, from z_hi = 1 on the bracket is taken as a difference of
-    tails (_bracket2_tail), which stays accurate where the series S
-    loses its digits.
+    which equals d/ds [Gamma(s, z_lo) - Gamma(s, z_hi)] up to sign
+    bookkeeping handled by the caller.  By parts, the integral from 0 is
+    F(z) = gamma(s, z) log z - d_series(s - 1, z), with F(0) = 0 and
+    F(inf) = Gamma(s) psi(s).  For s = 2 the value is
+    _shape_bracket2_array's, which stays accurate at any z; for other s,
+    z_hi = inf raises DomainError above z_lo = 5, where d_series loses
+    its digits.
     """
-    if s == 2.0 and z_hi >= 1.0:
-        return _bracket2_tail(z_lo) - _bracket2_tail(z_hi)
+    if s == 2.0:
+        return float(_shape_bracket2_array(np.array([[z_lo]]), np.array([[z_hi]]),
+                                           np.ones((1, 1), dtype=bool))[0, 0])
+
+    def head(z: float) -> float:
+        return 0.0 if z == 0.0 else gamma_lower(s, z) * math.log(z) - d_series(s - 1.0, z)
+
     if math.isinf(z_hi):
         if z_lo > 5.0:
             # beyond here d_series(s - 1, z_lo) misses quadrature by more than 1e-11
             raise DomainError(f"open-tail shape bracket needs z_lo <= 5, got {z_lo}")
-        whole = gamma_complete(s) * float(digamma(s))
-        if z_lo == 0.0:
-            return whole
-        return whole - gamma_lower(s, z_lo) * math.log(z_lo) + d_series(s - 1.0, z_lo)
-    log_hi = math.log(z_hi)
-    if z_lo == 0.0:
-        return (
-            -d_series(s - 1.0, z_hi)
-            + gamma_complete(s) * log_hi
-            - gamma_upper(s, z_hi) * log_hi
-        )
-    log_lo = math.log(z_lo)
-    return (
-        d_series(s - 1.0, z_lo)
-        - d_series(s - 1.0, z_hi)
-        - gamma_complete(s) * (log_lo - log_hi)
-        + gamma_upper(s, z_lo) * log_lo
-        - gamma_upper(s, z_hi) * log_hi
-    )
-
-
-def _bracket2_tail(z: float) -> float:
-    """T(z) = int_z^inf t e^(-t) log t dt, so that the s = 2 bracket is
-    T(z_lo) - T(z_hi).
-
-    From z = 1 on, the closed form d_series(1, z) = log z + gamma_E - 1
-    + E1(z) + e^(-z) gives T(z) = E1(z) + e^(-z) + Gamma(2, z) log z, a
-    sum of positive terms with T(inf) = 0.  Below 1, T(z) = 1 - gamma_E
-    + d_series(1, z) - gamma(2, z) log z, with T(0) = 1 - gamma_E.
-    """
-    if z >= 1.0:
-        if math.isinf(z):
-            return 0.0
-        return gamma_upper(0.0, z) + math.exp(-z) + (1.0 + z) * math.exp(-z) * math.log(z)
-    if z == 0.0:
-        return 1.0 - EULER_GAMMA
-    return (1.0 - EULER_GAMMA) + d_series(1.0, z) - gamma_lower(2.0, z) * math.log(z)
+        return gamma_complete(s) * float(digamma(s)) - head(z_lo)
+    return head(z_hi) - head(z_lo)
 
 
 @dataclass
@@ -1245,44 +1215,45 @@ def _elog_numerator_array(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
     return np.where(at0, from_zero, inner)
 
 
+def _bracket2_head_array(z: np.ndarray) -> np.ndarray:
+    """F(z) = int_0^z t e^(-t) log t dt = gamma(2, z) log z - d_series(1, z)
+    elementwise for 0 <= z < 1, where both terms are negative; F(0) = 0."""
+    return gamma_lower2_array(z) * np.log(np.where(z > 0.0, z, 1.0)) - d_series1_array(z)
+
+
 def _bracket2_tail_array(z: np.ndarray) -> np.ndarray:
-    """_bracket2_tail elementwise."""
+    """T(z) = int_z^inf t e^(-t) log t dt elementwise, T(inf) = 0.
+
+    From z = 1 on, the closed form d_series(1, z) = log z + gamma_E - 1
+    + E1(z) + e^(-z) gives T(z) = E1(z) + e^(-z) + Gamma(2, z) log z, a
+    sum of positive terms.  Below 1, T(z) = (1 - gamma_E) - F(z), since
+    T(0) = Gamma(2) psi(2) = 1 - gamma_E.
+    """
     big = z >= 1.0
     # e^(-800) is already 0, so clipping keeps inf out of 0 * log(inf)
     zb = np.clip(z, 1.0, 800.0)
     tail = e1_array(zb) + np.exp(-zb) + gamma_upper2_array(zb) * np.log(zb)
     if big.all():
         return tail
-    zs = np.where(big | (z == 0.0), 0.5, z)
-    series = (1.0 - EULER_GAMMA) + d_series1_array(zs) - gamma_lower2_array(zs) * np.log(zs)
-    return np.where(big, tail, np.where(z == 0.0, 1.0 - EULER_GAMMA, series))
+    return np.where(big, tail, (1.0 - EULER_GAMMA) - _bracket2_head_array(np.where(big, 0.0, z)))
 
 
 def _shape_bracket2_array(z_lo: np.ndarray, z_hi: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """_shape_series_bracket(2, ., .) on the (member, interval) entries in
-    `reach`, 0 elsewhere."""
+    """The s = 2 shape-score bracket int_{z_lo}^{z_hi} t e^(-t) log t dt on
+    the (member, interval) entries in `reach`, 0 elsewhere: F(z_hi) - F(z_lo)
+    below z_hi = 1, T(z_lo) - T(z_hi) from 1 on."""
     out = np.zeros(z_lo.shape)
     rows, cols = np.nonzero(reach)
     if rows.size == 0:
         return out
     zl, zh = z_lo[rows, cols], z_hi[rows, cols]
     tails = zh >= 1.0
-    at0 = zl == 0.0
-    # below z_hi = 1: the series form, term for term as the scalar bracket
-    zh_s = np.where(tails, 0.5, zh)
-    d_hi = d_series1_array(zh_s)
-    log_hi = np.log(zh_s)
-    g_hi = gamma_upper2_array(zh_s) * log_hi
-    series = -d_hi + log_hi - g_hi
-    if not at0.all():  # never under the default censoring [0, 0.5)
-        zl_s = np.where(at0, 1.0, zl)
-        log_lo = np.log(zl_s)
-        general = (d_series1_array(zl_s) - d_hi - (log_lo - log_hi)
-                   + gamma_upper2_array(zl_s) * log_lo - g_hi)
-        series = np.where(at0, series, general)
+    bracket = _bracket2_head_array(np.where(tails, 0.0, zh))
+    if not (zl == 0.0).all():  # never under the default censoring [0, 0.5)
+        bracket = bracket - _bracket2_head_array(np.where(tails, 0.0, zl))
     if tails.any():
-        series = np.where(tails, _bracket2_tail_array(zl) - _bracket2_tail_array(zh), series)
-    out[rows, cols] = series
+        bracket = np.where(tails, _bracket2_tail_array(zl) - _bracket2_tail_array(zh), bracket)
+    out[rows, cols] = bracket
     return out
 
 

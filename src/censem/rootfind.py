@@ -16,6 +16,7 @@ import numpy as np
 from .errors import BracketError, DomainError, NonConvergenceError
 
 _GOLDEN = 0.6180339887498949  # (sqrt(5) - 1) / 2
+_MAX_ITER = 200  # iteration bound of solve_bracketed and golden_max
 
 
 def solve_bracketed(
@@ -23,7 +24,6 @@ def solve_bracketed(
     lo: float,
     hi: float,
     xtol: float = 1e-10,
-    max_iter: int = 200,
     f_lo: float | None = None,
     f_hi: float | None = None,
 ) -> float:
@@ -48,7 +48,7 @@ def solve_bracketed(
             lo=lo, hi=hi, f_lo=fa, f_hi=fb,
         )
     side = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         width = b - a
         if width <= xtol * max(1.0, abs(a) + abs(b)):
             break
@@ -82,7 +82,6 @@ def golden_max(
     lo: float,
     hi: float,
     xtol: float = 1e-8,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Golden-section maximization of f over [lo, hi].
 
@@ -97,7 +96,7 @@ def golden_max(
     f1 = float(f(x1))
     f2 = float(f(x2))
     best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if (b - a) <= xtol * max(1.0, abs(a) + abs(b)):
             break
         if f1 < f2 or math.isnan(f1):

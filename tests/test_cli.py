@@ -343,6 +343,39 @@ def test_report_write_is_all_or_nothing(tmp_path):
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("writer", ["integer_series", "censored_sample"])
+def test_data_write_is_all_or_nothing(tmp_path, writer):
+    """The writers behind preprocess and simulate, failing at value 601 of
+    1,000 (a NaN, which neither format can hold), leave the previous file
+    byte-identical and no temporary file beside it."""
+    from types import SimpleNamespace
+
+    from censem import CensoringInterval
+    from censem.cli import write_censored_sample, write_integer_series
+    from censem.errors import DomainError
+
+    out = tmp_path / "data.txt"
+    if writer == "integer_series":
+        def write(values):
+            write_integer_series(str(out), values, ["1000 differences"])
+        error = ValueError
+    else:
+        def write(values):
+            sample = SimpleNamespace(n=values.size, uncensored=values,
+                                     intervals=[CensoringInterval(0.0, 0.5, 7)])
+            write_censored_sample(str(out), sample)
+        error = DomainError
+    good = np.arange(1.0, 1001.0)
+    write(good)
+    before = out.read_bytes()
+    broken = good.copy()
+    broken[600] = math.nan
+    with pytest.raises(error):
+        write(broken)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["data.txt"]
+
+
 # --- profile ----------------------------------------------------------------------
 
 

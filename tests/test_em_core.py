@@ -476,17 +476,45 @@ def test_shape_term_matches_quadrature_derivative(prev, alpha, beta, iv):
     assert got == pytest.approx(want, rel=2e-7, abs=2e-7)
 
 
+def _bracket_quad(s, z_lo, z_hi):
+    """int_{z_lo}^{z_hi} t^(s-1) e^-t log t dt, split at 1 (where log t
+    changes sign), at z_lo + 1, and toward the log singularity at 0."""
+    cuts = {1.0, z_lo + 1.0}
+    if math.isfinite(z_hi):
+        cuts |= {1e-3 * z_hi, 0.1 * z_hi, 0.5 * z_hi}
+    ends = [z_lo] + sorted(c for c in cuts if z_lo < c < z_hi) + [z_hi]
+    return sum(quad(lambda t: t ** (s - 1.0) * math.exp(-t) * math.log(t), a, b,
+                    epsabs=0.0, epsrel=1e-13, limit=400)[0]
+               for a, b in zip(ends, ends[1:]))
+
+
 @pytest.mark.parametrize("s", [1.5, 2.7])
 @pytest.mark.parametrize("z_lo", [0.0, 0.5, 2.0, 4.0])
 def test_shape_bracket_open_tail_matches_quadrature(s, z_lo):
     """The bracket of the full-ratio shape term for [z_lo, inf) is
     int_{z_lo}^inf t^(s-1) e^-t log t dt."""
-    # pieces split where log t changes sign, so quad meets its tolerance
-    ends = sorted({z_lo, max(z_lo, 1.0), z_lo + 1.0}) + [math.inf]
-    want = sum(quad(lambda t: t ** (s - 1.0) * math.exp(-t) * math.log(t), a, b,
-                    epsabs=0.0, epsrel=1e-13, limit=400)[0]
-               for a, b in zip(ends, ends[1:]))
+    want = _bracket_quad(s, z_lo, math.inf)
     assert _shape_series_bracket(s, z_lo, math.inf) == pytest.approx(want, rel=1e-11)
+
+
+BRACKET_Z_HI = (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.9, 3.0, math.inf)
+
+
+@pytest.mark.parametrize("s,z_hi", [(s, z_hi) for s in (1.5, 2.0, 2.7, 4.0)
+                                    for z_hi in BRACKET_Z_HI] + [(2.0, 40.0)])
+def test_shape_bracket_matches_quadrature(s, z_hi):
+    """The bracket keeps its relative accuracy on intervals from 0, from
+    a third of z_hi and from 0.9 z_hi, down to z_hi = 1e-12, where a
+    form that subtracts Gamma(s, z) log z from Gamma(s) log z cancels.
+    For s = 2 the scalar bracket is the batch kernel's value."""
+    lows = (0.0, 0.5, 4.0) if math.isinf(z_hi) else (0.0, z_hi / 3.0, 0.9 * z_hi)
+    for z_lo in lows:
+        got = _shape_series_bracket(s, z_lo, z_hi)
+        assert got == pytest.approx(_bracket_quad(s, z_lo, z_hi), rel=1e-10, abs=0.0), z_lo
+        if s == 2.0:
+            batched = _shape_bracket2_array(np.array([[z_lo]]), np.array([[z_hi]]),
+                                            np.array([[True]]))
+            assert got == batched[0, 0], z_lo
 
 
 def test_shape_bracket2_at_zero_equals_its_entries_in_a_mixed_call():
