@@ -863,16 +863,22 @@ class _Failures:
         self.key = np.full(n, np.iinfo(np.int64).max)
         self.exc: dict[int, Exception] = {}
 
-    def add(self, mask: np.ndarray, key: int, make: Callable[[int], Exception]) -> None:
+    def add(self, mask: np.ndarray, key, make: Callable[[int, int], Exception]) -> None:
+        """Record make(c, k) as member k's failure at key[c] wherever
+        mask[c, k] holds and the member has no failure ranked ahead of it.
+        A mask of shape (B,) with an int key is the one row c = 0."""
         if not mask.any():
             return
-        for k in np.flatnonzero(mask & (self.key > key)):
-            self.key[k] = key
-            self.exc[int(k)] = make(int(k))
+        if mask.ndim == 1:
+            mask, key = mask[None], (key,)
+        for c, k in zip(*np.nonzero(mask)):
+            if self.key[k] > key[c]:
+                self.key[k] = key[c]
+                self.exc[int(k)] = make(c, k)
 
-    def before(self, key: int) -> np.ndarray:
-        """Members with no failure ranked ahead of `key`."""
-        return self.key > key
+    def before(self, keys: np.ndarray) -> np.ndarray:
+        """(C, B): members with no failure ranked ahead of keys[c]."""
+        return self.key > keys[:, None]
 
 
 class _Batch:
@@ -949,29 +955,36 @@ class _Batch:
         underflowing intervals (B, L).  The log matrix, its row max and
         exp(logmat - max) serve both the log-likelihood and z; each
         interval's log masses serve both its log-likelihood term and its
-        z_tilde row."""
+        z_tilde row.  The exponential components fill both as one block
+        and the Weibull components as another."""
         self.z = self.zt = None  # the last pass is spent; free it for this one
-        logw = np.log(self.w)
+        p = self.p
+        logw = np.log(self.w)[:, :, None]
+        a = self.alpha[:, :, None]
+        la = np.log(a)
+        bt = self.beta[p:, :, None]
         logmat = np.empty((self.w.shape[0],) + self.vals.shape)
-        for i, (a, bt) in enumerate(zip(self.alpha, self.beta)):
-            la = np.log(a)[:, None]
-            # components.log_pdf takes the exponential form whenever
-            # beta == 1, as a cold-started Weibull component has it.
-            exp_rows = slice(None) if i < self.p else bt == 1.0
-            if i >= self.p:
-                # logw + ((log(beta) - la) + (beta - 1) rel - exp(beta rel)),
-                # built in place
-                rel = self.logv - la
-                col = np.exp(np.multiply(bt[:, None], rel, out=logmat[i]), out=logmat[i])
-                rel *= (bt - 1.0)[:, None]
-                rel += np.log(bt)[:, None] - la
-                np.subtract(rel, col, out=col)
-                col += logw[i][:, None]
-                if not exp_rows.any():
-                    continue
-            logmat[i, exp_rows] = logw[i, exp_rows][:, None] + (
-                -la[exp_rows] - self.vals[exp_rows] / a[exp_rows, None]
-            )
+        # Weibull block: logw + ((log(beta) - la) + (beta - 1) rel - exp(beta rel)),
+        # built in place
+        wbl = logmat[p:]
+        rel = self.logv - la[p:]
+        np.exp(np.multiply(bt, rel, out=wbl), out=wbl)
+        rel *= bt - 1.0
+        rel += np.log(bt) - la[p:]
+        np.subtract(rel, wbl, out=wbl)
+        wbl += logw[p:]
+        # exponential block: logw + (-la - x / alpha), built in place
+        ex = logmat[:p]
+        np.divide(self.vals, a[:p], out=ex)
+        np.subtract(-la[:p], ex, out=ex)
+        ex += logw[:p]
+        # components.log_pdf takes the exponential form whenever beta == 1,
+        # as a cold-started Weibull component has it
+        one_c, one_b = np.nonzero(self.beta[p:] == 1.0)
+        one_c += p
+        if one_c.size:
+            logmat[one_c, one_b] = logw[one_c, one_b] + (
+                -la[one_c, one_b] - self.vals[one_b] / a[one_c, one_b])
         mx = logmat.max(axis=0)
         dead = ~np.isfinite(mx) & self.valid
         self.bad = np.where(dead.any(axis=1), dead.argmax(axis=1) if dead.size else 0, -1)
@@ -988,29 +1001,25 @@ class _Batch:
             ll = np.matmul(self.cnt[:, None, :], rows[:, :, None])[:, 0, 0]
         self.z = np.divide(pz, rowsum, out=pz)
 
-        lip = np.empty((self.w.shape[0],) + self.lo.shape)
-        for i, (a, bt) in enumerate(zip(self.alpha, self.beta)):
-            if i < self.p:
-                u, v = self.lo / a[:, None], self.hi / a[:, None]
-            else:
-                la, btc = np.log(a)[:, None], bt[:, None]
-                u = np.exp(btc * (self.loglo - la))
-                v = np.exp(btc * (self.loghi - la))
-                one = bt == 1.0
-                if one.any():
-                    u[one], v[one] = self.lo[one] / a[one, None], self.hi[one] / a[one, None]
-            tail = -np.expm1(u - v)
-            lip[i] = np.where(tail <= 0.0, -math.inf, -u + np.log(tail))
-        lw = logw[:, :, None] + lip
+        # interval log masses -u + log(1 - e^(u - v)) of [lo, hi) mapped to [u, v)
+        u = np.empty((self.w.shape[0],) + self.lo.shape)
+        v = np.empty(u.shape)
+        np.divide(self.lo, a[:p], out=u[:p])
+        np.divide(self.hi, a[:p], out=v[:p])
+        np.exp(bt * (self.loglo - la[p:]), out=u[p:])
+        np.exp(bt * (self.loghi - la[p:]), out=v[p:])
+        if one_c.size:
+            u[one_c, one_b] = self.lo[one_b] / a[one_c, one_b]
+            v[one_c, one_b] = self.hi[one_b] / a[one_c, one_b]
+        tail = -np.expm1(u - v)
+        lw = logw + np.where(tail <= 0.0, -math.inf, -u + np.log(tail))
         imx = lw.max(axis=0)
         idead = ~np.isfinite(imx) & self.ivalid
         pt = np.exp(lw - imx)
         psum = pt.sum(axis=0)
         self.zt = np.where(idead, 1.0 / lw.shape[0], pt / psum)
         log_mass = np.where(idead, -math.inf, imx + np.log(psum))
-        for l in range(self.lo.shape[1]):
-            c = self.ccnt[:, l]
-            ll = ll + np.where(c > 0.0, c * log_mass[:, l], 0.0)
+        ll = _sum_l(np.where(self.ccnt > 0.0, self.ccnt * log_mass, 0.0), ll)
         self.ll = np.where(self.bad >= 0, -math.inf, ll)
         return idead
 
@@ -1035,75 +1044,78 @@ class _Batch:
         """The mle M-step: new (alphas, betas) from the last pass and each
         member's first failure, in the order m_step_exponential,
         m_step_weibull_alpha, m_step_weibull_beta and the ComponentSpec
-        checks reach them."""
-        m_count, b = self.alpha.shape
-        fails = _Failures(b)
-        alpha = self.alpha.copy()
-        beta = self.beta.copy()
+        checks reach them.  The exponential components update as one
+        (p, B) block and the Weibull components as one (r, B) block, whose
+        rows that get as far as their shape share one Newton solve."""
+        p = self.p
+        fails = _Failures(self.alpha.shape[1])
+        keys = np.arange(self.alpha.shape[0]) * _STAGES
         floor = WEIGHT_FLOOR * self.total
-        # shape-score inputs, one row per (Weibull component, member)
-        n_wbl, u = m_count - self.p, self.vals.shape[1]
-        l_rel = np.empty((n_wbl, b, u))
-        wl = np.empty((n_wbl, b, u))
-        a_mass = np.empty((n_wbl, b))
-        b_const = np.empty((n_wbl, b))
-        for i in range(m_count):
-            key = i * _STAGES
-            w = self.cnt * self.z[i]
-            cw = self.ccnt * self.zt[i]
-            den = w.sum(axis=1) + cw.sum(axis=1)
-            a_prev, b_prev = self.alpha[i], self.beta[i]
-            if i < self.p:
-                means = _truncated_mean_exp_array(a_prev[:, None], self.lo, self.hi)
-                num = (w * self.vals).sum(axis=1) + _sum_l(cw * means)
-                lost = (den <= floor) | ~np.isfinite(num) | (num <= 0.0)
-                fails.add(lost, key + _ST_MASS, lambda k: DegenerateComponentError(
-                    f"exponential scale update lost its mass (den={float(den[k])})"))
-                alpha[i] = num / den
-                _check_spec(fails, key, alpha[i])
-                continue
-            la = np.log(a_prev)[:, None]
-            bt = b_prev[:, None]
-            z_lo, over_lo = _zeta_array(self.lo, self.loglo, la, bt)
-            z_hi, over_hi = _zeta_array(self.hi, self.loghi, la, bt)
-            fails.add((over_lo | over_hi).any(axis=1), key + _ST_ZETA,
-                      lambda k: OverflowError("math range error"))
-            mass = np.exp(-z_lo) * (-np.expm1(z_lo - z_hi))
-            ab = np.exp(b_prev * np.log(a_prev))
-            fails.add(np.isinf(ab), key + _ST_POW, lambda k: OverflowError("math range error"))
-            occupied = (cw > 0.0) & (mass > 0.0)
-            num = (w * np.exp(bt * self.logv)).sum(axis=1)
-            g = _gamma2_diff_array(z_lo, z_hi) / mass
-            num = num + _sum_l(np.where(occupied, cw * ab[:, None] * g, 0.0))
-            lost = (den <= floor) | ~np.isfinite(num) | (num <= 0.0)
-            fails.add(lost, key + _ST_MASS, lambda k: DegenerateComponentError(
-                f"Weibull scale update lost its mass (den={float(den[k])})"))
-            alpha_new = np.exp(np.log(num / den) / b_prev)
-            fails.add(np.isinf(alpha_new), key + _ST_ALPHA,
-                      lambda k: OverflowError("math range error"))
-            alpha[i] = alpha_new
+        w = self.cnt * self.z
+        cw = self.ccnt * self.zt
+        den = w.sum(axis=2) + cw.sum(axis=2)
+        alpha = np.empty(self.alpha.shape)
+        beta = self.beta.copy()
 
-            # shape-score constants, for members that reach them
-            reach = occupied & fails.before(key + _ST_ALPHA)[:, None]
-            bracket2 = _shape_bracket2_array(z_lo, z_hi, reach)
-            d_const = (_elog_numerator_array(z_lo, z_hi) - bracket2) / bt
-            k = i - self.p
-            np.subtract(self.logv, np.log(alpha_new)[:, None], out=l_rel[k])
-            np.multiply(w, l_rel[k], out=wl[k])
-            a_mass[k] = w.sum(axis=1)
-            b_const[k] = wl[k].sum(axis=1)
-            for l in range(self.lo.shape[1]):
-                occ = occupied[:, l]
-                a_mass[k] += np.where(occ, cw[:, l], 0.0)
-                b_const[k] += np.where(occ, cw[:, l] * d_const[:, l] / mass[:, l], 0.0)
+        if p:
+            means = _truncated_mean_exp_array(self.alpha[:p, :, None], self.lo, self.hi)
+            num = (w[:p] * self.vals).sum(axis=2) + _sum_l(cw[:p] * means)
+            fails.add((den[:p] <= floor) | ~np.isfinite(num) | (num <= 0.0), keys[:p] + _ST_MASS,
+                      lambda c, k: DegenerateComponentError(
+                          f"exponential scale update lost its mass (den={float(den[c, k])})"))
+            alpha[:p] = num / den[:p]
+            _check_spec(fails, keys[:p], alpha[:p])
+        if p == alpha.shape[0]:
+            return alpha, beta, fails
 
-        if n_wbl:
-            self._solve_shapes(
-                l_rel.reshape(-1, u), wl.reshape(-1, u), a_mass.ravel(), b_const.ravel(),
-                fails, beta,
-            )
-        for i in range(self.p, m_count):
-            _check_spec(fails, i * _STAGES, alpha[i])
+        w, cw, den, keys = w[p:], cw[p:], den[p:], keys[p:]
+        a_prev, b_prev = self.alpha[p:], self.beta[p:]
+        la, bt = np.log(a_prev)[:, :, None], b_prev[:, :, None]
+        z_lo, over_lo = _zeta_array(self.lo, self.loglo, la, bt)
+        z_hi, over_hi = _zeta_array(self.hi, self.loghi, la, bt)
+        fails.add((over_lo | over_hi).any(axis=2), keys + _ST_ZETA, _range_error)
+        mass = np.exp(-z_lo) * (-np.expm1(z_lo - z_hi))
+        ab = np.exp(b_prev * np.log(a_prev))
+        fails.add(np.isinf(ab), keys + _ST_POW, _range_error)
+        occupied = (cw > 0.0) & (mass > 0.0)
+        num = (w * np.exp(bt * self.logv)).sum(axis=2)
+        g = _gamma2_diff_array(z_lo, z_hi) / mass
+        num = num + _sum_l(np.where(occupied, cw * ab[:, :, None] * g, 0.0))
+        fails.add((den <= floor) | ~np.isfinite(num) | (num <= 0.0), keys + _ST_MASS,
+                  lambda c, k: DegenerateComponentError(
+                      f"Weibull scale update lost its mass (den={float(den[c, k])})"))
+        alpha_new = np.exp(np.log(num / den) / b_prev)
+        fails.add(np.isinf(alpha_new), keys + _ST_ALPHA, _range_error)
+        alpha[p:] = alpha_new
+
+        # shape-score constants and the shape solve, for the rows that reach them
+        todo = fails.before(keys + _ST_ALPHA)
+        bracket2 = _shape_bracket2_array(z_lo, z_hi, occupied & todo[:, :, None])
+        d_const = (_elog_numerator_array(z_lo, z_hi) - bracket2) / bt
+        l_rel = self.logv - np.log(alpha_new)[:, :, None]
+        wl = w * l_rel
+        a_mass = _sum_l(np.where(occupied, cw, 0.0), w.sum(axis=2))
+        b_const = _sum_l(np.where(occupied, cw * d_const / mass, 0.0), wl.sum(axis=2))
+        if todo.any():
+            # row j of the solve is the j-th todo (component, member) in C order
+            if todo.all():
+                pick = lambda v: v.reshape((-1,) + v.shape[2:])  # noqa: E731
+            else:
+                pick = lambda v: v[todo]  # noqa: E731
+            roots, ok, f_lo, f_hi = _solve_shape_array(
+                pick(l_rel), pick(wl), pick(a_mass), pick(b_const), BETA_BRACKET, pick(b_prev))
+            solved = np.zeros(todo.shape, dtype=bool)
+            solved[todo] = ok
+            beta[p:][solved] = roots[ok]
+            if not ok.all():
+                g_lo, g_hi = np.empty(todo.shape), np.empty(todo.shape)
+                g_lo[todo], g_hi[todo] = f_lo, f_hi
+                lo, hi = BETA_BRACKET
+                fails.add(todo & ~solved, keys + _ST_BRACKET, lambda c, k: BracketError(
+                    f"shape root not bracketed in [{lo}, {hi}]: "
+                    f"f(lo)={float(g_lo[c, k])}, f(hi)={float(g_hi[c, k])}",
+                    lo=lo, hi=hi, f_lo=float(g_lo[c, k]), f_hi=float(g_hi[c, k])))
+        _check_spec(fails, keys, alpha[p:])
         return alpha, beta, fails
 
     def direct_m_step(self):
@@ -1124,60 +1136,39 @@ class _Batch:
                                           ws.cens_counts * self.zt[i, pos, :nl], ws.intervals,
                                           prev, ws.log_values)
                 except (CensemError, OverflowError) as exc:
-                    fails.add(np.arange(b) == pos, i * _STAGES, lambda _, exc=exc: exc)
+                    fails.add(np.arange(b) == pos, i * _STAGES, lambda c, k, exc=exc: exc)
                     break
                 alpha[i, pos], beta[i, pos] = c.alpha, c.beta
         return alpha, beta, fails
 
-    def _solve_shapes(self, l_rel, wl, a_mass, b_const, fails: _Failures, beta):
-        """One array solve for the shape root of every (Weibull component,
-        member) row whose member got this far without a failure; row j is
-        component p + j // B of member j % B."""
-        b = self.alpha.shape[1]
-        comp = self.p + np.arange(a_mass.size) // b
-        member = np.arange(a_mass.size) % b
-        rows = np.flatnonzero(fails.key[member] > comp * _STAGES + _ST_ALPHA)
-        if rows.size == 0:
-            return
-        if rows.size < a_mass.size:
-            l_rel, wl, a_mass, b_const = l_rel[rows], wl[rows], a_mass[rows], b_const[rows]
-            comp, member = comp[rows], member[rows]
-        roots, ok, g_lo, g_hi = _solve_shape_array(
-            l_rel, wl, a_mass, b_const, BETA_BRACKET, self.beta[comp, member]
-        )
-        lo, hi = BETA_BRACKET
-        for k in np.flatnonzero(~ok):
-            fails.add(np.arange(b) == member[k], int(comp[k]) * _STAGES + _ST_BRACKET,
-                      lambda _, k=k: BracketError(
-                          f"shape root not bracketed in [{lo}, {hi}]: "
-                          f"f(lo)={float(g_lo[k])}, f(hi)={float(g_hi[k])}",
-                          lo=lo, hi=hi, f_lo=float(g_lo[k]), f_hi=float(g_hi[k])))
-        beta[comp[ok], member[ok]] = roots[ok]
 
-
-def _sum_l(terms: np.ndarray) -> np.ndarray:
-    """Sum over the interval axis in interval order, as the public
-    operations' loops add."""
-    acc = np.zeros(terms.shape[0])
-    for l in range(terms.shape[1]):
-        acc = acc + terms[:, l]
+def _sum_l(terms: np.ndarray, acc=0.0):
+    """acc plus the sum over the last (interval) axis in interval order, as
+    the public operations' loops add."""
+    for l in range(terms.shape[-1]):
+        acc = acc + terms[..., l]
     return acc
+
+
+def _range_error(c: int, k: int) -> OverflowError:
+    """The error math.exp raises where an array exp overflowed."""
+    return OverflowError("math range error")
 
 
 def _check_weights(fails: _Failures, key: int, weights: np.ndarray) -> None:
     """The MixtureModel checks on the new weights."""
     bad_w = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
-    fails.add(bad_w, key, lambda k: DomainError("weights must be finite and non-negative"))
+    fails.add(bad_w, key, lambda c, k: DomainError("weights must be finite and non-negative"))
     wsum = weights.sum(axis=0)
     fails.add(np.abs(wsum - 1.0) > 1e-12, key,
-              lambda k: DomainError(f"weights must sum to 1, got {wsum[k]!r}"))
+              lambda c, k: DomainError(f"weights must sum to 1, got {wsum[k]!r}"))
 
 
-def _check_spec(fails: _Failures, key: int, alpha: np.ndarray) -> None:
-    """The ComponentSpec check on a new scale."""
+def _check_spec(fails: _Failures, keys: np.ndarray, alpha: np.ndarray) -> None:
+    """The ComponentSpec check on new scales alpha (C, B), row c keyed keys[c]."""
     bad = ~((alpha > 0.0) & np.isfinite(alpha))
-    fails.add(bad, key + _ST_SPEC, lambda k: DomainError(
-        f"alpha must be positive and finite, got {float(alpha[k])}"))
+    fails.add(bad, keys + _ST_SPEC, lambda c, k: DomainError(
+        f"alpha must be positive and finite, got {float(alpha[c, k])}"))
 
 
 def _zeta_array(bound: np.ndarray, log_bound: np.ndarray, la: np.ndarray, bt: np.ndarray):
@@ -1240,20 +1231,19 @@ def _bracket2_tail_array(z: np.ndarray) -> np.ndarray:
 
 def _shape_bracket2_array(z_lo: np.ndarray, z_hi: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """The s = 2 shape-score bracket int_{z_lo}^{z_hi} t e^(-t) log t dt on
-    the (member, interval) entries in `reach`, 0 elsewhere: F(z_hi) - F(z_lo)
-    below z_hi = 1, T(z_lo) - T(z_hi) from 1 on."""
+    the entries in `reach`, 0 elsewhere: F(z_hi) - F(z_lo) below z_hi = 1,
+    T(z_lo) - T(z_hi) from 1 on."""
     out = np.zeros(z_lo.shape)
-    rows, cols = np.nonzero(reach)
-    if rows.size == 0:
+    zl, zh = z_lo[reach], z_hi[reach]
+    if zl.size == 0:
         return out
-    zl, zh = z_lo[rows, cols], z_hi[rows, cols]
     tails = zh >= 1.0
     bracket = _bracket2_head_array(np.where(tails, 0.0, zh))
     if not (zl == 0.0).all():  # never under the default censoring [0, 0.5)
         bracket = bracket - _bracket2_head_array(np.where(tails, 0.0, zl))
     if tails.any():
         bracket = np.where(tails, _bracket2_tail_array(zl) - _bracket2_tail_array(zh), bracket)
-    out[rows, cols] = bracket
+    out[reach] = bracket
     return out
 
 
