@@ -145,63 +145,70 @@ def solve_newton_array(
     f is NaN, or where max_iter evaluations end before both signs were
     seen (a row that has seen both ends at its bracket's midpoint); the
     failed rows' roots are NaN and their endpoint values are evaluated
-    for the diagnostics (NaN on the other rows).
+    for the diagnostics (NaN on the other rows).  The steps run, fdf's
+    calls included, with numpy's divide, invalid and overflow warnings
+    off.
     """
     if not 0.0 < lo < hi:
         raise DomainError(f"solve_newton_array needs 0 < lo < hi, got [{lo}, {hi}]")
     x = np.minimum(np.maximum(np.asarray(start, dtype=float), lo), hi)
     n = x.size
-    roots = np.full(n, math.nan)
-    ok = np.ones(n, dtype=bool)
-    # Working arrays hold the open rows only; idx maps them back.
+    roots = np.empty(n)  # every row gets its root, or NaN where it fails
+    # Working arrays hold the open rows only; idx maps them back.  a, b and
+    # the seen flags become arrays at the first evaluation.
     idx = np.arange(n)
-    a, b = np.full(n, lo), np.full(n, hi)
-    seen_a = np.zeros(n, dtype=bool)  # f(a) > 0 was seen, not just a = lo
-    seen_b = np.zeros(n, dtype=bool)  # f(b) < 0 was seen
-    last = np.full(n, math.inf)  # the last step taken, and the one before
-    before = np.full(n, math.inf)
-    for _ in range(max_iter):
-        fx, dfx = fdf(x, idx)
-        pos, neg = fx > 0.0, fx < 0.0
-        a = np.where(pos, x, a)
-        b = np.where(neg, x, b)
-        seen_a |= pos
-        seen_b |= neg
-        both = seen_a & seen_b
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    a, b = lo, hi
+    seen_a = seen_b = False  # f(a) > 0 was seen, not just a = lo; f(b) < 0 was seen
+    last = before = np.full(n, math.inf)  # the last step taken, and the one before
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            fx, dfx = fdf(x, idx)
+            pos, neg = fx > 0.0, fx < 0.0
+            a = np.where(pos, x, a)
+            b = np.where(neg, x, b)
+            seen_a = seen_a | pos
+            seen_b = seen_b | neg
             step = fx / dfx
-        xn = x - step
-        tol = xtol * np.maximum(1.0, 2.0 * np.abs(x))
-        small = np.abs(step) <= tol
-        # a reaches hi only where f(hi) > 0, b reaches lo only where f(lo) < 0
-        fail = np.isnan(fx) | (a >= hi) | (b <= lo)
-        zero = fx == 0.0
-        done = fail | zero | small | (both & (b - a <= tol))
-        if done.any():
-            # The tolerance test comes first: a step that rounds back to
-            # x or onto a bracket end still ends the row.
-            fin = np.where(zero, x, np.where(small, np.minimum(np.maximum(xn, a), b),
-                                             0.5 * (a + b)))
-            roots[idx[done & ~fail]] = fin[done & ~fail]
-            ok[idx[fail]] = False
-            keep = ~done
-            if not keep.any():
-                break
-            idx, x, xn, step, a, b = idx[keep], x[keep], xn[keep], step[keep], a[keep], b[keep]
-            pos, both, seen_a, seen_b = pos[keep], both[keep], seen_a[keep], seen_b[keep]
-            last, before = last[keep], before[keep]
-        newton = (a < xn) & (xn < b) & (np.abs(step) <= 0.5 * before)
-        grow = np.where(pos, np.minimum(hi, 2.0 * x), np.maximum(lo, 0.5 * x))
-        x_next = np.where(newton, xn, np.where(both, 0.5 * (a + b), grow))
-        before, last = last, np.abs(x_next - x)
-        x = x_next
-    else:
-        # out of iterations: a row whose sign change was seen ends at the
-        # midpoint of its bracket; one that never saw both signs fails
-        roots[idx[both]] = 0.5 * (a[both] + b[both])
-        ok[idx[~both]] = False
+            xn = x - step
+            size = np.abs(step)
+            tol = np.maximum(xtol, (2.0 * xtol) * x)  # xtol * max(1, 2|x|), as x > 0
+            small = size <= tol
+            newton = (a < xn) & (xn < b) & (size <= 0.5 * before)
+            if newton.all() and not small.any():
+                # A Newton step inside the bracket ends no row: the bracket
+                # then holds x and the step, so it is wider than tol.
+                before, last = last, np.abs(xn - x)
+                x = xn
+                continue
+            both = seen_a & seen_b
+            # a reaches hi only where f(hi) > 0, b reaches lo only where f(lo) < 0
+            fail = np.isnan(fx) | (a >= hi) | (b <= lo)
+            zero = fx == 0.0
+            done = fail | zero | small | (both & (b - a <= tol))
+            if done.any():
+                # The tolerance test comes first: a step that rounds back to
+                # x or onto a bracket end still ends the row.
+                end = done & ~fail
+                roots[idx[end]] = np.where(zero, x, np.where(
+                    small, np.minimum(np.maximum(xn, a), b), 0.5 * (a + b)))[end]
+                roots[idx[fail]] = math.nan
+                keep = ~done
+                if not keep.any():
+                    break
+                idx, x, xn, a, b, pos, both = (v[keep] for v in (idx, x, xn, a, b, pos, both))
+                seen_a, seen_b, last, newton = (v[keep] for v in (seen_a, seen_b, last, newton))
+            grow = np.where(pos, np.minimum(hi, 2.0 * x), np.maximum(lo, 0.5 * x))
+            x_next = np.where(newton, xn, np.where(both, 0.5 * (a + b), grow))
+            before, last = last, np.abs(x_next - x)
+            x = x_next
+        else:
+            # out of iterations: a row whose sign change was seen ends at the
+            # midpoint of its bracket; one that never saw both signs fails
+            both = seen_a & seen_b
+            roots[idx] = np.where(both, 0.5 * (a + b), math.nan)
+    ok = ~np.isnan(roots)
     f_lo = np.full(n, math.nan)
-    f_hi = np.full(n, math.nan)
+    f_hi = f_lo.copy()
     bad = np.flatnonzero(~ok)
     if bad.size:
         f_lo[bad] = fdf(np.full(bad.size, lo), bad)[0]
