@@ -137,8 +137,11 @@ def solve_newton_array(
     tail of a score) becomes a bisection or, while only one side is
     known, a doubling or halving toward the unknown end.  With
     tol = xtol * max(1, 2|x|), a row ends at an exact zero, at a Newton
-    step of at most tol (x minus the step, kept inside the bracket), or
-    at a bracket narrower than tol (its midpoint).
+    step s_k of at most tol (x minus the step, kept inside the bracket),
+    at a step s_k that lands inside the bracket right after a Newton step
+    s_(k-1), with s_k^2 <= x tol, and predicts the next one, |s_k|^3 /
+    s_(k-1)^2 under quadratic convergence, to be at most tol (x minus the
+    step), or at a bracket narrower than tol (its midpoint).
 
     Returns (roots, ok, f(lo), f(hi)).  ok is False where f is positive
     at hi or negative at lo, so that [lo, hi] holds no sign change, where
@@ -160,6 +163,7 @@ def solve_newton_array(
     a, b = lo, hi
     seen_a = seen_b = False  # f(a) > 0 was seen, not just a = lo; f(b) < 0 was seen
     last = before = np.full(n, math.inf)  # the last step taken, and the one before
+    prev = 0.0  # the last step where it was a Newton step, else 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_iter):
             fx, dfx = fdf(x, idx)
@@ -172,12 +176,19 @@ def solve_newton_array(
             xn = x - step
             size = np.abs(step)
             tol = np.maximum(xtol, (2.0 * xtol) * x)  # xtol * max(1, 2|x|), as x > 0
-            small = size <= tol
-            newton = (a < xn) & (xn < b) & (size <= 0.5 * before)
+            inside = (a < xn) & (xn < b)
+            # Newton converges quadratically, so the step after this one is
+            # about size^3 / prev^2, and a row ends once that is within tol
+            # too.  A lucky step from far off can make that estimate too
+            # small, so it counts only once size^2 <= x tol.
+            small = (size <= tol) | (inside & (size * size <= tol * x) & (
+                size ** 3 <= tol * prev ** 2))
+            newton = inside & (size <= 0.5 * before)
             if newton.all() and not small.any():
                 # A Newton step inside the bracket ends no row: the bracket
                 # then holds x and the step, so it is wider than tol.
                 before, last = last, np.abs(xn - x)
+                prev = last
                 x = xn
                 continue
             both = seen_a & seen_b
@@ -200,6 +211,7 @@ def solve_newton_array(
             grow = np.where(pos, np.minimum(hi, 2.0 * x), np.maximum(lo, 0.5 * x))
             x_next = np.where(newton, xn, np.where(both, 0.5 * (a + b), grow))
             before, last = last, np.abs(x_next - x)
+            prev = np.where(newton, last, 0.0)
             x = x_next
         else:
             # out of iterations: a row whose sign change was seen ends at the
