@@ -133,7 +133,6 @@ def d_series(a: float, z: float) -> float:
 
 # d_series(1, z) = z^2 sum_p c_p (-z)^p with c_p = 1 / (p! (p+2)^2); 21
 # terms leave the truncation below 1e-18 relative for z < 1.
-_D1_POWERS = np.arange(21.0)
 _D1_COEFFS = np.array([1.0 / (math.factorial(p) * (p + 2) ** 2) for p in range(21)])
 
 
@@ -160,7 +159,9 @@ def d_series1_array(z) -> np.ndarray:
     """d_series(1, z) elementwise for finite z >= 0.
 
     Below z = 1 the power series runs as a fixed-length sum of 21 terms, which
-    keeps relative accuracy down to z^2 near the underflow limit.  From
+    keeps relative accuracy down to z^2 near the underflow limit; the powers
+    of -z come from repeated multiplication (np.vander), not from a float
+    power of a negative base.  From
     z = 1 on it uses the closed form
 
         d_series(1, z) = log z + gamma_E - 1 + E1(z) + e^(-z),
@@ -172,7 +173,8 @@ def d_series1_array(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     small = z < 1.0
     zs = np.where(small, z, 0.0)
-    out = zs * zs * (np.power.outer(-zs, _D1_POWERS) @ _D1_COEFFS)
+    out = zs * zs * (np.vander(-zs.ravel(), _D1_COEFFS.size, increasing=True)
+                     @ _D1_COEFFS).reshape(zs.shape)
     if not small.all():
         zl = np.where(small, 1.0, z)
         large = np.log(zl) + (EULER_GAMMA - 1.0) + _sp.exp1(zl) + np.exp(-zl)

@@ -324,6 +324,18 @@ def test_d_series1_array_matches_scalar_where_the_series_is_accurate():
     assert d_series1_array(np.array([0.0])).tolist() == [0.0]
 
 
+def test_d_series1_array_powers_by_multiplication_match_float_powers():
+    """Below 1 the kernel builds the powers of -z by repeated
+    multiplication; the float powers of a negative base give the same sum
+    to 1e-15 relative."""
+    z = np.random.default_rng(61).uniform(0.0, 1.0, 10_000)
+    coeffs = np.array([1.0 / (math.factorial(p) * (p + 2) ** 2) for p in range(21)])
+    want = z * z * (np.power.outer(-z, np.arange(21.0)) @ coeffs)
+    got = d_series1_array(z)
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+    assert d_series1_array(z.reshape(100, 100)).ravel().tolist() == got.tolist()
+
+
 @pytest.mark.parametrize("z", [5.0, 30.0, 60.0, 300.0])
 def test_d_series1_array_large_z_matches_quadrature(z):
     """d_series(1, z) = int_0^z t e^-t log(z/t) dt; the closed form holds
