@@ -70,6 +70,7 @@ from .special_fn import (
     d_series,
     d_series1_array,
     e1_array,
+    ein_array,
     gamma_complete,
     gamma_lower,
     gamma_lower2_array,
@@ -177,18 +178,9 @@ def _gamma_upper_diff(s: float, z_lo: float, z_hi: float) -> float:
 
 
 def _elog_numerator(z_lo: float, z_hi: float) -> float:
-    """Numerator of E[log U | U in [z_lo, z_hi)] for unit-exponential U:
-
-        e^(-z_lo) log z_lo - e^(-z_hi) log z_hi + Gamma(0, z_lo) - Gamma(0, z_hi)
-
-    with the well-behaved z_lo = 0 reduction -gamma_E - e^(-z_hi) log z_hi
-    - Gamma(0, z_hi).
-    """
-    hi_term = 0.0 if math.isinf(z_hi) else math.exp(-z_hi) * math.log(z_hi)
-    g_hi = 0.0 if math.isinf(z_hi) else gamma_upper(0.0, z_hi)
-    if z_lo == 0.0:
-        return -EULER_GAMMA - hi_term - g_hi
-    return math.exp(-z_lo) * math.log(z_lo) - hi_term + gamma_upper(0.0, z_lo) - g_hi
+    """Numerator of E[log U | U in [z_lo, z_hi)] for unit-exponential U,
+    int_{z_lo}^{z_hi} e^(-t) log t dt: _elog_numerator_array's value."""
+    return float(_elog_numerator_array(np.array(z_lo), np.array(z_hi)))
 
 
 def _shape_series_bracket(s: float, z_lo: float, z_hi: float) -> float:
@@ -1191,19 +1183,36 @@ def _gamma2_diff_array(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
     return np.where(z_hi < 3.0, lower, upper)
 
 
+def _elog_head_array(z: np.ndarray) -> np.ndarray:
+    """G(z) = int_0^z e^(-t) log t dt = -expm1(-z) log z - Ein(z) elementwise
+    for 0 <= z < 1, where both terms are negative; G(0) = 0."""
+    return -np.expm1(-z) * np.log(np.where(z > 0.0, z, 1.0)) - ein_array(z)
+
+
 def _elog_numerator_array(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
-    """_elog_numerator elementwise."""
+    """int_{z_lo}^{z_hi} e^(-t) log t dt elementwise, the numerator of
+    E[log U | U in [z_lo, z_hi)] for unit-exponential U.
+
+    Below z_hi = 1 it is G(z_hi) - G(z_lo) (_elog_head_array).  From 1 on
+    it is e^(-z_lo) log z_lo - e^(-z_hi) log z_hi + E1(z_lo) - E1(z_hi),
+    with the z_lo = 0 reduction -gamma_E - e^(-z_hi) log z_hi - E1(z_hi),
+    which cancels only below 1.
+    """
+    low = z_hi < 1.0
+    out = _elog_head_array(np.where(low, z_hi, 0.0))
+    if not (z_lo == 0.0).all():  # never under the default censoring [0, 0.5)
+        out = out - _elog_head_array(np.where(low, z_lo, 0.0))
+    if low.all():
+        return out
     fin = np.isfinite(z_hi)
     zh = np.where(fin, z_hi, 1.0)
     hi_term = np.where(fin, np.exp(-zh) * np.log(zh), 0.0)
     g_hi = np.where(fin, e1_array(zh), 0.0)
     at0 = z_lo == 0.0
     from_zero = -EULER_GAMMA - hi_term - g_hi
-    if at0.all():
-        return from_zero
     zl = np.where(at0, 1.0, z_lo)
     inner = np.exp(-zl) * np.log(zl) - hi_term + e1_array(zl) - g_hi
-    return np.where(at0, from_zero, inner)
+    return np.where(low, out, np.where(at0, from_zero, inner))
 
 
 def _bracket2_head_array(z: np.ndarray) -> np.ndarray:

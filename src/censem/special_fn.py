@@ -15,7 +15,7 @@ regularized gammainc / gammaincc, DLMF 8.2); d_series has no scipy
 equivalent and is summed directly, to a relative tolerance of 1e-12.
 The scalar functions are pure and thread-safe.
 
-The array functions at the end (e1_array, gamma_lower2_array,
+The array functions at the end (e1_array, ein_array, gamma_lower2_array,
 gamma_upper2_array, d_series1_array) evaluate the fixed-order cases the
 batched EM needs elementwise over numpy arrays, backed by scipy.special
 and closed forms.
@@ -135,10 +135,25 @@ def d_series(a: float, z: float) -> float:
 # terms leave the truncation below 1e-18 relative for z < 1.
 _D1_COEFFS = np.array([1.0 / (math.factorial(p) * (p + 2) ** 2) for p in range(21)])
 
+# Ein(z) = z sum_p e_p (-z)^p with e_p = 1 / ((p+1) (p+1)!); 18 terms leave
+# the truncation below 1e-18 relative for z < 1.
+_EIN_COEFFS = np.array([1.0 / ((p + 1) * math.factorial(p + 1)) for p in range(18)])
+
 
 def e1_array(x) -> np.ndarray:
     """E1(x) = Gamma(0, x) elementwise for x >= 0 (inf at 0, 0 at inf)."""
     return _sp.exp1(np.asarray(x, dtype=float))
+
+
+def ein_array(z) -> np.ndarray:
+    """Ein(z) = int_0^z (1 - e^(-t)) / t dt elementwise for 0 <= z < 1, the
+    entire part of E1(z) = -gamma_E - log z + Ein(z), summed as its power
+    series sum_{p>=1} (-1)^(p+1) z^p / (p p!), whose terms fall at least
+    fourfold from one to the next, so it keeps relative accuracy down to
+    the underflow limit."""
+    z = np.asarray(z, dtype=float)
+    return z * (np.vander(-z.ravel(), _EIN_COEFFS.size, increasing=True)
+                @ _EIN_COEFFS).reshape(z.shape)
 
 
 def gamma_lower2_array(x) -> np.ndarray:

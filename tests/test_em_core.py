@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import re
 
@@ -532,6 +533,45 @@ def test_shape_bracket2_at_zero_equals_its_entries_in_a_mixed_call():
     )
     assert np.all(mixed[:, 4:] != 0.0)
     assert np.array_equal(alone, mixed[:, :4])
+
+
+ELOG_Z_HI = (1e-30, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0, 3.0, 40.0, math.inf)
+
+
+def _elog_reference(z_lo: float, z_hi: float) -> float:
+    """int_{z_lo}^{z_hi} e^-t log t dt in 60-digit decimal arithmetic, as
+    G(z_hi) - G(z_lo) with G(z) = (1 - e^-z) log z - Ein(z) and Ein(z) =
+    sum_{k>=1} (-1)^(k+1) z^k / (k k!); G(inf) = -gamma_E."""
+
+    def g(z: float) -> decimal.Decimal:
+        if z == 0.0:
+            return decimal.Decimal(0)
+        if math.isinf(z):
+            return -decimal.Decimal("0.577215664901532860606512090082402431042159335939923598805767")
+        zd = decimal.Decimal(z)
+        ein, power, k = decimal.Decimal(0), decimal.Decimal(1), 0
+        while k < zd or power > decimal.Decimal(10) ** -70:
+            k += 1
+            power = power * zd / k
+            ein += (power if k % 2 else -power) / k
+        return (1 - (-zd).exp()) * zd.ln() - ein
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return float(g(z_hi) - g(z_lo))
+
+
+def test_elog_numerator_matches_reference_series():
+    """Both E[log U] numerator kernels on [0, z_hi) and [z_hi / 3, z_hi),
+    down to z_hi = 1e-30, where -gamma_E - e^-z log z - E1(z) cancels."""
+    cases = [(z_lo, z_hi) for z_hi in ELOG_Z_HI
+             for z_lo in ((0.0,) if math.isinf(z_hi) else (0.0, z_hi / 3.0))]
+    want = np.array([_elog_reference(z_lo, z_hi) for z_lo, z_hi in cases])
+    scalar = np.array([em_core._elog_numerator(z_lo, z_hi) for z_lo, z_hi in cases])
+    z_lo, z_hi = np.array(cases).T
+    batched = em_core._elog_numerator_array(z_lo, z_hi)
+    for got in (scalar, batched):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def test_shape_bracket_open_tail_raises_where_series_loses_digits():
