@@ -846,13 +846,14 @@ def fit(
 # from those operations raises first.
 (_ST_ZETA, _ST_POW, _ST_MASS, _ST_ALPHA, _ST_BRACKET, _ST_SPEC) = range(6)
 _STAGES = 6
+_NO_FAILURE = np.iinfo(np.int64).max
 
 
 class _Failures:
     """First failure per member: its (component, stage) key and exception."""
 
     def __init__(self, n: int):
-        self.key = np.full(n, np.iinfo(np.int64).max)
+        self.key = np.full(n, _NO_FAILURE)
         self.exc: dict[int, Exception] = {}
 
     def add(self, mask: np.ndarray, key, make: Callable[[int, int], Exception]) -> None:
@@ -1045,7 +1046,8 @@ class _Batch:
         floor = WEIGHT_FLOOR * self.total
         w = self.cnt * self.z
         cw = self.ccnt * self.zt
-        den = w.sum(axis=2) + cw.sum(axis=2)
+        w_sum = w.sum(axis=2)
+        den = w_sum + cw.sum(axis=2)
         alpha = np.empty(self.alpha.shape)
         beta = self.beta.copy()
 
@@ -1060,7 +1062,7 @@ class _Batch:
         if p == alpha.shape[0]:
             return alpha, beta, fails
 
-        w, cw, den, keys = w[p:], cw[p:], den[p:], keys[p:]
+        w, cw, w_sum, den, keys = w[p:], cw[p:], w_sum[p:], den[p:], keys[p:]
         a_prev, b_prev = self.alpha[p:], self.beta[p:]
         la, bt = np.log(a_prev)[:, :, None], b_prev[:, :, None]
         z_lo, over_lo = _zeta_array(self.lo, self.loglo, la, bt)
@@ -1086,7 +1088,7 @@ class _Batch:
         d_const = (_elog_numerator_array(z_lo, z_hi) - bracket2) / bt
         l_rel = self.logv - np.log(alpha_new)[:, :, None]
         wl = w * l_rel
-        a_mass = _sum_l(np.where(occupied, cw, 0.0), w.sum(axis=2))
+        a_mass = _sum_l(np.where(occupied, cw, 0.0), w_sum)
         b_const = _sum_l(np.where(occupied, cw * d_const / mass, 0.0), wl.sum(axis=2))
         if todo.any():
             # row j of the solve is the j-th todo (component, member) in C order
@@ -1170,17 +1172,19 @@ def _zeta_array(bound: np.ndarray, log_bound: np.ndarray, la: np.ndarray, bt: np
 
 
 def _truncated_mean_exp_array(alpha: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    width = (hi - lo) / alpha
-    em = -np.expm1(-width)
-    mean = np.where(em == 0.0, 0.5 * (lo + hi), alpha + ((lo - hi) - hi * np.expm1(-width)) / em)
+    e = np.expm1(-(hi - lo) / alpha)
+    em = -e
+    mean = np.where(em == 0.0, 0.5 * (lo + hi), alpha + ((lo - hi) - hi * e) / em)
     return np.where(np.isinf(hi), lo + alpha, mean)
 
 
 def _gamma2_diff_array(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
     """_gamma_upper_diff(2, ., .) elementwise."""
     lower = gamma_lower2_array(z_hi) - gamma_lower2_array(z_lo)
-    upper = gamma_upper2_array(z_lo) - gamma_upper2_array(z_hi)
-    return np.where(z_hi < 3.0, lower, upper)
+    small = z_hi < 3.0
+    if small.all():
+        return lower
+    return np.where(small, lower, gamma_upper2_array(z_lo) - gamma_upper2_array(z_hi))
 
 
 def _elog_head_array(z: np.ndarray) -> np.ndarray:
@@ -1277,18 +1281,20 @@ def _solve_shape_array(
     n = a_mass.size
     # The solver calls back with the same index array for several steps
     # in a row, so the rows it selects are gathered once.
-    picked = [None, a_mass, b_const, wl, l_rel]
+    neg_mass = -a_mass
+    picked = [None]
 
     def score(x: np.ndarray, idx: np.ndarray):
         if idx is not picked[0]:
             full = idx.size == n
-            picked[:] = [idx] + [v if full else v[idx] for v in (a_mass, b_const, wl, l_rel)]
-        _, am, bc, w, lr = picked
+            picked[:] = [idx] + [v if full else v[idx]
+                                 for v in (a_mass, neg_mass, b_const, wl, l_rel)]
+        _, am, nam, bc, w, lr = picked
         tail = np.multiply(x[:, None], lr)
         np.exp(tail, out=tail)
         terms = np.multiply(tail, w)
         value = am / x + bc - terms.sum(axis=1)
-        slope = -am / (x * x) - np.multiply(terms, lr, out=tail).sum(axis=1)
+        slope = nam / (x * x) - np.multiply(terms, lr, out=tail).sum(axis=1)
         return value, slope
 
     lo, hi = bracket
@@ -1364,6 +1370,8 @@ def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: 
         if iterations == history.shape[1]:
             history = np.concatenate([history, np.empty_like(history)], axis=1)
         history[st.ids, iterations] = st.ll
+        if not idead.any():
+            return
         # e_step raises at an underflowing row before the intervals
         fresh = idead & ~warned[st.ids] & (st.bad < 0)[:, None]
         for pos, l in zip(*np.nonzero(fresh)):

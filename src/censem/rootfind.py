@@ -191,6 +191,10 @@ def solve_newton_array(
                 prev = last
                 x = xn
                 continue
+            if small.all() and not ((a >= hi) | (b <= lo)).any():
+                # every row ends at its step, as below; a zero's step is 0
+                roots[idx] = np.minimum(np.maximum(xn, a), b)
+                break
             both = seen_a & seen_b
             # a reaches hi only where f(hi) > 0, b reaches lo only where f(lo) < 0
             fail = np.isnan(fx) | (a >= hi) | (b <= lo)
@@ -221,8 +225,8 @@ def solve_newton_array(
     ok = ~np.isnan(roots)
     f_lo = np.full(n, math.nan)
     f_hi = f_lo.copy()
-    bad = np.flatnonzero(~ok)
-    if bad.size:
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
         f_lo[bad] = fdf(np.full(bad.size, lo), bad)[0]
         f_hi[bad] = fdf(np.full(bad.size, hi), bad)[0]
     return roots, ok, f_lo, f_hi
