@@ -29,10 +29,11 @@ max_iter or fails.
 The public uncompressed operations (e_step, update_weights, the m_step_*
 functions, q_objective) are the readable reference: an EM loop built
 from them stops at the same iteration, with the same flags and named
-error, and its numbers differ from fit_batch's only by rounding.  The
-one kernel they share with fit_batch is the s = 2 censored shape
-bracket, _shape_bracket2_array, which is checked against quadrature
-instead.
+error, and its numbers differ from fit_batch's only by rounding.  They
+form the censored shape constant as E[log U] minus the s = 2 bracket,
+whose kernels are checked against quadrature and a decimal series;
+fit_batch forms it in closed form (_tlog_diff_array), so the two loops
+cross-check it.
 """
 
 from __future__ import annotations
@@ -1084,8 +1085,7 @@ class _Batch:
 
         # shape-score constants and the shape solve, for the rows that reach them
         todo = fails.before(keys + _ST_ALPHA)
-        bracket2 = _shape_bracket2_array(z_lo, z_hi, occupied & todo[:, :, None])
-        d_const = (_elog_numerator_array(z_lo, z_hi) - bracket2) / bt
+        d_const = (_tlog_diff_array(z_lo, z_hi) - mass) / bt
         l_rel = self.logv - np.log(alpha_new)[:, :, None]
         wl = w * l_rel
         a_mass = _sum_l(np.where(occupied, cw, 0.0), w_sum)
@@ -1185,6 +1185,25 @@ def _gamma2_diff_array(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
     if small.all():
         return lower
     return np.where(small, lower, gamma_upper2_array(z_lo) - gamma_upper2_array(z_hi))
+
+
+def _tlog_diff_array(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
+    """z_hi e^(-z_hi) log z_hi - z_lo e^(-z_lo) log z_lo elementwise, with
+    the term 0 at z = 0 and z = inf.
+
+    Since (1 - t) e^(-t) = d/dt (t e^(-t)), integrating by parts gives
+    elog_num - bracket(s=2) = int (1 - t) e^(-t) log t dt over [z_lo, z_hi)
+    = this difference minus the interval mass e^(-z_lo) - e^(-z_hi): the
+    censored shape-score constant D times beta_prev in closed form.  From
+    [0, z_hi) both parts are negative below z_hi = 1, so nothing cancels.
+    """
+    def term(z):
+        z = np.where((z > 0.0) & (z < math.inf), z, 1.0)  # log 1 = 0 at the ends
+        return z * np.exp(-z) * np.log(z)
+
+    if (z_lo == 0.0).all():  # always under the default censoring [0, 0.5)
+        return term(z_hi)
+    return term(z_hi) - term(z_lo)
 
 
 def _elog_head_array(z: np.ndarray) -> np.ndarray:
