@@ -163,7 +163,7 @@ def solve_newton_array(
     a, b = lo, hi
     seen_a = seen_b = False  # f(a) > 0 was seen, not just a = lo; f(b) < 0 was seen
     last = before = np.full(n, math.inf)  # the last step taken, and the one before
-    prev = 0.0  # the last step where it was a Newton step, else 0
+    prev = None  # the last step where it was a Newton step, else 0; none yet
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_iter):
             fx, dfx = fdf(x, idx)
@@ -177,18 +177,19 @@ def solve_newton_array(
             size = np.abs(step)
             tol = np.maximum(xtol, (2.0 * xtol) * x)  # xtol * max(1, 2|x|), as x > 0
             inside = (a < xn) & (xn < b)
-            # Newton converges quadratically, so the step after this one is
-            # about size^3 / prev^2, and a row ends once that is within tol
-            # too.  A lucky step from far off can make that estimate too
-            # small, so it counts only once size^2 <= x tol.
-            small = (size <= tol) | (inside & (size * size <= tol * x) & (
-                size ** 3 <= tol * prev ** 2))
+            small = size <= tol
+            if prev is not None:
+                # Newton converges quadratically, so the step after this one
+                # is about size^3 / prev^2, and a row ends once that is
+                # within tol too.  A lucky step from far off can make that
+                # estimate too small, so it counts only once size^2 <= x tol.
+                small |= inside & (size * size <= tol * x) & (size ** 3 <= tol * prev ** 2)
             newton = inside & (size <= 0.5 * before)
             if newton.all() and not small.any():
                 # A Newton step inside the bracket ends no row: the bracket
                 # then holds x and the step, so it is wider than tol.
-                before, last = last, np.abs(xn - x)
-                prev = last
+                before = last
+                last = prev = size
                 x = xn
                 continue
             if small.all() and not ((a >= hi) | (b <= lo)).any():
