@@ -857,17 +857,19 @@ class _Failures:
         self.key = np.full(n, _NO_FAILURE)
         self.exc: dict[int, Exception] = {}
 
-    def add(self, mask: np.ndarray, key, make: Callable[[int, int], Exception]) -> None:
-        """Record make(c, k) as member k's failure at key[c] wherever
-        mask[c, k] holds and the member has no failure ranked ahead of it.
-        A mask of shape (B,) with an int key is the one row c = 0."""
+    def add(self, mask: np.ndarray, keys, stage: int,
+            make: Callable[[int, int], Exception]) -> None:
+        """Record make(c, k) as member k's failure at keys[c] + stage
+        wherever mask[c, k] holds and the member has no failure ranked
+        ahead of it.  A mask of shape (B,) is the one row c = 0."""
         if not mask.any():
             return
         if mask.ndim == 1:
-            mask, key = mask[None], (key,)
+            mask = mask[None]
         for c, k in zip(*np.nonzero(mask)):
-            if self.key[k] > key[c]:
-                self.key[k] = key[c]
+            key = keys[c] + stage
+            if self.key[k] > key:
+                self.key[k] = key
                 self.exc[int(k)] = make(c, k)
 
     def before(self, keys: np.ndarray) -> np.ndarray:
@@ -952,33 +954,44 @@ class _Batch:
         z_tilde row.  The exponential components fill both as one block
         and the Weibull components as another."""
         self.z = self.zt = None  # the last pass is spent; free it for this one
-        p = self.p
+        m, p = self.w.shape[0], self.p
         logw = np.log(self.w)[:, :, None]
         a = self.alpha[:, :, None]
         la = np.log(a)
-        bt = self.beta[p:, :, None]
-        logmat = np.empty((self.w.shape[0],) + self.vals.shape)
-        # Weibull block: logw + ((log(beta) - la) + (beta - 1) rel - exp(beta rel)),
-        # built in place
-        wbl = logmat[p:]
-        rel = self.logv - la[p:]
-        np.exp(np.multiply(bt, rel, out=wbl), out=wbl)
-        rel *= bt - 1.0
-        rel += np.log(bt) - la[p:]
-        np.subtract(rel, wbl, out=wbl)
-        wbl += logw[p:]
-        # exponential block: logw + (-la - x / alpha), built in place
-        ex = logmat[:p]
-        np.divide(self.vals, a[:p], out=ex)
-        np.subtract(-la[:p], ex, out=ex)
-        ex += logw[:p]
-        # components.log_pdf takes the exponential form whenever beta == 1,
-        # as a cold-started Weibull component has it
-        one_c, one_b = np.nonzero(self.beta[p:] == 1.0)
-        one_c += p
-        if one_c.size:
-            logmat[one_c, one_b] = logw[one_c, one_b] + (
-                -la[one_c, one_b] - self.vals[one_b] / a[one_c, one_b])
+        logmat = np.empty((m,) + self.vals.shape)
+        # each interval [lo, hi) mapped to [u, v) by the component's transform
+        u = np.empty((m,) + self.lo.shape)
+        v = np.empty(u.shape)
+        if p:
+            # exponential block: logw + (-la - x / alpha), built in place
+            ex = logmat[:p]
+            np.divide(self.vals, a[:p], out=ex)
+            np.subtract(-la[:p], ex, out=ex)
+            ex += logw[:p]
+            np.divide(self.lo, a[:p], out=u[:p])
+            np.divide(self.hi, a[:p], out=v[:p])
+        if p < m:
+            # Weibull block: logw + ((log(beta) - la) + (beta - 1) rel - exp(beta rel)),
+            # built in place
+            bt = self.beta[p:, :, None]
+            wbl = logmat[p:]
+            rel = self.logv - la[p:]
+            np.exp(np.multiply(bt, rel, out=wbl), out=wbl)
+            rel *= bt - 1.0
+            rel += np.log(bt) - la[p:]
+            np.subtract(rel, wbl, out=wbl)
+            wbl += logw[p:]
+            np.exp(bt * (self.loglo - la[p:]), out=u[p:])
+            np.exp(bt * (self.loghi - la[p:]), out=v[p:])
+            # components.log_pdf takes the exponential form whenever beta == 1,
+            # as a cold-started Weibull component has it
+            one_c, one_b = np.nonzero(self.beta[p:] == 1.0)
+            if one_c.size:
+                one_c += p
+                logmat[one_c, one_b] = logw[one_c, one_b] + (
+                    -la[one_c, one_b] - self.vals[one_b] / a[one_c, one_b])
+                u[one_c, one_b] = self.lo[one_b] / a[one_c, one_b]
+                v[one_c, one_b] = self.hi[one_b] / a[one_c, one_b]
         mx = logmat.max(axis=0)
         dead = ~np.isfinite(mx) & self.valid
         self.bad = np.where(dead.any(axis=1), dead.argmax(axis=1) if dead.size else 0, -1)
@@ -995,16 +1008,7 @@ class _Batch:
             ll = np.matmul(self.cnt[:, None, :], rows[:, :, None])[:, 0, 0]
         self.z = np.divide(pz, rowsum, out=pz)
 
-        # interval log masses -u + log(1 - e^(u - v)) of [lo, hi) mapped to [u, v)
-        u = np.empty((self.w.shape[0],) + self.lo.shape)
-        v = np.empty(u.shape)
-        np.divide(self.lo, a[:p], out=u[:p])
-        np.divide(self.hi, a[:p], out=v[:p])
-        np.exp(bt * (self.loglo - la[p:]), out=u[p:])
-        np.exp(bt * (self.loghi - la[p:]), out=v[p:])
-        if one_c.size:
-            u[one_c, one_b] = self.lo[one_b] / a[one_c, one_b]
-            v[one_c, one_b] = self.hi[one_b] / a[one_c, one_b]
+        # interval log masses -u + log(1 - e^(u - v))
         tail = -np.expm1(u - v)
         lw = logw + np.where(tail <= 0.0, -math.inf, -u + np.log(tail))
         imx = lw.max(axis=0)
@@ -1043,7 +1047,7 @@ class _Batch:
         rows that get as far as their shape share one Newton solve."""
         p = self.p
         fails = _Failures(self.alpha.shape[1])
-        keys = np.arange(self.alpha.shape[0]) * _STAGES
+        keys = np.arange(0, self.alpha.shape[0] * _STAGES, _STAGES)  # component keys
         floor = WEIGHT_FLOOR * self.total
         w = self.cnt * self.z
         cw = self.ccnt * self.zt
@@ -1055,7 +1059,7 @@ class _Batch:
         if p:
             means = _truncated_mean_exp_array(self.alpha[:p, :, None], self.lo, self.hi)
             num = (w[:p] * self.vals).sum(axis=2) + _sum_l(cw[:p] * means)
-            fails.add((den[:p] <= floor) | ~np.isfinite(num) | (num <= 0.0), keys[:p] + _ST_MASS,
+            fails.add((den[:p] <= floor) | ~np.isfinite(num) | (num <= 0.0), keys, _ST_MASS,
                       lambda c, k: DegenerateComponentError(
                           f"exponential scale update lost its mass (den={float(den[c, k])})"))
             alpha[:p] = num / den[:p]
@@ -1068,19 +1072,19 @@ class _Batch:
         la, bt = np.log(a_prev)[:, :, None], b_prev[:, :, None]
         z_lo, over_lo = _zeta_array(self.lo, self.loglo, la, bt)
         z_hi, over_hi = _zeta_array(self.hi, self.loghi, la, bt)
-        fails.add((over_lo | over_hi).any(axis=2), keys + _ST_ZETA, _range_error)
+        fails.add((over_lo | over_hi).any(axis=2), keys, _ST_ZETA, _range_error)
         mass = np.exp(-z_lo) * (-np.expm1(z_lo - z_hi))
         ab = np.exp(b_prev * np.log(a_prev))
-        fails.add(np.isinf(ab), keys + _ST_POW, _range_error)
+        fails.add(np.isinf(ab), keys, _ST_POW, _range_error)
         occupied = (cw > 0.0) & (mass > 0.0)
         num = (w * np.exp(bt * self.logv)).sum(axis=2)
         g = _gamma2_diff_array(z_lo, z_hi) / mass
         num = num + _sum_l(np.where(occupied, cw * ab[:, :, None] * g, 0.0))
-        fails.add((den <= floor) | ~np.isfinite(num) | (num <= 0.0), keys + _ST_MASS,
+        fails.add((den <= floor) | ~np.isfinite(num) | (num <= 0.0), keys, _ST_MASS,
                   lambda c, k: DegenerateComponentError(
                       f"Weibull scale update lost its mass (den={float(den[c, k])})"))
         alpha_new = np.exp(np.log(num / den) / b_prev)
-        fails.add(np.isinf(alpha_new), keys + _ST_ALPHA, _range_error)
+        fails.add(np.isinf(alpha_new), keys, _ST_ALPHA, _range_error)
         alpha[p:] = alpha_new
 
         # shape-score constants and the shape solve, for the rows that reach them
@@ -1105,7 +1109,7 @@ class _Batch:
                 g_lo, g_hi = np.empty(todo.shape), np.empty(todo.shape)
                 g_lo[todo], g_hi[todo] = f_lo, f_hi
                 lo, hi = BETA_BRACKET
-                fails.add(todo & ~solved, keys + _ST_BRACKET, lambda c, k: BracketError(
+                fails.add(todo & ~solved, keys, _ST_BRACKET, lambda c, k: BracketError(
                     f"shape root not bracketed in [{lo}, {hi}]: "
                     f"f(lo)={float(g_lo[c, k])}, f(hi)={float(g_hi[c, k])}",
                     lo=lo, hi=hi, f_lo=float(g_lo[c, k]), f_hi=float(g_hi[c, k])))
@@ -1130,7 +1134,7 @@ class _Batch:
                                           ws.cens_counts * self.zt[i, pos, :nl], ws.intervals,
                                           prev, ws.log_values)
                 except (CensemError, OverflowError) as exc:
-                    fails.add(np.arange(b) == pos, i * _STAGES, lambda c, k, exc=exc: exc)
+                    fails.add(np.arange(b) == pos, (i * _STAGES,), 0, lambda c, k, exc=exc: exc)
                     break
                 alpha[i, pos], beta[i, pos] = c.alpha, c.beta
         return alpha, beta, fails
@@ -1152,16 +1156,17 @@ def _range_error(c: int, k: int) -> OverflowError:
 def _check_weights(fails: _Failures, key: int, weights: np.ndarray) -> None:
     """The MixtureModel checks on the new weights."""
     bad_w = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
-    fails.add(bad_w, key, lambda c, k: DomainError("weights must be finite and non-negative"))
+    fails.add(bad_w, (key,), 0,
+              lambda c, k: DomainError("weights must be finite and non-negative"))
     wsum = weights.sum(axis=0)
-    fails.add(np.abs(wsum - 1.0) > 1e-12, key,
+    fails.add(np.abs(wsum - 1.0) > 1e-12, (key,), 0,
               lambda c, k: DomainError(f"weights must sum to 1, got {wsum[k]!r}"))
 
 
 def _check_spec(fails: _Failures, keys: np.ndarray, alpha: np.ndarray) -> None:
     """The ComponentSpec check on new scales alpha (C, B), row c keyed keys[c]."""
     bad = ~((alpha > 0.0) & np.isfinite(alpha))
-    fails.add(bad, keys + _ST_SPEC, lambda c, k: DomainError(
+    fails.add(bad, keys, _ST_SPEC, lambda c, k: DomainError(
         f"alpha must be positive and finite, got {float(alpha[c, k])}"))
 
 
@@ -1434,7 +1439,7 @@ def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: 
     while st.ids.size:
         weights = st.weights_from_pass()
         hits = weights < WEIGHT_FLOOR
-        for pos in np.flatnonzero(hits.any(axis=0)):
+        for pos in np.flatnonzero(hits.any(axis=0)) if hits.any() else ():
             m = int(st.ids[pos])
             if not flagged[m]:
                 flagged[m] = True
@@ -1445,13 +1450,13 @@ def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: 
                 )
         alpha, beta, fails = m_step()
         _check_weights(fails, alpha.shape[0] * _STAGES, weights)
-        failed = np.zeros(st.ids.size, dtype=bool)
         for pos, exc in sorted(fails.exc.items()):
-            failed[pos] = True
             yield (int(st.ids[pos]), exc) if isinstance(exc, DomainError) else stop(pos, exc)
         st.w, st.alpha, st.beta = weights, alpha, beta
-        if failed.any():
-            st.take(~failed)
+        if fails.exc:
+            keep = np.ones(st.ids.size, dtype=bool)
+            keep[list(fails.exc)] = False
+            st.take(keep)
             if not st.ids.size:
                 break
 
