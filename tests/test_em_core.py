@@ -1191,6 +1191,85 @@ def test_fit_batch_mixed_members_keep_their_own_state(reference_mixture):
             assert_matches_reference(res, reference_fit(s, (1, 1), cfg, start))
 
 
+def failure_order_members(reference_mixture, shape):
+    """(samples, starts, expected errors) for one mle batch whose members
+    fail at the first M-step, in different components of a family, plus a
+    healthy last member.  A zero start weight fails that component's scale
+    update; a Weibull shape of 2 overflows the empty interval of
+    overflow_sample.  One member fails in two components, where the block
+    reaches the higher (component, stage) key first."""
+    plain = CensoredSample(
+        sample(MixtureModel([1.0], [ComponentSpec.exponential(1.0)]), 300, rng_seed=5), [])
+    lost = "DegenerateComponentError: {} scale update lost its mass (den=0.0)"
+    overflow = "OverflowError: math range error"
+    exps = [ComponentSpec.exponential(a) for a in (0.3, 1.0, 3.0)]
+    if shape == (0, 2):
+        wbl = [ComponentSpec.weibull(0.5, 1.0), ComponentSpec.weibull(2.0, 2.0)]
+        members = [
+            (overflow_sample(), wbl, [0.0, 1.0], lost.format("Weibull")),  # and comp 1 overflows
+            (overflow_sample(), wbl, [1.0, 1.0], overflow),
+            (overflow_sample(), wbl[::-1], [1.0, 1.0], overflow),
+        ]
+    elif shape == (3, 0):
+        members = [(plain, exps, [1.0, 1.0, 0.0], lost.format("exponential")),
+                   (plain, exps, [0.0, 1.0, 0.0], lost.format("exponential")),
+                   (plain, exps, [0.0, 1.0, 1.0], lost.format("exponential"))]
+    else:
+        comps = exps[:2] + [ComponentSpec.weibull(1.0, 2.0)]
+        members = [
+            (overflow_sample(), comps, [1.0, 0.0, 1.0], lost.format("exponential")),
+            (plain, comps, [0.0, 1.0, 1.0], lost.format("exponential")),
+            (overflow_sample(), comps, [1.0, 1.0, 1.0], overflow),
+        ]
+    samples = [m[0] for m in members]
+    starts = [MixtureModel(np.array(m[2]) / sum(m[2]), m[1]) for m in members]
+    healthy = CensoredSample(sample(reference_mixture, 600, rng_seed=7), [])
+    return samples + [healthy], starts + [None], [m[3] for m in members]
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0), (2, 1)], ids=["0,2", "3,0", "2,1"])
+def test_fit_batch_failure_order_across_family_blocks(reference_mixture, shape):
+    """The exponential and the Weibull components each update as one block,
+    and a member still reports its own first (component, stage) failure:
+    the reference loop's error, iteration and warnings, whether its batch
+    mate fails in an earlier component of the same family or not at all.
+    The healthy member equals its own batch of one."""
+    cfg = EmConfig(max_iter=5)
+    samples, starts, errors = failure_order_members(reference_mixture, shape)
+    out = fit_batch(samples, shape, cfg, starts)
+    number = re.compile(r"-?\d+\.\d+(?:e[-+]\d+)?")
+    for res, s, start, error in zip(out, samples, starts, errors):
+        ref = reference_fit(s, shape, cfg, start)
+        assert res.error == error and res.degenerate and not res.converged
+        assert res.iterations == ref.iterations == 0
+        assert number.sub("#", res.error) == number.sub("#", ref.error)
+        assert res.warnings == ref.warnings
+        assert res.warnings[-1] == f"stopped at iteration 1: {error}"
+    healthy = out[-1]
+    (alone,) = fit_batch(samples[-1:], shape, cfg)
+    assert (healthy.iterations, healthy.converged, healthy.degenerate) == (
+        alone.iterations, alone.converged, alone.degenerate)
+    assert healthy.iterations == 5 and healthy.error is None
+    assert np.array_equal(healthy.loglik_trace, alone.loglik_trace)
+    assert np.array_equal(params(healthy), params(alone))
+
+
+def test_fit_batch_takes_one_e_pass_per_lockstep_iteration(reference_mixture, monkeypatch):
+    """Members advance in lockstep: a mixed 2,1 batch makes one E-step pass
+    for the start and one per iteration of its slowest member."""
+    calls = []
+    e_pass = em_core._Batch.e_pass
+    monkeypatch.setattr(em_core._Batch, "e_pass", lambda self: calls.append(1) or e_pass(self))
+    samples = [build_sample(generate_synthetic(reference_mixture, n, rng_seed=281 + n))
+               for n in (150, 400, 260)]
+    samples.append(CensoredSample(np.array([1.0, 2.0]), []))
+    out = fit_batch(samples, (2, 1))
+    fits = [res for res in out if isinstance(res, FitResult)]
+    assert isinstance(out[-1], DomainError) and len(fits) == 3
+    assert len({res.iterations for res in fits}) > 1
+    assert len(calls) == 1 + max(res.iterations for res in fits)
+
+
 def test_fit_batch_exact_row_underflow_matches_scalar():
     """Against the scalar reference loop, with a well-behaved member in
     the same batch."""
