@@ -1074,7 +1074,7 @@ class _Batch:
         z_hi, over_hi = _zeta_array(self.hi, self.loghi, la, bt)
         fails.add((over_lo | over_hi).any(axis=2), keys, _ST_ZETA, _range_error)
         mass = np.exp(-z_lo) * (-np.expm1(z_lo - z_hi))
-        ab = np.exp(b_prev * np.log(a_prev))
+        ab = np.exp(b_prev * la[:, :, 0])
         fails.add(np.isinf(ab), keys, _ST_POW, _range_error)
         occupied = (cw > 0.0) & (mass > 0.0)
         num = (w * np.exp(bt * self.logv)).sum(axis=2)

@@ -184,6 +184,10 @@ def solve_newton_array(
                 # within tol too.  A lucky step from far off can make that
                 # estimate too small, so it counts only once size^2 <= x tol.
                 small |= inside & (size * size <= tol * x) & (size ** 3 <= tol * prev ** 2)
+            if small.all() and not ((a >= hi) | (b <= lo)).any():
+                # every row ends at its step, as below; a zero's step is 0
+                roots[idx] = np.minimum(np.maximum(xn, a), b)
+                break
             newton = inside & (size <= 0.5 * before)
             if newton.all() and not small.any():
                 # A Newton step inside the bracket ends no row: the bracket
@@ -192,10 +196,6 @@ def solve_newton_array(
                 last = prev = size
                 x = xn
                 continue
-            if small.all() and not ((a >= hi) | (b <= lo)).any():
-                # every row ends at its step, as below; a zero's step is 0
-                roots[idx] = np.minimum(np.maximum(xn, a), b)
-                break
             both = seen_a & seen_b
             # a reaches hi only where f(hi) > 0, b reaches lo only where f(lo) < 0
             fail = np.isnan(fx) | (a >= hi) | (b <= lo)
