@@ -1063,7 +1063,7 @@ class _Batch:
                       lambda c, k: DegenerateComponentError(
                           f"exponential scale update lost its mass (den={float(den[c, k])})"))
             alpha[:p] = num / den[:p]
-            _check_spec(fails, keys[:p], alpha[:p])
+            _check_spec(fails, keys, alpha[:p])
         if p == alpha.shape[0]:
             return alpha, beta, fails
 
@@ -1095,13 +1095,12 @@ class _Batch:
         a_mass = _sum_l(np.where(occupied, cw, 0.0), w_sum)
         b_const = _sum_l(np.where(occupied, cw * d_const / mass, 0.0), wl.sum(axis=2))
         if todo.any():
-            # row j of the solve is the j-th todo (component, member) in C order
-            if todo.all():
-                pick = lambda v: v.reshape((-1,) + v.shape[2:])  # noqa: E731
-            else:
-                pick = lambda v: v[todo]  # noqa: E731
-            roots, ok, f_lo, f_hi = _solve_shape_array(
-                pick(l_rel), pick(wl), pick(a_mass), pick(b_const), BETA_BRACKET, pick(b_prev))
+            # row j of the solve is the j-th todo (component, member) in C
+            # order; with every row todo the reshapes are views, not copies
+            full = todo.all()
+            rows = [v.reshape((-1,) + v.shape[2:]) if full else v[todo]
+                    for v in (l_rel, wl, a_mass, b_const, b_prev)]
+            roots, ok, f_lo, f_hi = _solve_shape_array(*rows[:4], BETA_BRACKET, rows[4])
             solved = np.zeros(todo.shape, dtype=bool)
             solved[todo] = ok
             beta[p:][solved] = roots[ok]

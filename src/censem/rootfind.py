@@ -163,7 +163,7 @@ def solve_newton_array(
     a, b = lo, hi
     seen_a = seen_b = False  # f(a) > 0 was seen, not just a = lo; f(b) < 0 was seen
     last = before = np.full(n, math.inf)  # the last step taken, and the one before
-    prev = None  # the last step where it was a Newton step, else 0; none yet
+    prev = None  # the last step where it was a Newton step, else 0 (None before any step)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_iter):
             fx, dfx = fdf(x, idx)

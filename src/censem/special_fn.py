@@ -16,9 +16,9 @@ equivalent and is summed directly, to a relative tolerance of 1e-12.
 The scalar functions are pure and thread-safe.
 
 The array functions at the end (e1_array, ein_array, gamma_lower2_array,
-gamma_upper2_array, d_series1_array) evaluate the fixed-order cases the
-batched EM needs elementwise over numpy arrays, backed by scipy.special
-and closed forms.
+gamma_upper2_array, d_series1_array) evaluate the fixed-order cases that
+em_core's censored-term kernels need elementwise over numpy arrays,
+backed by scipy.special, closed forms and fixed-length power series.
 """
 
 from __future__ import annotations
