@@ -21,6 +21,7 @@ import contextlib
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -84,35 +85,103 @@ def _fmt(x) -> str:
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def read_integer_series(path: str) -> np.ndarray:
-    """One non-negative integer per line; '#' comments and blanks ignored."""
+def _read_values(path: str, dtype, parse_value, parse_header=None) -> np.ndarray:
+    """Values of a text file that holds one value per line.
+
+    Blank lines and `#` lines are skipped, and `parse_header(line)` takes
+    a header line by returning True.  At the first value line the rest of
+    the file goes to one array parse (`_array_body`).  When that parse is
+    refused, the walk carries on line by line with `parse_value`, so the
+    line loop stays the reference for every value and every error text.
+    `parse_header` and `parse_value` raise ValueError or DomainError for a
+    bad line, and the error names the file and the line.
+    """
     values = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            # A pipe can be read only once, so its lines all go to the loop.
+            try_array = fh.seekable()
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    v = int(line)
-                except ValueError as exc:
+                    if parse_header is not None and parse_header(line):
+                        continue
+                    if try_array:
+                        try_array = False
+                        body = _array_body(path, lineno - 1, dtype)
+                        if body is not None:
+                            return body
+                    values.append(parse_value(line))
+                except (ValueError, DomainError) as exc:
                     raise InputFormatError(
-                        f"{path}: line {lineno}: not an integer: {line!r}", line=lineno
+                        f"{path}: line {lineno}: {exc}", line=lineno
                     ) from exc
-                if v < 0:
-                    raise InputFormatError(
-                        f"{path}: line {lineno}: negative value {v}", line=lineno
-                    )
-                if v > _INT64_MAX:
-                    raise InputFormatError(
-                        f"{path}: line {lineno}: value {v} exceeds {_INT64_MAX}", line=lineno
-                    )
-                values.append(v)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    if not values:
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    return np.asarray(values, dtype=dtype)
+
+
+def _array_body(path: str, skip: int, dtype) -> np.ndarray | None:
+    """The lines of `path` after its first `skip` as one `np.loadtxt`
+    parse, or None when the line loop must read them instead.
+
+    `loadtxt` and `int()`/`float()` disagree on some text, so the result
+    is taken only where they cannot differ:
+    - The body must be ASCII.  `loadtxt` rejects `1_000` and digits such
+      as `٥` that `int()` accepts, and its integer parser reads some other
+      non-ASCII characters as digits (`Ǿ5` parses as 4625).
+    - The result must be one column, and no warning may be raised.  A line
+      with two fields makes two columns, `comments=None` rejects a `#`
+      after the first value, an empty body warns, and numpy before 2.0
+      parses `1.0` as the integer 1 with a DeprecationWarning.
+    - An integer body must be non-negative, so that the loop names the
+      negative line.
+    The file goes to `loadtxt` as an open handle, not as a path, because
+    numpy opens a path ending in `.gz`, `.bz2`, `.xz` or `.lzma` as
+    compressed data.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            for _ in range(skip):
+                fh.readline()
+            # The ASCII test holds the body as one string; loadtxt then
+            # reads the handle again, so no list of lines is built.
+            start = fh.tell()
+            if not fh.read().isascii():
+                return None
+            fh.seek(start)
+            warnings.simplefilter("error")
+            body = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if body.shape[1] != 1 or (body.dtype.kind == "i" and body.min() < 0):
+        return None
+    return body[:, 0]
+
+
+def _integer_value(line: str) -> int:
+    """One value of a timestamp or difference file."""
+    try:
+        v = int(line)
+    except ValueError as exc:
+        raise ValueError(f"not an integer: {line!r}") from exc
+    if v < 0:
+        raise ValueError(f"negative value {v}")
+    if v > _INT64_MAX:
+        raise ValueError(f"value {v} exceeds {_INT64_MAX}")
+    return v
+
+
+def read_integer_series(path: str) -> np.ndarray:
+    """One non-negative integer per line; '#' comments and blanks ignored."""
+    values = _read_values(path, np.int64, _integer_value)
+    if not values.size:
         raise InputFormatError(f"{path}: no data lines")
-    return np.asarray(values, dtype=np.int64)
+    return values
 
 
 @contextlib.contextmanager
@@ -141,49 +210,42 @@ def write_integer_series(path: str, values, header: list[str]) -> None:
             fh.write(f"{int(v)}\n")
 
 
+def _sample_value(line: str) -> float:
+    """One uncensored value of a censored-sample file."""
+    return float(line)
+
+
 def read_censored_sample(path: str) -> CensoredSample:
     """Censored-sample file: `n=`, `L=`, L `interval lo hi count` lines,
     then n uncensored values, one per line."""
-    n = None
-    l_count = None
+    counts = {}
     intervals: list[CensoringInterval] = []
-    values: list[float] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    if line.startswith("n="):
-                        n = int(line[2:])
-                    elif line.startswith("L="):
-                        l_count = int(line[2:])
-                    elif line.startswith("interval "):
-                        _, lo, hi, count = line.split()
-                        intervals.append(
-                            CensoringInterval(float(lo), float(hi), int(count))
-                        )
-                    else:
-                        values.append(float(line))
-                except (ValueError, DomainError) as exc:
-                    raise InputFormatError(
-                        f"{path}: line {lineno}: {exc}", line=lineno
-                    ) from exc
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    if n is None or l_count is None:
+
+    def parse_header(line: str) -> bool:
+        if line.startswith("n="):
+            counts["n"] = int(line[2:])
+        elif line.startswith("L="):
+            counts["L"] = int(line[2:])
+        elif line.startswith("interval "):
+            _, lo, hi, count = line.split()
+            intervals.append(CensoringInterval(float(lo), float(hi), int(count)))
+        else:
+            return False
+        return True
+
+    values = _read_values(path, float, _sample_value, parse_header)
+    if len(counts) < 2:
         raise InputFormatError(f"{path}: missing n= or L= header")
-    if len(intervals) != l_count:
+    if len(intervals) != counts["L"]:
         raise InputFormatError(
-            f"{path}: header says L={l_count} but found {len(intervals)} interval lines"
+            f"{path}: header says L={counts['L']} but found {len(intervals)} interval lines"
         )
-    if len(values) != n:
+    if values.size != counts["n"]:
         raise InputFormatError(
-            f"{path}: header says n={n} but found {len(values)} value lines"
+            f"{path}: header says n={counts['n']} but found {values.size} value lines"
         )
     try:
-        return CensoredSample(np.asarray(values, dtype=float), intervals)
+        return CensoredSample(values, intervals)
     except DomainError as exc:
         raise InputFormatError(f"{path}: invalid sample: {exc}") from exc
 

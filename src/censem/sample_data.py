@@ -213,11 +213,9 @@ def bucket_by_time(
         stamps[0] < spec.session_start_ms or stamps[-1] >= spec.session_end_ms
     ):
         raise DomainError("timestamps fall outside the bucketed session window")
-    ids = (stamps - spec.session_start_ms) // spec.width_ms if stamps.size else stamps
-    out = []
-    for b in range(spec.n_buckets):
-        out.append((b, TimestampSeries(stamps[ids == b])))
-    return out
+    edges = spec.session_start_ms + spec.width_ms * np.arange(1, spec.n_buckets)
+    parts = np.split(stamps, np.searchsorted(stamps, edges))
+    return [(b, TimestampSeries(part)) for b, part in enumerate(parts)]
 
 
 def generate_synthetic(m: MixtureModel, n: int, rng_seed: int) -> np.ndarray:

@@ -228,6 +228,35 @@ def test_bucket_partition_is_exact():
     assert np.array_equal(np.sort(covered), stamps)
 
 
+def _bucket_by_mask(ts, spec):
+    """Reference bucketing: one full-day mask per bucket."""
+    ids = (ts.stamps - spec.session_start_ms) // spec.width_ms
+    return [(b, ts.stamps[ids == b]) for b in range(spec.n_buckets)]
+
+
+@pytest.mark.parametrize("width_minutes", [10, 30])
+def test_bucket_cut_equals_mask_form(width_minutes):
+    spec = _spec(width_minutes)
+    rng = np.random.default_rng(11)
+    edges = spec.session_start_ms + spec.width_ms * np.arange(spec.n_buckets)
+    days = [
+        rng.integers(spec.session_start_ms, spec.session_end_ms, size=20_000),
+        # stamps on every bucket edge, one ms either side of it, and the last ms
+        np.concatenate([edges, edges[1:] - 1, edges + 1, [spec.session_end_ms - 1]]),
+        # a burst inside one bucket, so the other buckets are empty
+        np.full(7, edges[3] + 5),
+        np.array([], dtype=np.int64),
+    ]
+    for stamps in days:
+        ts = TimestampSeries(np.sort(stamps))
+        got = bucket_by_time(ts, spec)
+        want = _bucket_by_mask(ts, spec)
+        assert [b for b, _ in got] == [b for b, _ in want]
+        for (_, series), (_, ref) in zip(got, want):
+            assert series.stamps.dtype == np.int64
+            assert np.array_equal(series.stamps, ref)
+
+
 def test_bucket_out_of_session_rejected():
     ts = TimestampSeries(np.array([0, 9 * 3600_000]))
     with pytest.raises(DomainError):
