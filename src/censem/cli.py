@@ -136,8 +136,8 @@ def _array_body(path: str, skip: int, dtype) -> np.ndarray | None:
       non-ASCII characters as digits (`Ǿ5` parses as 4625).
     - The result must be one column, and no warning may be raised.  A line
       with two fields makes two columns, `comments=None` rejects a `#`
-      after the first value, an empty body warns, and numpy before 2.0
-      parses `1.0` as the integer 1 with a DeprecationWarning.
+      after the first value, an empty body warns, and older numpy
+      releases parse `1.0` as the integer 1 with a DeprecationWarning.
     - An integer body must be non-negative, so that the loop names the
       negative line.
     The file goes to `loadtxt` as an open handle, not as a path, because

@@ -228,7 +228,7 @@ def test_bench_shaped_files_take_the_array_route(tmp_path, monkeypatch):
 
 
 def test_array_parse_warning_falls_back(tmp_path, monkeypatch):
-    """numpy before 2.0 parses `1.0` as the integer 1 with a
+    """Older numpy releases parse `1.0` as the integer 1 with a
     DeprecationWarning; any warning sends the body to the line loop, and
     none escapes the reader."""
     path = tmp_path / "series.txt"
