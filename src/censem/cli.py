@@ -88,8 +88,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 def _read_values(path: str, dtype, parse_value, parse_header=None) -> np.ndarray:
     """Values of a text file that holds one value per line.
 
-    Blank lines and `#` lines are skipped, and `parse_header(line)` takes
-    a header line by returning True.  At the first value line the rest of
+    Blank lines and `#` lines are skipped, and before the first value line
+    `parse_header(line)` takes a header line by returning True; after it,
+    every line goes to `parse_value`.  At the first value line the rest of
     the file goes to one array parse (`_array_body`).  When that parse is
     refused, the walk carries on line by line with `parse_value`, so the
     line loop stays the reference for every value and every error text.
@@ -106,7 +107,7 @@ def _read_values(path: str, dtype, parse_value, parse_header=None) -> np.ndarray
                 if not line or line.startswith("#"):
                     continue
                 try:
-                    if parse_header is not None and parse_header(line):
+                    if parse_header is not None and not values and parse_header(line):
                         continue
                     if try_array:
                         try_array = False
@@ -212,20 +213,24 @@ def write_integer_series(path: str, values, header: list[str]) -> None:
 
 def _sample_value(line: str) -> float:
     """One uncensored value of a censored-sample file."""
+    if line.startswith(("n=", "L=", "interval ")):
+        raise ValueError(f"header line {line!r} after the first value")
     return float(line)
 
 
 def read_censored_sample(path: str) -> CensoredSample:
     """Censored-sample file: `n=`, `L=`, L `interval lo hi count` lines,
-    then n uncensored values, one per line."""
+    then n uncensored values, one per line.  `n=` and `L=` each come once,
+    and no header line comes after the first value."""
     counts = {}
     intervals: list[CensoringInterval] = []
 
     def parse_header(line: str) -> bool:
-        if line.startswith("n="):
-            counts["n"] = int(line[2:])
-        elif line.startswith("L="):
-            counts["L"] = int(line[2:])
+        if line.startswith(("n=", "L=")):
+            key = line[0]
+            if key in counts:
+                raise ValueError(f"repeated {key}= header")
+            counts[key] = int(line[2:])
         elif line.startswith("interval "):
             _, lo, hi, count = line.split()
             intervals.append(CensoringInterval(float(lo), float(hi), int(count)))
@@ -324,6 +329,14 @@ def _single_input(args) -> str:
     return args.input[0]
 
 
+def _timestamps(path: str, stamps: np.ndarray) -> TimestampSeries:
+    """The stamps read from `path` as a series; the error names the file."""
+    try:
+        return TimestampSeries(stamps)
+    except DomainError as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
+
+
 def _censor_header(spec: list[CensoringInterval]) -> str:
     return ";".join(f"{_fmt(iv.lo)},{_fmt(iv.hi)}" for iv in spec)
 
@@ -340,7 +353,7 @@ def cmd_preprocess(args) -> int:
     if args.pre_diffed:
         diffs = series
     else:
-        diffs = diff_and_round(TimestampSeries(series))
+        diffs = diff_and_round(_timestamps(path, series))
     sample = build_sample(diffs, spec)
     write_censored_sample(args.output, sample)
     print(f"wrote {args.output}: n={sample.n}, censored={sample.total - sample.n}")
@@ -509,7 +522,7 @@ def cmd_profile(args) -> int:
         stamps = read_integer_series(path)
         keep = (stamps >= spec.session_start_ms) & (stamps < spec.session_end_ms)
         dropped += int(stamps.size - keep.sum())
-        days.append(TimestampSeries(stamps[keep]))
+        days.append(_timestamps(path, stamps[keep]))
     profile = profile_intraday(
         days, spec, shape, cfg, censor_spec=censor, min_bucket_size=args.min_bucket
     )
@@ -619,10 +632,11 @@ def _add_common(sp, *, seed=True, em=False, censor=False):
         sp.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default {DEFAULT_SEED}; env {SEED_ENV_VAR} overrides)")
     if em:
-        sp.add_argument("--epsilon", type=float, default=1e-5, help="EM stopping tolerance")
-        sp.add_argument("--max-iter", type=int, default=500, help="EM iteration cap")
-        sp.add_argument("--m-step", choices=["mle", "direct"], default="mle",
-                        help="M-step variant")
+        sp.add_argument("--epsilon", type=float, default=EmConfig.epsilon,
+                        help="EM stopping tolerance")
+        sp.add_argument("--max-iter", type=int, default=EmConfig.max_iter, help="EM iteration cap")
+        sp.add_argument("--m-step", choices=[v.value for v in MStepVariant],
+                        default=EmConfig.m_step_variant.value, help="M-step variant")
     if censor:
         sp.add_argument("--censor", action="append", default=[], metavar="LO,HI",
                         help="censoring interval (repeatable; default 0,0.5)")

@@ -25,7 +25,9 @@ samples are collapsed to unique values and padded into shared arrays,
 every iteration is one array E-step and weight update plus the M-step
 (for mle one array scale update and one safeguarded-Newton shape root
 solve), and a member leaves the arrays when it converges, reaches
-max_iter or fails.
+max_iter or fails.  An M-step marks each (component, member) with the
+first check it fails, and a failed member stops with the exception of
+its lowest failing component at that check.
 The public uncompressed operations (e_step, update_weights, the m_step_*
 functions, q_objective) are the readable reference: an EM loop built
 from them stops at the same iteration, with the same flags and named
@@ -841,40 +843,12 @@ def fit(
 # _direct_component on each member's own unpadded slices.
 # ---------------------------------------------------------------------------
 
-# Failure points inside one component's M-step, in the order the public
-# m_step_* operations reach them.  A member reports the failure with the
-# lowest (component, stage) key, which is the exception an EM loop built
-# from those operations raises first.
-(_ST_ZETA, _ST_POW, _ST_MASS, _ST_ALPHA, _ST_BRACKET, _ST_SPEC) = range(6)
-_STAGES = 6
-_NO_FAILURE = np.iinfo(np.int64).max
-
-
-class _Failures:
-    """First failure per member: its (component, stage) key and exception."""
-
-    def __init__(self, n: int):
-        self.key = np.full(n, _NO_FAILURE)
-        self.exc: dict[int, Exception] = {}
-
-    def add(self, mask: np.ndarray, keys, stage: int,
-            make: Callable[[int, int], Exception]) -> None:
-        """Record make(c, k) as member k's failure at keys[c] + stage
-        wherever mask[c, k] holds and the member has no failure ranked
-        ahead of it.  A mask of shape (B,) is the one row c = 0."""
-        if not mask.any():
-            return
-        if mask.ndim == 1:
-            mask = mask[None]
-        for c, k in zip(*np.nonzero(mask)):
-            key = keys[c] + stage
-            if self.key[k] > key:
-                self.key[k] = key
-                self.exc[int(k)] = make(c, k)
-
-    def before(self, keys: np.ndarray) -> np.ndarray:
-        """(C, B): members with no failure ranked ahead of keys[c]."""
-        return self.key > keys[:, None]
+# Failure stages inside one component's M-step, in the order the public
+# m_step_* operations reach them, and _ST_OK, above them all, for none.  An
+# M-step keeps the lowest failing stage of each (component, member), and a
+# member fails with its lowest failing component's exception, the one an
+# EM loop built from those operations raises first (_m_step_errors).
+(_ST_ZETA, _ST_POW, _ST_MASS, _ST_ALPHA, _ST_BRACKET, _ST_SPEC, _ST_OK) = range(7)
 
 
 class _Batch:
@@ -1039,15 +1013,18 @@ class _Batch:
     # -- M-step ---------------------------------------------------------------
 
     def m_step(self):
-        """The mle M-step: new (alphas, betas) from the last pass and each
-        member's first failure, in the order m_step_exponential,
-        m_step_weibull_alpha, m_step_weibull_beta and the ComponentSpec
-        checks reach them.  The exponential components update as one
-        (p, B) block and the Weibull components as one (r, B) block, whose
-        rows that get as far as their shape share one Newton solve."""
+        """The mle M-step: new (alphas, betas) from the last pass, and
+        {row: exception} for the members that fail.  Each check lowers the
+        stage of the (component, member) entries it fails to its own, in
+        the order m_step_exponential, m_step_weibull_alpha,
+        m_step_weibull_beta and the ComponentSpec check reach them, so each
+        entry keeps its first failing stage; a failed member is named by
+        its lowest failing component (_m_step_errors).  The exponential
+        components update as one (p, B) block and the Weibull components
+        as one (r, B) block, whose rows that get as far as their shape
+        share one Newton solve."""
         p = self.p
-        fails = _Failures(self.alpha.shape[1])
-        keys = np.arange(0, self.alpha.shape[0] * _STAGES, _STAGES)  # component keys
+        stage = np.full(self.alpha.shape, _ST_OK)
         floor = WEIGHT_FLOOR * self.total
         w = self.cnt * self.z
         cw = self.ccnt * self.zt
@@ -1055,73 +1032,67 @@ class _Batch:
         den = w_sum + cw.sum(axis=2)
         alpha = np.empty(self.alpha.shape)
         beta = self.beta.copy()
+        f_ends = None  # the shape scores at the bracket ends, where a solve fails
 
         if p:
             means = _truncated_mean_exp_array(self.alpha[:p, :, None], self.lo, self.hi)
             num = (w[:p] * self.vals).sum(axis=2) + _sum_l(cw[:p] * means)
-            fails.add((den[:p] <= floor) | ~np.isfinite(num) | (num <= 0.0), keys, _ST_MASS,
-                      lambda c, k: DegenerateComponentError(
-                          f"exponential scale update lost its mass (den={float(den[c, k])})"))
+            np.minimum(stage[:p], _ST_MASS, out=stage[:p],
+                       where=(den[:p] <= floor) | ~np.isfinite(num) | (num <= 0.0))
             alpha[:p] = num / den[:p]
-            _check_spec(fails, keys, alpha[:p])
-        if p == alpha.shape[0]:
-            return alpha, beta, fails
+        if p < alpha.shape[0]:
+            stage_w = stage[p:]
+            w, cw, w_sum, den_w = w[p:], cw[p:], w_sum[p:], den[p:]
+            a_prev, b_prev = self.alpha[p:], self.beta[p:]
+            la, bt = np.log(a_prev)[:, :, None], b_prev[:, :, None]
+            z_lo, over_lo = _zeta_array(self.lo, self.loglo, la, bt)
+            z_hi, over_hi = _zeta_array(self.hi, self.loghi, la, bt)
+            np.minimum(stage_w, _ST_ZETA, out=stage_w, where=(over_lo | over_hi).any(axis=2))
+            mass = np.exp(-z_lo) * (-np.expm1(z_lo - z_hi))
+            ab = np.exp(b_prev * la[:, :, 0])
+            np.minimum(stage_w, _ST_POW, out=stage_w, where=np.isinf(ab))
+            occupied = (cw > 0.0) & (mass > 0.0)
+            num = (w * np.exp(bt * self.logv)).sum(axis=2)
+            g = _gamma2_diff_array(z_lo, z_hi) / mass
+            num = num + _sum_l(np.where(occupied, cw * ab[:, :, None] * g, 0.0))
+            np.minimum(stage_w, _ST_MASS, out=stage_w,
+                       where=(den_w <= floor) | ~np.isfinite(num) | (num <= 0.0))
+            alpha_new = np.exp(np.log(num / den_w) / b_prev)
+            np.minimum(stage_w, _ST_ALPHA, out=stage_w, where=np.isinf(alpha_new))
+            alpha[p:] = alpha_new
 
-        w, cw, w_sum, den, keys = w[p:], cw[p:], w_sum[p:], den[p:], keys[p:]
-        a_prev, b_prev = self.alpha[p:], self.beta[p:]
-        la, bt = np.log(a_prev)[:, :, None], b_prev[:, :, None]
-        z_lo, over_lo = _zeta_array(self.lo, self.loglo, la, bt)
-        z_hi, over_hi = _zeta_array(self.hi, self.loghi, la, bt)
-        fails.add((over_lo | over_hi).any(axis=2), keys, _ST_ZETA, _range_error)
-        mass = np.exp(-z_lo) * (-np.expm1(z_lo - z_hi))
-        ab = np.exp(b_prev * la[:, :, 0])
-        fails.add(np.isinf(ab), keys, _ST_POW, _range_error)
-        occupied = (cw > 0.0) & (mass > 0.0)
-        num = (w * np.exp(bt * self.logv)).sum(axis=2)
-        g = _gamma2_diff_array(z_lo, z_hi) / mass
-        num = num + _sum_l(np.where(occupied, cw * ab[:, :, None] * g, 0.0))
-        fails.add((den <= floor) | ~np.isfinite(num) | (num <= 0.0), keys, _ST_MASS,
-                  lambda c, k: DegenerateComponentError(
-                      f"Weibull scale update lost its mass (den={float(den[c, k])})"))
-        alpha_new = np.exp(np.log(num / den) / b_prev)
-        fails.add(np.isinf(alpha_new), keys, _ST_ALPHA, _range_error)
-        alpha[p:] = alpha_new
-
-        # shape-score constants and the shape solve, for the rows that reach them
-        todo = fails.before(keys + _ST_ALPHA)
-        d_const = (_tlog_diff_array(z_lo, z_hi) - mass) / bt
-        l_rel = self.logv - np.log(alpha_new)[:, :, None]
-        wl = w * l_rel
-        a_mass = _sum_l(np.where(occupied, cw, 0.0), w_sum)
-        b_const = _sum_l(np.where(occupied, cw * d_const / mass, 0.0), wl.sum(axis=2))
-        if todo.any():
-            # row j of the solve is the j-th todo (component, member) in C
-            # order; with every row todo the reshapes are views, not copies
-            full = todo.all()
-            rows = [v.reshape((-1,) + v.shape[2:]) if full else v[todo]
-                    for v in (l_rel, wl, a_mass, b_const, b_prev)]
-            roots, ok, f_lo, f_hi = _solve_shape_array(*rows[:4], BETA_BRACKET, rows[4])
-            solved = np.zeros(todo.shape, dtype=bool)
-            solved[todo] = ok
-            beta[p:][solved] = roots[ok]
-            if not ok.all():
-                g_lo, g_hi = np.empty(todo.shape), np.empty(todo.shape)
-                g_lo[todo], g_hi[todo] = f_lo, f_hi
-                lo, hi = BETA_BRACKET
-                fails.add(todo & ~solved, keys, _ST_BRACKET, lambda c, k: BracketError(
-                    f"shape root not bracketed in [{lo}, {hi}]: "
-                    f"f(lo)={float(g_lo[c, k])}, f(hi)={float(g_hi[c, k])}",
-                    lo=lo, hi=hi, f_lo=float(g_lo[c, k]), f_hi=float(g_hi[c, k])))
-        _check_spec(fails, keys, alpha[p:])
-        return alpha, beta, fails
+            # shape-score constants and the shape solve, for the rows that have
+            # not failed; a row whose member failed in an earlier component is
+            # solved too, but the member stops, so its root reaches no result
+            todo = stage_w == _ST_OK
+            d_const = (_tlog_diff_array(z_lo, z_hi) - mass) / bt
+            l_rel = self.logv - np.log(alpha_new)[:, :, None]
+            wl = w * l_rel
+            a_mass = _sum_l(np.where(occupied, cw, 0.0), w_sum)
+            b_const = _sum_l(np.where(occupied, cw * d_const / mass, 0.0), wl.sum(axis=2))
+            if todo.any():
+                # row j of the solve is the j-th todo (component, member) in C
+                # order; with every row todo the reshapes are views, not copies
+                full = todo.all()
+                rows = [v.reshape((-1,) + v.shape[2:]) if full else v[todo]
+                        for v in (l_rel, wl, a_mass, b_const, b_prev)]
+                roots, ok, f_lo, f_hi = _solve_shape_array(*rows[:4], BETA_BRACKET, rows[4])
+                solved = np.zeros(todo.shape, dtype=bool)
+                solved[todo] = ok
+                beta[p:][solved] = roots[ok]
+                if not ok.all():
+                    f_ends = np.full((2,) + stage.shape, math.nan)
+                    f_ends[0, p:][todo], f_ends[1, p:][todo] = f_lo, f_hi
+                    np.minimum(stage_w, _ST_BRACKET, out=stage_w, where=todo & ~solved)
+        np.minimum(stage, _ST_SPEC, out=stage, where=~((alpha > 0.0) & np.isfinite(alpha)))
+        return alpha, beta, _m_step_errors(stage, p, den, alpha, f_ends)
 
     def direct_m_step(self):
         """The direct M-step: _direct_component per member and component on
         the member's own unpadded slices, as m_step_direct runs it.  A
-        component's exception is that member's failure at the component's
-        key, and the member's later components are not run."""
-        m_count, b = self.alpha.shape
-        fails = _Failures(b)
+        component's exception is its member's failure, and the member's
+        later components are not run."""
+        errors: dict[int, Exception] = {}
         alpha = self.alpha.copy()
         beta = self.beta.copy()
         for pos, member in enumerate(self.ids):
@@ -1133,10 +1104,40 @@ class _Batch:
                                           ws.cens_counts * self.zt[i, pos, :nl], ws.intervals,
                                           prev, ws.log_values)
                 except (CensemError, OverflowError) as exc:
-                    fails.add(np.arange(b) == pos, (i * _STAGES,), 0, lambda c, k, exc=exc: exc)
+                    errors[pos] = exc
                     break
                 alpha[i, pos], beta[i, pos] = c.alpha, c.beta
-        return alpha, beta, fails
+        return alpha, beta, errors
+
+
+def _m_step_errors(stage: np.ndarray, p: int, den: np.ndarray, alpha: np.ndarray,
+                   f_ends: np.ndarray | None) -> dict[int, Exception]:
+    """{row: exception} for the members with a failing (component, member)
+    stage: the exception the public operations raise at the first failing
+    stage of the member's lowest failing component.  den holds the scale
+    updates' masses, alpha the new scales and f_ends the shape scores at
+    the bracket ends, all with the component axis first."""
+    failed = stage != _ST_OK
+    errors: dict[int, Exception] = {}
+    for k in np.flatnonzero(failed.any(axis=0)):
+        c = int(np.argmax(failed[:, k]))
+        code = stage[c, k]
+        if code == _ST_MASS:
+            family = "exponential" if c < p else "Weibull"
+            exc = DegenerateComponentError(
+                f"{family} scale update lost its mass (den={float(den[c, k])})")
+        elif code == _ST_BRACKET:
+            lo, hi = BETA_BRACKET
+            f_lo, f_hi = float(f_ends[0, c, k]), float(f_ends[1, c, k])
+            exc = BracketError(
+                f"shape root not bracketed in [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}",
+                lo=lo, hi=hi, f_lo=f_lo, f_hi=f_hi)
+        elif code == _ST_SPEC:
+            exc = DomainError(f"alpha must be positive and finite, got {float(alpha[c, k])}")
+        else:  # zeta, alpha^beta or the new scale overflowed, where math.exp raises
+            exc = OverflowError("math range error")
+        errors[int(k)] = exc
+    return errors
 
 
 def _sum_l(terms: np.ndarray, acc=0.0):
@@ -1145,28 +1146,6 @@ def _sum_l(terms: np.ndarray, acc=0.0):
     for l in range(terms.shape[-1]):
         acc = acc + terms[..., l]
     return acc
-
-
-def _range_error(c: int, k: int) -> OverflowError:
-    """The error math.exp raises where an array exp overflowed."""
-    return OverflowError("math range error")
-
-
-def _check_weights(fails: _Failures, key: int, weights: np.ndarray) -> None:
-    """The MixtureModel checks on the new weights."""
-    bad_w = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
-    fails.add(bad_w, (key,), 0,
-              lambda c, k: DomainError("weights must be finite and non-negative"))
-    wsum = weights.sum(axis=0)
-    fails.add(np.abs(wsum - 1.0) > 1e-12, (key,), 0,
-              lambda c, k: DomainError(f"weights must sum to 1, got {wsum[k]!r}"))
-
-
-def _check_spec(fails: _Failures, keys: np.ndarray, alpha: np.ndarray) -> None:
-    """The ComponentSpec check on new scales alpha (C, B), row c keyed keys[c]."""
-    bad = ~((alpha > 0.0) & np.isfinite(alpha))
-    fails.add(bad, keys, _ST_SPEC, lambda c, k: DomainError(
-        f"alpha must be positive and finite, got {float(alpha[c, k])}"))
 
 
 def _zeta_array(bound: np.ndarray, log_bound: np.ndarray, la: np.ndarray, bt: np.ndarray):
@@ -1447,14 +1426,21 @@ def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: 
                     f"component(s) {floor_hits} fell below the weight floor "
                     f"{WEIGHT_FLOOR}; fit continues with them flagged"
                 )
-        alpha, beta, fails = m_step()
-        _check_weights(fails, alpha.shape[0] * _STAGES, weights)
-        for pos, exc in sorted(fails.exc.items()):
+        alpha, beta, errors = m_step()
+        # the MixtureModel checks on the new weights come after every
+        # component's, so a member's component error wins
+        bad_w = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
+        wsum = weights.sum(axis=0)
+        for pos in np.flatnonzero(bad_w | (np.abs(wsum - 1.0) > 1e-12)):
+            errors.setdefault(int(pos), DomainError(
+                "weights must be finite and non-negative" if bad_w[pos]
+                else f"weights must sum to 1, got {wsum[pos]!r}"))
+        for pos, exc in sorted(errors.items()):
             yield (int(st.ids[pos]), exc) if isinstance(exc, DomainError) else stop(pos, exc)
         st.w, st.alpha, st.beta = weights, alpha, beta
-        if fails.exc:
+        if errors:
             keep = np.ones(st.ids.size, dtype=bool)
-            keep[list(fails.exc)] = False
+            keep[list(errors)] = False
             st.take(keep)
             if not st.ids.size:
                 break

@@ -374,7 +374,8 @@ class IntradayProfile:
 def _fit_summary(res: FitResult) -> dict[str, float]:
     """Family-level parameter summary robust to label switching: scales
     and shapes are averaged within a family weighted by component
-    weight."""
+    weight.  The fit must not be degenerate, so every weight is at least
+    WEIGHT_FLOOR and no family's weights sum to 0."""
     m = res.model
     w = np.asarray(m.weights)
     exp_idx = [i for i, c in enumerate(m.components) if c.kind.value == "exp"]
@@ -383,25 +384,11 @@ def _fit_summary(res: FitResult) -> dict[str, float]:
     if exp_idx:
         we = w[exp_idx]
         out["weight_exp"] = float(we.sum())
-        if we.sum() > 0:
-            out["alpha_exp"] = float(
-                sum(w[i] * m.components[i].alpha for i in exp_idx) / we.sum()
-            )
-        else:
-            out["alpha_exp"] = float(np.mean([m.components[i].alpha for i in exp_idx]))
+        out["alpha_exp"] = float(sum(w[i] * m.components[i].alpha for i in exp_idx) / we.sum())
     if wbl_idx:
-        ww = w[wbl_idx]
-        denom = float(ww.sum())
-        if denom > 0:
-            out["alpha_wbl"] = float(
-                sum(w[i] * m.components[i].alpha for i in wbl_idx) / denom
-            )
-            out["beta"] = float(
-                sum(w[i] * m.components[i].beta for i in wbl_idx) / denom
-            )
-        else:
-            out["alpha_wbl"] = float(np.mean([m.components[i].alpha for i in wbl_idx]))
-            out["beta"] = float(np.mean([m.components[i].beta for i in wbl_idx]))
+        denom = float(w[wbl_idx].sum())
+        out["alpha_wbl"] = float(sum(w[i] * m.components[i].alpha for i in wbl_idx) / denom)
+        out["beta"] = float(sum(w[i] * m.components[i].beta for i in wbl_idx) / denom)
     return out
 
 

@@ -67,6 +67,15 @@ def test_preprocess_parse_error_reports_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_preprocess_unsorted_timestamps_name_the_file(tmp_path, capsys):
+    src = tmp_path / "bad.txt"
+    write_lines(src, [32400000, 32400100, 32400050])
+    out = tmp_path / "sample.txt"
+    assert run("preprocess", "--input", str(src), "--output", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {src}: timestamps must be non-decreasing\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [("preprocess", "--pre-diffed"), ("select",)])
 def test_integer_too_large_for_int64_reports_line(tmp_path, capsys, argv):
     src = tmp_path / "big.txt"
@@ -425,3 +434,14 @@ def test_profile_no_usable_buckets_exits_2(tmp_path):
     write_lines(day, [9 * 3600_000 + k for k in (1, 2, 3)])
     assert run("profile", "--input", str(day), "--output", str(tmp_path / "p.txt"),
                "--min-bucket", "10") == 2
+
+
+def test_profile_unsorted_timestamps_name_the_file(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    write_lines(good, [9 * 3600_000 + 10 * k for k in range(100)])
+    bad = tmp_path / "bad.txt"
+    write_lines(bad, [32400000, 32400100, 32400050])
+    out = tmp_path / "p.txt"
+    assert run("profile", "--input", str(good), "--input", str(bad), "--output", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {bad}: timestamps must be non-decreasing\n"
+    assert not out.exists()

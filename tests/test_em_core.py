@@ -1254,6 +1254,48 @@ def test_fit_batch_failure_order_across_family_blocks(reference_mixture, shape):
     assert np.array_equal(params(healthy), params(alone))
 
 
+def scale_overflow_member():
+    """Three exact values and 300 counts in [1e305, inf) under a start
+    Weibull(1e300, 0.05): the scale update's mass is fine, but its
+    alpha^beta of about 3e15, raised to 1 / 0.05, overflows."""
+    s = CensoredSample(np.array([1.0, 2.0, 3.0]), [CensoringInterval(1e305, math.inf, 300)])
+    return s, ComponentSpec.weibull(1e300, 0.05)
+
+
+def power_overflow_member():
+    """300 Exp(1) draws under a start Weibull(1e300, 3): alpha_prev^beta
+    overflows before the scale update's mass is checked."""
+    xs = sample(MixtureModel([1.0], [ComponentSpec.exponential(1.0)]), 300, rng_seed=1)
+    return CensoredSample(xs, []), ComponentSpec.weibull(1e300, 3.0)
+
+
+@pytest.mark.parametrize("mate", [False, True], ids=["alone", "with-healthy-mate"])
+@pytest.mark.parametrize("member", [scale_overflow_member, power_overflow_member],
+                         ids=["scale-overflow", "power-overflow"])
+def test_fit_batch_overflow_stages_match_reference_loop(reference_mixture, member, mate):
+    """The two overflow checks of the Weibull scale update that no other
+    test reaches: the member stops at the first M-step with the reference
+    loop's error and warnings, and a healthy batch mate is untouched."""
+    cfg = EmConfig(max_iter=5)
+    s, comp = member()
+    start = MixtureModel([1.0], [comp])
+    samples, starts = [s], [start]
+    if mate:
+        samples.append(CensoredSample(sample(reference_mixture, 600, rng_seed=7), []))
+        starts.append(None)
+    out = fit_batch(samples, (0, 1), cfg, starts)
+    ref = reference_fit(s, (0, 1), cfg, start)
+    assert out[0].error == ref.error == "OverflowError: math range error"
+    assert out[0].iterations == ref.iterations == 0
+    assert out[0].warnings == ref.warnings
+    assert_matches_reference(out[0], ref)
+    if mate:
+        (alone,) = fit_batch(samples[1:], (0, 1), cfg)
+        assert out[1].iterations == alone.iterations == 5 and out[1].error is None
+        assert np.array_equal(out[1].loglik_trace, alone.loglik_trace)
+        assert np.array_equal(params(out[1]), params(alone))
+
+
 def test_fit_batch_takes_one_e_pass_per_lockstep_iteration(reference_mixture, monkeypatch):
     """Members advance in lockstep: a mixed 2,1 batch makes one E-step pass
     for the start and one per iteration of its slowest member."""

@@ -3,7 +3,8 @@ line loop it falls back to.
 
 `reference_integer_series` and `reference_censored_sample` are the line
 loops as they stood before the array parse, kept here as the oracle for
-values, error texts and exit codes.
+values, error texts and exit codes; the sample loop since also rejects a
+repeated `n=` or `L=` and a header line after the first value.
 """
 
 import os
@@ -60,9 +61,15 @@ def reference_censored_sample(path):
             if not line or line.startswith("#"):
                 continue
             try:
+                if values and line.startswith(("n=", "L=", "interval ")):
+                    raise ValueError(f"header line {line!r} after the first value")
                 if line.startswith("n="):
+                    if n is not None:
+                        raise ValueError("repeated n= header")
                     n = int(line[2:])
                 elif line.startswith("L="):
+                    if l_count is not None:
+                        raise ValueError("repeated L= header")
                     l_count = int(line[2:])
                 elif line.startswith("interval "):
                     _, lo, hi, count = line.split()
@@ -135,6 +142,10 @@ SAMPLE_CASES = [
     ("inline #", SAMPLE_HEAD + "1.5 # c\n2\n", "loop"),
     ("# after data", SAMPLE_HEAD + "1.5\n# c\n2\n", "loop"),
     ("header after data", "n=2\n1.5\n2\nL=0\n", "loop"),
+    ("repeated n", "n=5\nL=0\nn=2\n1.5\n2.5\n", "loop"),
+    ("repeated L", "n=1\nL=1\nL=0\n1.5\n", "loop"),
+    ("n after data", "n=1\nL=0\n1.5\nn=1\n", "loop"),
+    ("interval after data", "n=1\nL=1\n1.5\ninterval 0 0.5 3\n", "loop"),
     ("n mismatch", SAMPLE_HEAD + "1.5\n2\n3\n", "array"),
     ("L mismatch", "n=1\nL=2\ninterval 0 0.5 3\n1.5\n", "array"),
     ("missing header", "1.5\n2\n", "array"),
@@ -300,3 +311,27 @@ def test_pipe_is_read_once(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n=5\nL=0\nn=2\n1.5\n2.5\n", "line 3: repeated n= header"),
+    ("n=1\nL=0\n1.5\nn=1\n", "line 4: header line 'n=1' after the first value"),
+], ids=["repeated-n", "n-after-data"])
+def test_sample_header_rules_hold_on_a_pipe(monkeypatch, text, message):
+    """A pipe goes to the line loop alone, with no array parse tried, and
+    it rejects a repeated `n=` or a header line after a value as a file
+    does (SAMPLE_CASES)."""
+    if not os.path.exists("/dev/fd"):
+        pytest.skip("no /dev/fd")
+    routes = _route_spy(monkeypatch)
+    read_end, write_end = os.pipe()
+    os.write(write_end, text.encode("utf-8"))
+    os.close(write_end)
+    path = f"/dev/fd/{read_end}"
+    try:
+        with pytest.raises(InputFormatError) as info:
+            cli.read_censored_sample(path)
+    finally:
+        os.close(read_end)
+    assert str(info.value) == f"{path}: {message}"
+    assert routes == []
