@@ -519,10 +519,12 @@ def cmd_profile(args) -> int:
     days = []
     dropped = 0
     for path in args.input:
-        stamps = read_integer_series(path)
-        keep = (stamps >= spec.session_start_ms) & (stamps < spec.session_end_ms)
-        dropped += int(stamps.size - keep.sum())
-        days.append(_timestamps(path, stamps[keep]))
+        # the order is checked on the whole file, so an out-of-session stamp
+        # cannot hide a file's disorder by being dropped
+        stamps = _timestamps(path, read_integer_series(path)).stamps
+        lo, hi = np.searchsorted(stamps, [spec.session_start_ms, spec.session_end_ms])
+        dropped += int(stamps.size - (hi - lo))
+        days.append(TimestampSeries(stamps[lo:hi]))
     profile = profile_intraday(
         days, spec, shape, cfg, censor_spec=censor, min_bucket_size=args.min_bucket
     )

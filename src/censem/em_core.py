@@ -5,11 +5,14 @@ observations and for censoring intervals.  The M-step has two variants:
 
 * self-consistent MLE (default): the scale update is closed-form once
   the shape ratio inside the censored terms is pinned to its previous
-  value, and the shape update becomes a 1-D root problem after the
-  scale/shape ratios inside the censored terms are likewise set to 1.
-  Fast, and its fixed points are exact stationary points of the
-  censored log-likelihood (at a fixed point the pinned ratios equal 1
-  identically).
+  value, and the shape update is one safeguarded Newton step on the
+  score equation in beta, with the scale/shape ratios inside the
+  censored terms likewise set to 1 (Lange's EM gradient algorithm,
+  J. R. Statist. Soc. B 57 (1995) 425-437: the next E-step moves the
+  score anyway, so it is not solved to a root).  Fast, and its
+  fixed points are exact stationary points of the censored
+  log-likelihood: at a fixed point the pinned ratios equal 1
+  identically, and the Newton step is zero only where the score is.
 * direct objective: one exact ECM step per component on the exact
   conditional-expectation objective (closed-form scales, one profiled
   shape search per Weibull).  Slower, but a genuine generalized-EM step,
@@ -23,19 +26,20 @@ incomplete-gamma expression.
 There is one EM loop, `fit_batch`; `fit` is a batch of one.  The
 samples are collapsed to unique values and padded into shared arrays,
 every iteration is one array E-step and weight update plus the M-step
-(for mle one array scale update and one safeguarded-Newton shape root
-solve), and a member leaves the arrays when it converges, reaches
-max_iter or fails.  An M-step marks each (component, member) with the
-first check it fails, and a failed member stops with the exception of
-its lowest failing component at that check.
+(for mle one array scale update and one array shape step), and a
+member leaves the arrays when it converges, reaches max_iter or fails.
+An M-step marks each (component, member) with the first check it
+fails, and a failed member stops with the exception of its lowest
+failing component at that check.
 The public uncompressed operations (e_step, update_weights, the m_step_*
 functions, q_objective) are the readable reference: an EM loop built
 from them stops at the same iteration, with the same flags and named
-error, and its numbers differ from fit_batch's only by rounding.  They
-form the censored shape constant as E[log U] minus the s = 2 bracket,
-whose kernels are checked against quadrature and a decimal series;
-fit_batch forms it in closed form (_tlog_diff_array), so the two loops
-cross-check it.
+error, and its numbers differ from fit_batch's only by rounding.  Both
+take the shape step by the one rule, _shape_step, but they form the
+censored shape constant apart: the reference as E[log U] minus the
+s = 2 bracket, whose kernels are checked against quadrature and a
+decimal series, fit_batch in closed form (_tlog_diff_array), so the two
+loops cross-check the score.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import digamma
@@ -66,7 +70,10 @@ from .errors import (
     NonConvergenceError,
     ResponsibilityUnderflowError,
 )
-from .rootfind import golden_max, solve_bracketed, solve_newton_array
+from .rootfind import golden_max
+# Unused here, but kept importable: the benchmark's tracer wraps the name
+# em_core.solve_bracketed, and fails where it is missing.
+from .rootfind import solve_bracketed  # noqa: F401
 from .sample_data import CensoredSample
 from .special_fn import (
     EULER_GAMMA,
@@ -83,14 +90,9 @@ from .special_fn import (
 
 log = logging.getLogger(__name__)
 
-# Relative tolerance of the shape root solves: the scalar Illinois solve stops at a
-# bracket width of _ROOT_TOL * max(1, |lo| + |hi|), the batch's Newton solve at a
-# step of _ROOT_TOL * max(1, 2|beta|).
-_ROOT_TOL = 1e-10
-
 # A component whose weight falls below WEIGHT_FLOOR flags the fit degenerate
 # (the fit goes on), and a scale update whose mass is at most WEIGHT_FLOOR
-# times the sample size fails.  Every Weibull shape is sought in BETA_BRACKET.
+# times the sample size fails.  Every Weibull shape step stays in BETA_BRACKET.
 WEIGHT_FLOOR = 1e-8
 BETA_BRACKET = (0.05, 20.0)
 
@@ -313,14 +315,14 @@ def _wbl_shape_equation(
     terms: list[_IntervalTerms],
     alpha_new: float,
     beta_prev: float,
-) -> Callable[[float], float]:
-    """Score equation in beta after the scale update.
+):
+    """Score equation in beta after the scale update, as the one-row
+    _shape_score:
 
     F(beta) = A / beta + B - sum_j w_j l_j e^(beta l_j),  l_j = log(x_j / alpha_new)
 
     with A the total effective mass and B collecting log terms plus the
-    censored D constants.  F is strictly decreasing, so the root in the
-    bracket is unique when it exists.
+    censored D constants.
     """
     if x.size:
         l = np.log(x) - math.log(alpha_new)
@@ -334,52 +336,65 @@ def _wbl_shape_equation(
             continue
         a_mass += float(cw)
         b_const += float(cw) * _shape_d_constant(t, beta_prev) / t.mass
-
-    def f(beta: float) -> float:
-        tail = float(wl @ np.exp(beta * l)) if l.size else 0.0
-        return a_mass / beta + b_const - tail
-
-    return f
+    return _shape_score(l[None], wl[None], np.array([a_mass]), np.array([b_const]))
 
 
-def _solve_shape(
-    f: Callable[[float], float],
-    bracket: tuple[float, float],
-    start: float,
-    xtol: float,
-) -> float:
-    """Root of the strictly decreasing shape score inside `bracket`.
-
-    The root rarely moves far between EM iterations, so the bracket is
-    grown geometrically around the previous shape and the configured
-    bracket endpoints are only touched as a last resort.
+def _shape_score(l_rel: np.ndarray, wl: np.ndarray, a_mass: np.ndarray, b_const: np.ndarray):
+    """Row k's shape score f(beta) = a_mass[k] / beta + b_const[k]
+    - sum_u wl[k, u] e^(beta l_rel[k, u]), as score(beta, rows) -> (f, f')
+    on the rows that `rows` picks (all by default).  With a_mass > 0 and
+    wl * l_rel >= 0 its slope -a_mass / beta^2 - sum_u wl l_rel e^(beta l_rel),
+    which reuses the score's exponentials, is negative, so f is strictly
+    decreasing.
     """
-    lo, hi = bracket
-    start = min(max(start, lo), hi)
-    a = max(lo, 0.8 * start)
-    b = min(hi, 1.25 * start)
-    fa = f(a)
-    fb = f(b)
-    grow = 2.0
-    for _ in range(64):
-        if fa < 0.0 and a > lo:  # root is further left
-            b, fb = a, fa
-            a = max(lo, a / grow)
-            fa = f(a)
-        elif fb > 0.0 and b < hi:  # root is further right
-            a, fa = b, fb
-            b = min(hi, b * grow)
-            fb = f(b)
-        else:
-            break
-    if not (fa > 0.0 > fb or fa == 0.0 or fb == 0.0):
-        g_lo = fa if a == lo else f(lo)
-        g_hi = fb if b == hi else f(hi)
-        raise BracketError(
-            f"shape root not bracketed in [{lo}, {hi}]: f(lo)={g_lo}, f(hi)={g_hi}",
-            lo=lo, hi=hi, f_lo=g_lo, f_hi=g_hi,
-        )
-    return solve_bracketed(f, a, b, xtol=xtol, f_lo=fa, f_hi=fb)
+    def score(beta: np.ndarray, rows=...):
+        lr = l_rel[rows]
+        terms = np.exp(beta[:, None] * lr)
+        terms *= wl[rows]
+        am = a_mass[rows]
+        value = am / beta + b_const[rows] - terms.sum(axis=1)
+        slope = -am / (beta * beta) - np.multiply(terms, lr, out=terms).sum(axis=1)
+        return value, slope
+
+    return score
+
+
+def _shape_step(score, beta: np.ndarray):
+    """One safeguarded Newton step per row from its previous shape beta:
+    beta - f / f' with (f, f') = score(beta), capped to [beta / 2, 2 beta].
+    A NaN step from a score that is not NaN (f and f' both overflowed)
+    goes to the cap end that the sign of f points to.  Where the step leaves
+    BETA_BRACKET, the scores at both ends decide: with a sign change the
+    step is clamped into the bracket, without one, or with a NaN score,
+    the row fails.
+
+    Returns (beta_new, ok, f(lo), f(hi)); a failed row's beta_new is NaN,
+    and the end values are NaN on the rows whose step stayed inside.
+    The score runs with numpy's divide, invalid and overflow warnings off.
+    """
+    lo, hi = BETA_BRACKET
+    f_lo = np.full(beta.shape, math.nan)
+    f_hi = f_lo.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f, df = score(beta)
+        x = beta - f / df
+        x = np.where(np.isnan(x) & ~np.isnan(f), np.where(f > 0.0, 2.0 * beta, 0.5 * beta), x)
+        x = np.clip(x, 0.5 * beta, 2.0 * beta)  # a NaN stays NaN
+        out = ~((lo <= x) & (x <= hi))
+        if out.any():
+            rows = np.flatnonzero(out)
+            f_lo[rows] = score(np.full(rows.size, lo), rows)[0]
+            f_hi[rows] = score(np.full(rows.size, hi), rows)[0]
+    ok = ~out | ((f_lo >= 0.0) & (f_hi <= 0.0) & ~np.isnan(x))
+    return np.where(ok, np.clip(x, lo, hi), math.nan), ok, f_lo, f_hi
+
+
+def _bracket_error(f_lo: float, f_hi: float) -> BracketError:
+    lo, hi = BETA_BRACKET
+    return BracketError(
+        f"shape root not bracketed in [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}",
+        lo=lo, hi=hi, f_lo=f_lo, f_hi=f_hi,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -620,12 +635,16 @@ def m_step_weibull_beta(
     theta_prev: ComponentSpec,
     alpha_new: float,
 ) -> float:
-    """Shape update: root of the score equation with the censored-term
-    parameter ratios set to 1, found inside BETA_BRACKET."""
+    """Shape update: one safeguarded Newton step (_shape_step) from
+    theta_prev.beta on the score equation with the censored-term
+    parameter ratios set to 1."""
     x, w, cens_w = _weighted(r, s, comp_index)
     terms = [_interval_terms(iv, theta_prev.alpha, theta_prev.beta) for iv in s.intervals]
-    f = _wbl_shape_equation(x, w, cens_w, terms, alpha_new, theta_prev.beta)
-    return _solve_shape(f, BETA_BRACKET, theta_prev.beta, _ROOT_TOL)
+    score = _wbl_shape_equation(x, w, cens_w, terms, alpha_new, theta_prev.beta)
+    beta, ok, f_lo, f_hi = _shape_step(score, np.array([theta_prev.beta]))
+    if not ok[0]:
+        raise _bracket_error(float(f_lo[0]), float(f_hi[0]))
+    return float(beta[0])
 
 
 def q_objective(
@@ -1022,7 +1041,7 @@ class _Batch:
         its lowest failing component (_m_step_errors).  The exponential
         components update as one (p, B) block and the Weibull components
         as one (r, B) block, whose rows that get as far as their shape
-        share one Newton solve."""
+        take one _shape_step together."""
         p = self.p
         stage = np.full(self.alpha.shape, _ST_OK)
         floor = WEIGHT_FLOOR * self.total
@@ -1032,7 +1051,7 @@ class _Batch:
         den = w_sum + cw.sum(axis=2)
         alpha = np.empty(self.alpha.shape)
         beta = self.beta.copy()
-        f_ends = None  # the shape scores at the bracket ends, where a solve fails
+        f_ends = None  # the shape scores at the bracket ends, where a step fails
 
         if p:
             means = _truncated_mean_exp_array(self.alpha[:p, :, None], self.lo, self.hi)
@@ -1061,9 +1080,9 @@ class _Batch:
             np.minimum(stage_w, _ST_ALPHA, out=stage_w, where=np.isinf(alpha_new))
             alpha[p:] = alpha_new
 
-            # shape-score constants and the shape solve, for the rows that have
-            # not failed; a row whose member failed in an earlier component is
-            # solved too, but the member stops, so its root reaches no result
+            # shape-score constants and the shape step, for the rows that have
+            # not failed; a row whose member failed in an earlier component
+            # steps too, but the member stops, so its step reaches no result
             todo = stage_w == _ST_OK
             d_const = (_tlog_diff_array(z_lo, z_hi) - mass) / bt
             l_rel = self.logv - np.log(alpha_new)[:, :, None]
@@ -1071,19 +1090,19 @@ class _Batch:
             a_mass = _sum_l(np.where(occupied, cw, 0.0), w_sum)
             b_const = _sum_l(np.where(occupied, cw * d_const / mass, 0.0), wl.sum(axis=2))
             if todo.any():
-                # row j of the solve is the j-th todo (component, member) in C
+                # row j of the step is the j-th todo (component, member) in C
                 # order; with every row todo the reshapes are views, not copies
                 full = todo.all()
                 rows = [v.reshape((-1,) + v.shape[2:]) if full else v[todo]
                         for v in (l_rel, wl, a_mass, b_const, b_prev)]
-                roots, ok, f_lo, f_hi = _solve_shape_array(*rows[:4], BETA_BRACKET, rows[4])
-                solved = np.zeros(todo.shape, dtype=bool)
-                solved[todo] = ok
-                beta[p:][solved] = roots[ok]
+                steps, ok, f_lo, f_hi = _shape_step(_shape_score(*rows[:4]), rows[4])
+                stepped = np.zeros(todo.shape, dtype=bool)
+                stepped[todo] = ok
+                beta[p:][stepped] = steps[ok]
                 if not ok.all():
                     f_ends = np.full((2,) + stage.shape, math.nan)
                     f_ends[0, p:][todo], f_ends[1, p:][todo] = f_lo, f_hi
-                    np.minimum(stage_w, _ST_BRACKET, out=stage_w, where=todo & ~solved)
+                    np.minimum(stage_w, _ST_BRACKET, out=stage_w, where=todo & ~stepped)
         np.minimum(stage, _ST_SPEC, out=stage, where=~((alpha > 0.0) & np.isfinite(alpha)))
         return alpha, beta, _m_step_errors(stage, p, den, alpha, f_ends)
 
@@ -1127,11 +1146,7 @@ def _m_step_errors(stage: np.ndarray, p: int, den: np.ndarray, alpha: np.ndarray
             exc = DegenerateComponentError(
                 f"{family} scale update lost its mass (den={float(den[c, k])})")
         elif code == _ST_BRACKET:
-            lo, hi = BETA_BRACKET
-            f_lo, f_hi = float(f_ends[0, c, k]), float(f_ends[1, c, k])
-            exc = BracketError(
-                f"shape root not bracketed in [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}",
-                lo=lo, hi=hi, f_lo=f_lo, f_hi=f_hi)
+            exc = _bracket_error(float(f_ends[0, c, k]), float(f_ends[1, c, k]))
         elif code == _ST_SPEC:
             exc = DomainError(f"alpha must be positive and finite, got {float(alpha[c, k])}")
         else:  # zeta, alpha^beta or the new scale overflowed, where math.exp raises
@@ -1260,47 +1275,6 @@ def _shape_bracket2_array(z_lo: np.ndarray, z_hi: np.ndarray, reach: np.ndarray)
         bracket = np.where(tails, _bracket2_tail_array(zl) - _bracket2_tail_array(zh), bracket)
     out[reach] = bracket
     return out
-
-
-def _solve_shape_array(
-    l_rel: np.ndarray,
-    wl: np.ndarray,
-    a_mass: np.ndarray,
-    b_const: np.ndarray,
-    bracket: tuple[float, float],
-    start: np.ndarray,
-):
-    """_solve_shape over many shape scores at once, by safeguarded Newton.
-
-    Row k's score is f(beta) = a_mass[k] / beta + b_const[k]
-    - sum_u wl[k, u] e^(beta l_rel[k, u]), strictly decreasing for
-    a_mass > 0 and wl * l_rel >= 0; its derivative
-    -a_mass / beta^2 - sum_u wl l_rel e^(beta l_rel) reuses the score's
-    exponentials.  Each row starts at start[k].  Returns (roots, ok,
-    f(lo), f(hi)): where ok is False no sign change was found inside
-    `bracket`, and the endpoint values explain why.
-    """
-    n = a_mass.size
-    # The solver calls back with the same index array for several steps
-    # in a row, so the rows it selects are gathered once.
-    neg_mass = -a_mass
-    picked = [None]
-
-    def score(x: np.ndarray, idx: np.ndarray):
-        if idx is not picked[0]:
-            full = idx.size == n
-            picked[:] = [idx] + [v if full else v[idx]
-                                 for v in (a_mass, neg_mass, b_const, wl, l_rel)]
-        _, am, nam, bc, w, lr = picked
-        tail = np.multiply(x[:, None], lr)
-        np.exp(tail, out=tail)
-        terms = np.multiply(tail, w)
-        value = am / x + bc - terms.sum(axis=1)
-        slope = nam / (x * x) - np.multiply(terms, lr, out=tail).sum(axis=1)
-        return value, slope
-
-    lo, hi = bracket
-    return solve_newton_array(score, lo, hi, start, xtol=_ROOT_TOL)
 
 
 def fit_batch(

@@ -3,7 +3,10 @@
 The traced run wraps censem functions by the names censem looks up
 (em_core.e_step, em_core.solve_bracketed, model_select.fit,
 model_select.bootstrap_resample, ...), so a refactor that drops or
-renames one of them makes it fail here.  Each workload runs one pass at
+renames one of them makes it fail here.  em_core imports
+solve_bracketed for that reason alone: the mle M-step takes one Newton
+step per shape and calls no root solver, so the tracer's
+rootfind.solve_bracketed metrics read 0 on every workload.  Each workload runs one pass at
 smoke size, untimed: about nine seconds each for fit-large and
 select-boot, five for profile-day.
 """

@@ -441,7 +441,14 @@ def test_profile_unsorted_timestamps_name_the_file(tmp_path, capsys):
     write_lines(good, [9 * 3600_000 + 10 * k for k in range(100)])
     bad = tmp_path / "bad.txt"
     write_lines(bad, [32400000, 32400100, 32400050])
+    # sorted session stamps with an out-of-session 5 at line 101: the order is
+    # checked before the session filter would drop it
+    stray = tmp_path / "stray.txt"
+    stamps = [9 * 3600_000 + 10 * k for k in range(200)]
+    write_lines(stray, stamps[:100] + [5] + stamps[100:])
     out = tmp_path / "p.txt"
-    assert run("profile", "--input", str(good), "--input", str(bad), "--output", str(out)) == 2
-    assert capsys.readouterr().err == f"error: {bad}: timestamps must be non-decreasing\n"
-    assert not out.exists()
+    for path in (bad, stray):
+        assert run("profile", "--input", str(good), "--input", str(path),
+                   "--output", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {path}: timestamps must be non-decreasing\n"
+        assert not out.exists()

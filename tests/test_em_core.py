@@ -26,7 +26,7 @@ from censem import (
 )
 from censem import em_core
 from censem.em_core import (
-    _ROOT_TOL,
+    BETA_BRACKET,
     EmConfig,
     FitResult,
     MStepVariant,
@@ -42,9 +42,9 @@ from censem.em_core import (
     _interval_pass,
     _row_pass,
     _shape_bracket2_array,
+    _shape_score,
     _shape_series_bracket,
-    _solve_shape,
-    _solve_shape_array,
+    _shape_step,
     _workspace,
     default_init,
     fit_batch,
@@ -319,7 +319,7 @@ def test_wbl_beta_equation_reduces_to_textbook_form():
     for beta in (0.3, 0.8, 1.5, 3.0):
         l = np.log(x / alpha)
         direct = x.size / beta + l.sum() - np.sum((x / alpha) ** beta * l)
-        assert f(beta) == pytest.approx(direct, rel=1e-12)
+        assert f(np.array([beta]))[0][0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_wbl_beta_consistency_large_sample():
@@ -345,13 +345,19 @@ def test_wbl_beta_censoring_vanishes_continuously():
 
 
 def test_wbl_beta_bracket_failure_reports_endpoints():
-    x = np.array([2.0, 2.0, 2.0, 2.0])  # zero spread: no interior root
+    """Zero spread: the score is 4 / beta > 0 everywhere, so there is no
+    root.  From 15 the step (to the cap 2 beta = 30) leaves the bracket,
+    and the ends show no sign change."""
+    x = np.array([2.0, 2.0, 2.0, 2.0])
     s = CensoredSample(x, [])
     r = resp(np.ones((4, 1)), np.empty((0, 1)))
-    prev = ComponentSpec.weibull(2.0, 1.0)
+    prev = ComponentSpec.weibull(2.0, 15.0)
     with pytest.raises(BracketError) as err:
         m_step_weibull_beta(r, s, 0, prev, alpha_new=2.0)
-    assert err.value.f_lo is not None and err.value.f_hi is not None
+    lo, hi = BETA_BRACKET
+    assert (err.value.f_lo, err.value.f_hi) == pytest.approx((4.0 / lo, 4.0 / hi), rel=1e-15)
+    assert str(err.value) == (f"shape root not bracketed in [{lo}, {hi}]: "
+                              f"f(lo)={err.value.f_lo}, f(hi)={err.value.f_hi}")
 
 
 def random_shape_scores(rows: int, seed: int):
@@ -368,30 +374,115 @@ def random_shape_scores(rows: int, seed: int):
     return l_rel, wl, a_mass, b_const
 
 
-def test_batch_shape_solve_matches_scalar_solve():
-    """_solve_shape_array (safeguarded Newton) against the scalar Illinois
-    _solve_shape, root for root and failure for failure."""
-    rows, bracket = 300, (0.05, 20.0)
+def counting(score, n):
+    """score, and the number of times each row was evaluated."""
+    calls = np.zeros(n, dtype=int)
+
+    def counted(beta, rows=...):
+        calls[np.arange(n)[rows]] += 1
+        return score(beta, rows)
+
+    return counted, calls
+
+
+def test_batch_shape_step_matches_scalar_step():
+    """_shape_step over 300 rows at once against the same rule on each row
+    alone: a row's step does not depend on the others, value for value and
+    failure for failure."""
+    rows = 300
     l_rel, wl, a_mass, b_const = random_shape_scores(rows, seed=41)
     start = np.exp(np.random.default_rng(43).uniform(np.log(0.03), np.log(30.0), rows))
-    # the steepest scores overflow to -inf near the top of the bracket
-    with np.errstate(over="ignore"):
-        roots, ok, f_lo, f_hi = _solve_shape_array(l_rel, wl, a_mass, b_const, bracket, start)
-    failures = 0
+    steps, ok, f_lo, f_hi = _shape_step(_shape_score(l_rel, wl, a_mass, b_const), start)
     for k in range(rows):
-        def f(beta, k=k):
-            return a_mass[k] / beta + b_const[k] - float(wl[k] @ np.exp(beta * l_rel[k]))
-        try:
-            with np.errstate(over="ignore"):
-                ref = _solve_shape(f, bracket, start[k], _ROOT_TOL)
-        except BracketError as exc:
-            failures += 1
-            assert not ok[k] and np.isnan(roots[k])
-            assert (f_lo[k], f_hi[k]) == pytest.approx((exc.f_lo, exc.f_hi), rel=1e-12)
-            continue
-        assert ok[k]
-        assert abs(roots[k] - ref) <= _ROOT_TOL * max(1.0, 2.0 * ref)
-    assert 0 < failures < rows // 2
+        one = _shape_step(_shape_score(l_rel[k:k + 1], wl[k:k + 1], a_mass[k:k + 1],
+                                       b_const[k:k + 1]), start[k:k + 1])
+        np.testing.assert_allclose([steps[k], f_lo[k], f_hi[k]], [v[0] for v in (one[0], *one[2:])],
+                                   rtol=1e-13)
+        assert ok[k] == one[1][0]
+    assert 0 < (~ok).sum() < rows // 2
+    assert np.isnan(steps[~ok]).all()
+
+
+def test_shape_step_is_capped_newton_step():
+    """Inside the bracket the step is beta - f / f', capped to [beta / 2,
+    2 beta], and costs one evaluation per row; f' is the score's slope."""
+    l_rel, wl, a_mass, b_const = random_shape_scores(200, seed=5)
+    score = _shape_score(l_rel, wl, a_mass, b_const)
+    beta = np.exp(np.random.default_rng(6).uniform(np.log(0.2), np.log(5.0), 200))
+    f, df = score(beta)
+    h = 1e-6 * beta
+    np.testing.assert_allclose(df, (score(beta + h)[0] - score(beta - h)[0]) / (2.0 * h), rtol=1e-6)
+    counted, calls = counting(score, 200)
+    steps, ok, f_lo, f_hi = _shape_step(counted, beta)
+    expect = np.clip(beta - f / df, 0.5 * beta, 2.0 * beta)
+    inside = (BETA_BRACKET[0] <= expect) & (expect <= BETA_BRACKET[1])
+    assert inside.sum() > 150
+    assert ok[inside].all() and np.isnan(f_lo[inside]).all() and np.isnan(f_hi[inside]).all()
+    np.testing.assert_array_equal(steps[inside], expect[inside])
+    assert (calls[inside] == 1).all() and (calls[~inside] == 3).all()
+    capped = expect != beta - f / df
+    assert capped.any() and not capped.all()
+
+
+def test_shape_step_clamps_into_bracket_or_fails():
+    """A step that leaves the bracket is clamped onto its end where the
+    scores at the ends change sign, and fails with both end values where
+    they do not.  Rows 0-4 and 6 score f(beta) = root / beta - 1, whose
+    Newton step beta (2 - beta / root) never passes the root; row 5 scores
+    about 1 - e^(beta - 19), whose step from 15 overshoots its root 19 to
+    the cap 30.  The rows whose step stays inside are unaffected."""
+    lo, hi = BETA_BRACKET
+    root = np.array([0.01, 0.5, 30.0, 2.0, 0.04, 1e-9, 0.06])
+    start = np.array([0.08, 0.5, 15.0, 1.5, 0.06, 15.0, 0.09])
+    n = root.size
+    l_rel, wl, b_const = np.zeros((n, 1)), np.zeros((n, 1)), np.full(n, -1.0)
+    l_rel[5], wl[5], b_const[5] = 1.0, math.exp(-19.0), 1.0
+    score = _shape_score(l_rel, wl, root, b_const)
+    steps, ok, f_lo, f_hi = _shape_step(score, start)
+    assert ok.tolist() == [False, True, False, True, False, True, True]
+    assert steps[1] == 0.5 and steps[3] == pytest.approx(1.875, rel=1e-15)
+    assert steps[5] == hi and steps[6] == lo
+    assert np.isnan(steps[~ok]).all()
+    np.testing.assert_allclose(f_lo[~ok], root[~ok] / lo - 1.0, rtol=1e-15)
+    np.testing.assert_allclose(f_hi[~ok], root[~ok] / hi - 1.0, rtol=1e-15)
+    assert np.isnan(f_lo[[1, 3]]).all() and np.isnan(f_hi[[1, 3]]).all()
+    assert f_lo[5] > 0.0 > f_hi[5] and f_lo[6] > 0.0 > f_hi[6]
+
+
+def test_shape_step_non_finite_step_takes_the_cap():
+    """Where f and f' both overflow to -inf the step is NaN; it goes to the
+    cap end that the sign of f points to, beta / 2.  A NaN score fails
+    its row only, with the end values for the diagnostics."""
+    l_rel = np.array([[800.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    wl = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+    b_const = np.array([0.0, 0.5, math.nan])
+    score = _shape_score(l_rel, wl, np.ones(3), b_const)
+    beta = np.array([2.0, 1.0, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, df = score(beta)
+        assert f[0] == -math.inf and df[0] == -math.inf
+    steps, ok, f_lo, f_hi = _shape_step(score, beta)
+    assert ok.tolist() == [True, True, False]
+    assert steps[0] == 1.0
+    assert steps[1] == pytest.approx(1.0 - (1.5 - math.e) / (-1.0 - math.e), rel=1e-15)
+    assert np.isnan(steps[2]) and np.isnan(f_lo[2]) and np.isnan(f_hi[2])
+    assert np.isnan(f_lo[:2]).all() and np.isnan(f_hi[:2]).all()
+
+
+def test_shape_step_fixed_point_is_the_score_root():
+    """A 1,1 fit run to a tight epsilon ends where m_step_weibull_beta
+    returns the model's own shape: EM's fixed points survive the one step."""
+    truth = MixtureModel([0.3, 0.7], [ComponentSpec.exponential(5.0),
+                                      ComponentSpec.weibull(2000.0, 1.5)])
+    s = build_sample(generate_synthetic(truth, 4000, rng_seed=29))
+    res = fit(s, (1, 1), EmConfig(epsilon=1e-12, max_iter=5000))
+    assert res.converged and not res.degenerate
+    m = res.model
+    r = e_step(m, s)
+    prev = m.components[1]
+    alpha_new = m_step_weibull_alpha(r, s, 1, prev)
+    assert alpha_new == pytest.approx(prev.alpha, rel=1e-8)
+    assert m_step_weibull_beta(r, s, 1, prev, alpha_new) == pytest.approx(prev.beta, rel=1e-8)
 
 
 def test_batch_bracket_failure_text_matches_reference_loop():
@@ -435,14 +526,18 @@ def test_score_residuals_at_m_step_solution(reference_mixture):
                         + nzt * (-1.0 + (prev.alpha / alpha_new) ** prev.beta * G))
     assert abs(resid_alpha) <= 1e-8 * pos_scale
 
-    f = _wbl_shape_equation(
+    # the shape update is one Newton step beta_prev - f / f', with f' taken
+    # here by a central difference of the score
+    score = _wbl_shape_equation(
         x, z, np.array([nzt]),
         [_interval_terms(iv, prev.alpha, prev.beta)],
         alpha_new, prev.beta,
     )
-    l = np.log(x / alpha_new)
-    pos_beta = (z.sum() + nzt) / beta_new + float(np.sum(np.abs(z * l)))
-    assert abs(f(beta_new)) <= 1e-8 * pos_beta
+    f = lambda beta: float(score(np.array([beta]))[0][0])
+    h = 1e-5 * prev.beta
+    slope = (f(prev.beta + h) - f(prev.beta - h)) / (2.0 * h)
+    assert 0.5 * prev.beta < beta_new < 2.0 * prev.beta
+    assert beta_new == pytest.approx(prev.beta - f(prev.beta) / slope, rel=1e-8)
 
 
 # --- censored conditional expectations vs quadrature ------------------------------------
