@@ -92,7 +92,7 @@ class MixtureModel:
         if np.any(self.weights < 0.0) or not np.all(np.isfinite(self.weights)):
             raise DomainError("weights must be finite and non-negative")
         if abs(float(self.weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
-            raise DomainError(f"weights must sum to 1, got {self.weights.sum()!r}")
+            raise DomainError(f"weights must sum to 1, got {float(self.weights.sum())!r}")
         with np.errstate(divide="ignore"):
             self._log_weights = np.log(self.weights)
 

@@ -58,6 +58,7 @@ from .components import (
     ComponentSpec,
     Kind,
     MixtureModel,
+    WEIGHT_SUM_TOL,
     _log_mixture_interval,
     _log_mixture_matrix,
     dof,
@@ -796,39 +797,6 @@ def default_init(s: CensoredSample, p: int, r: int) -> MixtureModel:
     return MixtureModel(np.full(p + r, 1.0 / (p + r)), comps)
 
 
-@dataclass
-class _Workspace:
-    """Sample collapsed to unique exact values with multiplicities."""
-
-    values: np.ndarray
-    log_values: np.ndarray
-    counts: np.ndarray
-    inverse: np.ndarray
-    intervals: list[CensoringInterval]
-    cens_counts: np.ndarray
-    total: float
-
-
-def _workspace(s: CensoredSample) -> _Workspace:
-    x = np.asarray(s.uncensored, dtype=float)
-    if x.size:
-        values, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    else:
-        values = np.empty(0)
-        inverse = np.empty(0, dtype=np.intp)
-        counts = np.empty(0)
-    cens_counts = np.array([iv.count for iv in s.intervals], dtype=float)
-    return _Workspace(
-        values=values,
-        log_values=np.log(values) if values.size else np.empty(0),
-        counts=counts.astype(float),
-        inverse=inverse,
-        intervals=list(s.intervals),
-        cens_counts=cens_counts,
-        total=float(counts.sum() + cens_counts.sum()),
-    )
-
-
 def fit(
     s: CensoredSample,
     model_shape: tuple[int, int],
@@ -855,12 +823,19 @@ def fit(
 #
 # fit_batch runs the EM for many samples at once on padded arrays: exact
 # values as (B, U), intervals as (B, L) and the parameters, z and z_tilde
-# with the component axis first, as (M, B), (M, B, U) and (M, B, L).  All
+# with the component axis first, as (M, B), (M, B, U) and (M, B, L).  The
+# padded rows are the only copy of each member's collapsed sample.  All
 # members advance in lockstep, so they share one iteration counter; a
 # member leaves the arrays when it stops.  The E-step is one array pass;
 # the mle M-step is array arithmetic, the direct M-step runs
-# _direct_component on each member's own unpadded slices.
+# _direct_component on each member's own slices of the rows.
 # ---------------------------------------------------------------------------
+
+# Most samples fitted in one batch: fit_batch runs its accepted members in
+# chunks of at most BATCH_MEMBERS.  It bounds the batched EM's (M, B, U)
+# working arrays: 512 members of about 170 unique values and 3 components
+# make about 2 MB per array.
+BATCH_MEMBERS = 512
 
 # Failure stages inside one component's M-step, in the order the public
 # m_step_* operations reach them, and _ST_OK, above them all, for none.  An
@@ -872,52 +847,53 @@ def fit(
 
 class _Batch:
     """Working arrays of the members still iterating, and their last E-step
-    pass (ll, z, zt, bad).  ids maps each row back to its member, and
-    wss[member] is that member's unpadded workspace.
+    pass (ll, z, zt, bad).  ids maps each row back to its member.  A
+    member's sample is collapsed to its unique exact values with their
+    multiplicities, in rows of (B, U) arrays, and to its intervals with
+    their counts, in rows of (B, L) arrays; its own slices are the first
+    nu values and the first nl intervals of its rows.
 
     Padding rows repeat the member's first exact value with count 0, and
     padding intervals are [0, inf) with count 0, so every padded entry is
     finite and drops out of each count-weighted sum; the underflow tests
     mask it out explicitly.  A sum over the padded axis still rounds with
     the padded width; with own_sums the log-likelihood and weight sums
-    run over each member's unpadded slices instead, so a member's numbers
-    do not depend on its batch mates.
+    run over each member's own slices instead, so a member's numbers do
+    not depend on its batch mates.
     """
 
-    _ROWS = ("ids", "vals", "logv", "cnt", "valid", "lo", "hi", "loglo", "loghi", "ccnt",
-             "ivalid", "total", "ll", "bad")
+    _ROWS = ("ids", "nu", "nl", "vals", "logv", "cnt", "valid", "lo", "hi", "loglo", "loghi",
+             "ccnt", "ivalid", "total", "ll", "bad")
     _COLUMNS = ("w", "alpha", "beta", "z", "zt")
 
     def __init__(
-        self, wss: list[_Workspace], models: list[MixtureModel], p: int, own_sums: bool = False
+        self, samples: list[CensoredSample], models: list[MixtureModel], p: int,
+        own_sums: bool = False
     ):
-        b = len(wss)
-        u = max(ws.values.size for ws in wss)
-        nl = max(len(ws.intervals) for ws in wss)
+        b = len(samples)
+        uniques = [np.unique(s.uncensored, return_counts=True) for s in samples]
         self.p = p
-        self.wss = wss
         self.own_sums = own_sums
         self.ids = np.arange(b)
-        self.vals = np.ones((b, u))
-        self.cnt = np.zeros((b, u))
-        self.lo = np.zeros((b, nl))
-        self.hi = np.full((b, nl), math.inf)
-        self.ccnt = np.zeros((b, nl))
-        self.ivalid = np.zeros((b, nl), dtype=bool)
-        for j, ws in enumerate(wss):
-            k = ws.values.size
-            if k:
-                self.vals[j] = ws.values[0]
-                self.vals[j, :k] = ws.values
-                self.cnt[j, :k] = ws.counts
-            for l, iv in enumerate(ws.intervals):
-                self.lo[j, l], self.hi[j, l] = iv.lo, iv.hi
-            self.ccnt[j, : ws.cens_counts.size] = ws.cens_counts
-            self.ivalid[j, : ws.cens_counts.size] = True
+        self.nu = np.array([values.size for values, _ in uniques])
+        self.nl = np.array([len(s.intervals) for s in samples])
+        self.vals = np.ones((b, self.nu.max()))
+        self.cnt = np.zeros(self.vals.shape)
+        self.lo = np.zeros((b, self.nl.max()))
+        self.hi = np.full(self.lo.shape, math.inf)
+        self.ccnt = np.zeros(self.lo.shape)
+        for j, ((values, counts), s) in enumerate(zip(uniques, samples)):
+            if values.size:
+                self.vals[j] = values[0]
+                self.vals[j, : values.size] = values
+                self.cnt[j, : values.size] = counts
+            for l, iv in enumerate(s.intervals):
+                self.lo[j, l], self.hi[j, l], self.ccnt[j, l] = iv.lo, iv.hi, iv.count
         self.logv = np.log(self.vals)
         self.loglo, self.loghi = np.log(self.lo), np.log(self.hi)
         self.valid = self.cnt > 0.0
-        self.total = np.array([ws.total for ws in wss])
+        self.ivalid = np.arange(self.lo.shape[1]) < self.nl[:, None]
+        self.total = np.array([s.total for s in samples], dtype=float)
         self.w = np.array([m.weights for m in models]).T
         self.alpha = np.array([[c.alpha for c in m.components] for m in models]).T
         self.beta = np.array([[c.beta for c in m.components] for m in models]).T
@@ -991,12 +967,11 @@ class _Batch:
         pz = np.exp(np.subtract(logmat, mx, out=logmat), out=logmat)
         rowsum = pz.sum(axis=0)
         # counts @ rows for each member, reduced as a dot product is: a
-        # batch of one gives ws.counts @ rows bit for bit, which the
+        # batch of one gives counts @ rows bit for bit, which the
         # multiply-and-sum form does not
         rows = mx + np.log(rowsum)
         if self.own_sums:
-            ll = np.array([self.wss[m].counts @ rows[pos, : self.wss[m].values.size]
-                           for pos, m in enumerate(self.ids)])
+            ll = np.array([self.cnt[pos, :u] @ rows[pos, :u] for pos, u in enumerate(self.nu)])
         else:
             ll = np.matmul(self.cnt[:, None, :], rows[:, :, None])[:, 0, 0]
         self.z = np.divide(pz, rowsum, out=pz)
@@ -1017,11 +992,9 @@ class _Batch:
     def weights_from_pass(self) -> np.ndarray:
         if self.own_sums:
             acc = np.empty(self.w.shape)
-            for pos, m in enumerate(self.ids):
-                ws = self.wss[m]
-                u, nl = ws.values.size, len(ws.intervals)
-                acc[:, pos] = (self.z[:, pos, :u] * ws.counts).sum(axis=1) + (
-                    self.zt[:, pos, :nl] * ws.cens_counts).sum(axis=1)
+            for pos, (u, nl) in enumerate(zip(self.nu, self.nl)):
+                acc[:, pos] = (self.z[:, pos, :u] * self.cnt[pos, :u]).sum(axis=1) + (
+                    self.zt[:, pos, :nl] * self.ccnt[pos, :nl]).sum(axis=1)
         else:
             acc = (self.cnt * self.z).sum(axis=2)
             if self.ccnt.shape[1]:
@@ -1106,22 +1079,21 @@ class _Batch:
         np.minimum(stage, _ST_SPEC, out=stage, where=~((alpha > 0.0) & np.isfinite(alpha)))
         return alpha, beta, _m_step_errors(stage, p, den, alpha, f_ends)
 
-    def direct_m_step(self):
+    def direct_m_step(self, samples: list[CensoredSample]):
         """The direct M-step: _direct_component per member and component on
-        the member's own unpadded slices, as m_step_direct runs it.  A
-        component's exception is its member's failure, and the member's
-        later components are not run."""
+        the member's own slices and its sample's intervals (samples[member]),
+        as m_step_direct runs it.  A component's exception is its member's
+        failure, and the member's later components are not run."""
         errors: dict[int, Exception] = {}
         alpha = self.alpha.copy()
         beta = self.beta.copy()
-        for pos, member in enumerate(self.ids):
-            ws = self.wss[member]
-            u, nl = ws.values.size, len(ws.intervals)
+        for pos, (member, u, nl) in enumerate(zip(self.ids, self.nu, self.nl)):
             for i, prev in enumerate(self.model(pos).components):
                 try:
-                    c = _direct_component(ws.values, ws.counts * self.z[i, pos, :u],
-                                          ws.cens_counts * self.zt[i, pos, :nl], ws.intervals,
-                                          prev, ws.log_values)
+                    c = _direct_component(
+                        self.vals[pos, :u], self.cnt[pos, :u] * self.z[i, pos, :u],
+                        self.ccnt[pos, :nl] * self.zt[i, pos, :nl], samples[member].intervals,
+                        prev, self.logv[pos, :u])
                 except (CensemError, OverflowError) as exc:
                     errors[pos] = exc
                     break
@@ -1296,6 +1268,7 @@ def fit_batch(
     fitted, or whose start model's components are not p exponentials then
     r Weibulls, gets the DomainError that says why in its slot instead of
     a FitResult.  An inits list whose length differs from samples' raises.
+    The accepted members run as batches of at most BATCH_MEMBERS, in order.
     """
     cfg = config or EmConfig()
     if inits is not None and len(inits) != len(samples):
@@ -1304,7 +1277,7 @@ def fit_batch(
     d = dof(p, r)
     kinds = [Kind.EXPONENTIAL] * p + [Kind.WEIBULL] * r
     results: list[FitResult | DomainError | None] = [None] * len(samples)
-    slots, wss, models = [], [], []
+    slots, models = [], []
     for j, s in enumerate(samples):
         start = None if inits is None else inits[j]
         if s.total < d + 1:
@@ -1317,23 +1290,25 @@ def fit_batch(
             models.append(default_init(s, p, r) if start is None else
                           MixtureModel(start.weights / start.weights.sum(), start.components))
             slots.append(j)
-            wss.append(_workspace(s))
-    if slots:
-        with np.errstate(all="ignore"):
-            for k, res in _batch_loop(wss, models, p, cfg):
-                results[slots[k]] = res
+    with np.errstate(all="ignore"):
+        for k in range(0, len(slots), BATCH_MEMBERS):
+            batch = slots[k : k + BATCH_MEMBERS]
+            starts = models[k : k + BATCH_MEMBERS]
+            for m, res in _batch_loop([samples[j] for j in batch], starts, p, cfg):
+                results[batch[m]] = res
     return results
 
 
-def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: EmConfig):
+def _batch_loop(
+    samples: list[CensoredSample], models: list[MixtureModel], p: int, cfg: EmConfig
+):
     """Yield (member, FitResult or DomainError) as members stop."""
     mle = cfg.m_step_variant == MStepVariant.SELF_CONSISTENT_MLE
     # the direct M-step loops over the members anyway, so its sums can
     # run per member at little cost
-    st = _Batch(wss, models, p, own_sums=not mle)
-    m_step = st.m_step if mle else st.direct_m_step
-    n = len(wss)
-    warnings: list[list[str]] = [[] for _ in wss]
+    st = _Batch(samples, models, p, own_sums=not mle)
+    n = len(samples)
+    warnings: list[list[str]] = [[] for _ in samples]
     flagged = np.zeros(n, dtype=bool)
     warned = np.zeros((n, st.lo.shape[1]), dtype=bool)
     history = np.empty((n, 64))  # loglik per member and iteration
@@ -1353,16 +1328,18 @@ def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: 
         for pos, l in zip(*np.nonzero(fresh)):
             m = st.ids[pos]
             warned[m, l] = True
-            _warn_underflow(wss[m].intervals[l], warnings[m])
+            _warn_underflow(samples[m].intervals[l], warnings[m])
 
     def result(pos: int, converged: bool, error: str | None = None):
         """(member, FitResult) from the model and the pass at row pos."""
         m = int(st.ids[pos])
-        ws = wss[m]
         resp = None
         if st.bad[pos] < 0:
-            u, nl = ws.values.size, len(ws.intervals)
-            resp = Responsibilities(st.z[:, pos, :u].T[ws.inverse], st.zt[:, pos, :nl].T.copy())
+            u, nl = st.nu[pos], st.nl[pos]
+            # each observation's row among the sorted unique values; on 1e5
+            # observations this is faster than np.searchsorted on the row
+            inverse = np.unique(samples[m].uncensored, return_inverse=True)[1]
+            resp = Responsibilities(st.z[:, pos, :u].T[inverse], st.zt[:, pos, :nl].T.copy())
         return m, FitResult(
             model=st.model(pos), loglik_trace=history[m, : iterations + 1].copy(),
             iterations=iterations, converged=converged, final_responsibilities=resp,
@@ -1379,12 +1356,9 @@ def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: 
     # A member whose first pass underflows stops before its first M-step.
     underflow = st.bad >= 0
     for pos in np.flatnonzero(underflow):
-        ws = wss[st.ids[pos]]
-        j = int(st.bad[pos])
+        value = float(st.vals[pos, st.bad[pos]])
         yield stop(pos, ResponsibilityUnderflowError(
-            f"mixture density underflows at observation value {ws.values[j]!r}",
-            index=int(np.argmax(ws.inverse == j)),
-        ))
+            f"mixture density underflows at observation value {value!r}"))
     if underflow.any():
         st.take(~underflow)
 
@@ -1400,15 +1374,15 @@ def _batch_loop(wss: list[_Workspace], models: list[MixtureModel], p: int, cfg: 
                     f"component(s) {floor_hits} fell below the weight floor "
                     f"{WEIGHT_FLOOR}; fit continues with them flagged"
                 )
-        alpha, beta, errors = m_step()
+        alpha, beta, errors = st.m_step() if mle else st.direct_m_step(samples)
         # the MixtureModel checks on the new weights come after every
         # component's, so a member's component error wins
         bad_w = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
         wsum = weights.sum(axis=0)
-        for pos in np.flatnonzero(bad_w | (np.abs(wsum - 1.0) > 1e-12)):
+        for pos in np.flatnonzero(bad_w | (np.abs(wsum - 1.0) > WEIGHT_SUM_TOL)):
             errors.setdefault(int(pos), DomainError(
                 "weights must be finite and non-negative" if bad_w[pos]
-                else f"weights must sum to 1, got {wsum[pos]!r}"))
+                else f"weights must sum to 1, got {float(wsum[pos])!r}"))
         for pos, exc in sorted(errors.items()):
             yield (int(st.ids[pos]), exc) if isinstance(exc, DomainError) else stop(pos, exc)
         st.w, st.alpha, st.beta = weights, alpha, beta

@@ -9,11 +9,10 @@ the baseline mixture of one exponential and one Weibull.
 
 Each ensemble's subsample and replicas are drawn once and reused for
 every shape.  Each shape is fitted to all the ensembles' subsamples in
-one batched EM call (em_core.fit_batch), then to all replicas, each
-warm-started from its own ensemble's fit, in batches of at most
-BATCH_MEMBERS.  The intraday profile goes through the same helper
-(_fit_samples) one trading day at a time: a day's eligible buckets are
-one batch, summarised as soon as it returns.
+one batched EM call (em_core.fit_batch), then to all replicas in
+another, each warm-started from its own ensemble's fit.  The intraday
+profile makes one fit_batch call per trading day: a day's eligible
+buckets are fitted together and summarised as soon as they return.
 """
 
 from __future__ import annotations
@@ -45,11 +44,6 @@ from .sample_data import (
 )
 
 log = logging.getLogger(__name__)
-
-# Most samples fitted in one fit_batch call.  It bounds the batched EM's
-# (M, B, U) working arrays: 512 members of about 170 unique values and
-# 3 components make about 2 MB per array.
-BATCH_MEMBERS = 512
 
 
 @dataclass(frozen=True, order=True)
@@ -201,25 +195,6 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _fit_samples(
-    samples: Sequence[CensoredSample],
-    shape: ModelShape,
-    config: EmConfig,
-    warm_from: Sequence[FitResult | None],
-) -> list[FitResult | DomainError]:
-    """Fit the shape to every sample, sample j warm-started from the model
-    of warm_from[j] (from em_core.default_init where that is None); the
-    DomainError fit would raise stands in place of a FitResult.  Either
-    M-step runs as batched EM, BATCH_MEMBERS samples per fit_batch call."""
-    pr = (shape.p, shape.r)
-    inits = [None if res is None else res.model for res in warm_from]
-    out: list[FitResult | DomainError] = []
-    for k in range(0, len(samples), BATCH_MEMBERS):
-        part = slice(k, k + BATCH_MEMBERS)
-        out += fit_batch(samples[part], pr, config, inits[part])
-    return out
-
-
 def _bic_of(
     res: FitResult | DomainError, shape: ModelShape, sample: CensoredSample
 ) -> float | None:
@@ -264,12 +239,17 @@ def run_selection(
         raise DomainError(f"candidate shapes listed more than once: {', '.join(repeated)}")
     base_shape = ModelShape(1, 1) if ModelShape(1, 1) in shapes else shapes[0]
     cfg = config or EmConfig()
+    if subsample_size < 1:
+        raise DomainError(f"subsample_size must be at least 1, got {subsample_size}")
     if diffs.size < subsample_size:
         raise DomainError(
             f"{diffs.size} differences cannot supply subsamples of {subsample_size}"
         )
-    if days < 1 or n_boot < 0:
-        raise DomainError("need days >= 1 and n_boot >= 0")
+    if days < 1:
+        raise DomainError(f"days must be at least 1, got {days}")
+    if n_boot < 1:
+        # each shape's Welch test needs two BIC values per ensemble
+        raise DomainError(f"n_boot must be at least 1, got {n_boot}")
     if not 0.0 < alpha_level < 1.0:
         raise DomainError(f"alpha_level must lie in (0, 1), got {alpha_level}")
 
@@ -291,11 +271,12 @@ def run_selection(
     values = {shape: [[] for _ in range(days)] for shape in shapes}
     skipped = {shape: [0] * days for shape in shapes}
     for shape in shapes:
-        fits0 = _fit_samples(originals, shape, cfg, [None] * days)
+        pr = (shape.p, shape.r)
+        fits0 = fit_batch(originals, pr, cfg, [None] * days)
         bic0 = [_bic_of(res, shape, s) for res, s in zip(fits0, originals)]
         # a replica starts from its ensemble's original fit when that one counts
-        warm = [None if b is None else res for res, b in zip(fits0, bic0)]
-        fits = _fit_samples(replicas, shape, cfg, [warm[e] for e in owner])
+        warm = [None if b is None else res.model for res, b in zip(fits0, bic0)]
+        fits = fit_batch(replicas, pr, cfg, [warm[e] for e in owner])
         bics = bic0 + [_bic_of(res, shape, s) for res, s in zip(fits, replicas)]
         for e, b in zip(list(range(days)) + owner, bics):
             if b is None:
@@ -416,9 +397,8 @@ def profile_intraday(
     the shape's parameter count) are skipped and listed, as are fits
     that are rejected or end degenerate, in (day, bucket) order.
     Differences are always taken within a bucket, never across bucket
-    boundaries.  Each day's eligible buckets are fitted together, as
-    run_selection fits its samples (_fit_samples: one fit_batch call per
-    day), and summarised before the next day starts.
+    boundaries.  Each day's eligible buckets are fitted together, in one
+    fit_batch call, and summarised before the next day starts.
     """
     cfg = config or EmConfig()
     acc: dict[int, list[dict[str, float]]] = {}
@@ -440,8 +420,7 @@ def profile_intraday(
             plan.append((bucket_id, None))
             samples.append(sample)
         # summarised as the day's fits return: no FitResult outlives its day
-        outcomes = [_bucket_outcome(res)
-                    for res in _fit_samples(samples, shape, cfg, [None] * len(samples))]
+        outcomes = [_bucket_outcome(res) for res in fit_batch(samples, (shape.p, shape.r), cfg)]
         fitted = iter(zip(samples, outcomes))
         for bucket_id, reason in plan:
             if reason is None:

@@ -248,6 +248,19 @@ def test_fit_overflow_exits_3_with_report(tmp_path):
     assert header["error"] == "OverflowError: math range error"
 
 
+def test_fit_underflow_error_prints_the_value_as_a_float(tmp_path):
+    # the value reads the same under every numpy version: 1e+308, not
+    # np.float64(1e+308)
+    sample = tmp_path / "s.txt"
+    sample.write_text("n=2\nL=0\n0.01\n1e308\n", encoding="utf-8")
+    rep = tmp_path / "fit.txt"
+    assert run("fit", "--input", str(sample), "--output", str(rep), "--shape", "1,0") == 3
+    lines = rep.read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if line.startswith("error=")] == [
+        "error=ResponsibilityUnderflowError: mixture density underflows at observation value "
+        "1e+308"]
+
+
 def test_fit_insufficient_sample_exits_2(tmp_path):
     sample = tmp_path / "s.txt"
     sample.write_text("n=2\nL=0\n4\n5\n", encoding="utf-8")

@@ -49,7 +49,7 @@ def test_component_validation():
 
 def test_mixture_validation():
     c = ComponentSpec.exponential(1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^weights must sum to 1, got 1\.1$"):  # any numpy
         MixtureModel([0.5, 0.6], [c, c])
     with pytest.raises(DomainError):
         MixtureModel([], [])

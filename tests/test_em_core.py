@@ -45,7 +45,6 @@ from censem.em_core import (
     _shape_score,
     _shape_series_bracket,
     _shape_step,
-    _workspace,
     default_init,
     fit_batch,
 )
@@ -932,17 +931,17 @@ def test_fit_all_censored_flags_degenerate():
 
 
 def two_pass_loglik(m: MixtureModel, s: CensoredSample) -> float:
-    """Workspace log-likelihood by the separate two-pass formula: a
+    """Collapsed-sample log-likelihood by the separate two-pass formula: a
     log-sum-exp over the unique-value log matrix weighted by
     multiplicity, then the count-weighted interval terms in order."""
-    ws = _workspace(s)
+    values, counts = np.unique(s.uncensored, return_counts=True)
     total = 0.0
-    if ws.values.size:
-        rows = _logsumexp(_log_mixture_matrix(m, ws.values), axis=1)
+    if values.size:
+        rows = _logsumexp(_log_mixture_matrix(m, values), axis=1)
         if not np.all(np.isfinite(rows)):
             return -math.inf
-        total += float(ws.counts @ rows)
-    for iv in ws.intervals:
+        total += float(counts.astype(float) @ rows)
+    for iv in s.intervals:
         if iv.count == 0:
             continue
         lp = _logsumexp(_log_mixture_interval(m, iv))
@@ -976,13 +975,13 @@ def test_pass_kernels_match_logsumexp_bitwise(reference_mixture, shape):
         [CensoringInterval(0.0, 0.5), CensoringInterval(0.5, 0.75), CensoringInterval(40.5, 60.5)],
     )
     model = fit(s, shape, EmConfig(max_iter=5)).model
-    ws = _workspace(s)
-    logmat = _log_mixture_matrix(model, ws.values)
+    values, _ = np.unique(s.uncensored, return_counts=True)
+    logmat = _log_mixture_matrix(model, values)
     rows, _, bad = _row_pass(logmat)
     assert bad is None
     assert np.array_equal(rows, _logsumexp(logmat, axis=1))
-    _, log_mass = _interval_pass(model, ws.intervals)
-    assert log_mass == [_logsumexp(_log_mixture_interval(model, iv)) for iv in ws.intervals]
+    _, log_mass = _interval_pass(model, s.intervals)
+    assert log_mass == [_logsumexp(_log_mixture_interval(model, iv)) for iv in s.intervals]
 
 
 def test_fit_exact_row_underflow_ends_degenerate_without_responsibilities():
@@ -1053,7 +1052,7 @@ def reference_fit(s: CensoredSample, shape, cfg: EmConfig = EmConfig(),
         try:
             resp = e_step(m, s)
         except ResponsibilityUnderflowError as exc:
-            value = s.uncensored[exc.index]
+            value = float(s.uncensored[exc.index])
             resp = ResponsibilityUnderflowError(
                 f"mixture density underflows at observation value {value!r}")
         else:
@@ -1239,6 +1238,37 @@ def test_fit_batch_direct_failure_stops_only_its_member(reference_mixture):
     assert out[1].iterations == 5 and not out[1].degenerate
     for res, s, start in zip(out, members, inits):
         assert_matches_reference(res, reference_fit(s, (1, 1), cfg, start))
+
+
+def test_fit_batch_runs_accepted_members_in_chunks(reference_mixture, monkeypatch):
+    """fit_batch cuts its accepted members, not its slots, into batches of
+    at most BATCH_MEMBERS; a rejected sample holds its DomainError in its
+    own slot, and with the direct M-step every member equals fit on its
+    sample alone, bit for bit."""
+    monkeypatch.setattr(em_core, "BATCH_MEMBERS", 2)
+    sizes = []
+    loop = em_core._batch_loop
+    monkeypatch.setattr(em_core, "_batch_loop",
+                        lambda samples, *rest: sizes.append(len(samples)) or loop(samples, *rest))
+    cfg = EmConfig(m_step_variant=MStepVariant.DIRECT_OBJECTIVE, max_iter=30)
+    samples = [build_sample(generate_synthetic(reference_mixture, n, rng_seed=281 + n))
+               for n in (150, 260, 200, 310, 180)]
+    samples.insert(2, CensoredSample(np.array([1.0, 2.0]), []))
+    inits = [None] * 6
+    inits[3] = MixtureModel([1.0], [ComponentSpec.exponential(5.0)])
+    out = fit_batch(samples, (1, 1), cfg, inits)
+    assert sizes == [2, 2]
+    assert isinstance(out[2], DomainError)
+    assert str(out[2]) == "sample of size 2 cannot support a shape with 4 free parameters"
+    assert isinstance(out[3], DomainError)
+    assert str(out[3]) == "start model components do not match the shape (1, 1)"
+    for k in (0, 1, 4, 5):
+        alone = fit(samples[k], (1, 1), cfg)
+        assert np.array_equal(out[k].loglik_trace, alone.loglik_trace)
+        assert np.array_equal(params(out[k]), params(alone))
+        assert (out[k].iterations, out[k].converged, out[k].warnings) == (
+            alone.iterations, alone.converged, alone.warnings)
+        assert np.array_equal(out[k].final_responsibilities.z, alone.final_responsibilities.z)
 
 
 def test_fit_batch_member_order_invariant(reference_mixture):

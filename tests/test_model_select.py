@@ -244,7 +244,7 @@ def test_selection_batched_matches_scalar_fits(reference_mixture, monkeypatch):
     diffs = generate_synthetic(reference_mixture, 4000, rng_seed=21)
     shapes = [ModelShape(1, 1), ModelShape(0, 2), ModelShape(2, 1)]
     kwargs = dict(n_boot=5, subsample_size=150, days=3, rng_seed=8)
-    monkeypatch.setattr(model_select, "BATCH_MEMBERS", 4)  # several batches per shape
+    monkeypatch.setattr(em_core, "BATCH_MEMBERS", 4)  # several batches per shape
     batched = run_selection(diffs, shapes, **kwargs)
     monkeypatch.setattr(model_select, "fit_batch", scalar_fit_batch)
     scalar = run_selection(diffs, shapes, **kwargs)
@@ -301,6 +301,25 @@ def test_selection_rejects_alpha_level_outside_unit_interval(reference_mixture, 
     with pytest.raises(DomainError, match="alpha_level"):
         run_selection(diffs, [ModelShape(1, 1), ModelShape(0, 2)], n_boot=2,
                       subsample_size=100, days=1, rng_seed=1, alpha_level=level)
+
+
+@pytest.mark.parametrize("n_boot, size, message", [
+    (0, 100, "n_boot must be at least 1, got 0"),
+    (-3, 100, "n_boot must be at least 1, got -3"),
+    (2, 0, "subsample_size must be at least 1, got 0"),
+    (2, -5, "subsample_size must be at least 1, got -5"),
+])
+def test_selection_rejects_no_replicas_or_empty_subsamples(reference_mixture, monkeypatch,
+                                                          n_boot, size, message):
+    # with no replica each shape has one BIC value per ensemble, too few for
+    # a Welch test, so every ensemble would be fitted and then dropped
+    for name in ("fit_batch", "subsample", "bootstrap_resample"):
+        monkeypatch.setattr(model_select, name, None)  # fails if anything is drawn or fitted
+    diffs = generate_synthetic(reference_mixture, 500, rng_seed=19)
+    with pytest.raises(DomainError) as info:
+        run_selection(diffs, [ModelShape(1, 1), ModelShape(0, 2)], n_boot=n_boot,
+                      subsample_size=size, days=2, rng_seed=1)
+    assert str(info.value) == message
 
 
 def test_selection_rejects_repeated_shape(reference_mixture):
@@ -457,7 +476,7 @@ def assert_same_skips(got, want):
 
 
 def test_profile_batched_matches_reference_loop(monkeypatch):
-    monkeypatch.setattr(model_select, "BATCH_MEMBERS", 3)  # day 1 spans two batches
+    monkeypatch.setattr(em_core, "BATCH_MEMBERS", 3)  # day 1 spans two batches
     monkeypatch.setattr(em_core, "WEIGHT_FLOOR", PROFILE_FLOOR)
     days = profile_days()
     got = profile_intraday(days, PROFILE_SPEC, ModelShape(1, 1))
