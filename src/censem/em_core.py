@@ -28,6 +28,11 @@ samples are collapsed to unique values and padded into shared arrays,
 every iteration is one array E-step and weight update plus the M-step
 (for mle one array scale update and one array shape step), and a
 member leaves the arrays when it converges, reaches max_iter or fails.
+The mle M-step computes nothing the pass already holds: it takes the
+weight update's sums of count * z, and the E-step's (x/alpha)^beta,
+log(x/alpha) and interval transforms, so it exponentiates no value; the
+shape score at the previous shape comes from four weighted sums over
+them, and is evaluated afresh only where a step leaves BETA_BRACKET.
 An M-step marks each (component, member) with the first check it
 fails, and a failed member stops with the exception of its lowest
 failing component at that check.
@@ -48,6 +53,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -125,21 +131,51 @@ class Responsibilities:
     z_tilde: np.ndarray
 
 
+def _expand(z_unique: np.ndarray, z_tilde: np.ndarray, observations: np.ndarray):
+    """Responsibilities of every observation from the rows (nu, M) of its
+    sorted unique values."""
+    # each observation's row among the sorted unique values; on 1e5
+    # observations this is faster than np.searchsorted on the row
+    inverse = np.unique(observations, return_inverse=True)[1]
+    return Responsibilities(z_unique[inverse], z_tilde)
+
+
+class _ExpandOnRead:
+    """The data descriptor behind FitResult.final_responsibilities.  It
+    holds Responsibilities or None, or a callable that builds them, which
+    runs on the first read; its result is kept for later reads."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            raise AttributeError(self.slot)  # so the dataclass field has no default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass
 class FitResult:
     """Outcome of one EM run.
 
     final_responsibilities belong to `model` and come from the fit
-    loop's last E-step pass, expanded from the unique exact values back
-    to every observation; they are None when an exact observation's
-    mixture density underflows under `model`.
+    loop's last E-step pass; they are None when an exact observation's
+    mixture density underflows under `model`.  The fit keeps them on its
+    unique exact values and expands them to every observation on the
+    first read.
     """
 
     model: MixtureModel
     loglik_trace: np.ndarray
     iterations: int
     converged: bool
-    final_responsibilities: Responsibilities | None
+    final_responsibilities: Responsibilities | None = _ExpandOnRead()
     degenerate: bool = False
     warnings: list[str] = field(default_factory=list)
     error: str | None = None
@@ -360,11 +396,12 @@ def _shape_score(l_rel: np.ndarray, wl: np.ndarray, a_mass: np.ndarray, b_const:
     return score
 
 
-def _shape_step(score, beta: np.ndarray):
+def _shape_step(score, beta: np.ndarray, first=None):
     """One safeguarded Newton step per row from its previous shape beta:
-    beta - f / f' with (f, f') = score(beta), capped to [beta / 2, 2 beta].
-    A NaN step from a score that is not NaN (f and f' both overflowed)
-    goes to the cap end that the sign of f points to.  Where the step leaves
+    beta - f / f' with (f, f') = score(beta), or `first` where the caller
+    has evaluated it already, capped to [beta / 2, 2 beta].  A NaN step
+    from a score that is not NaN (f and f' both overflowed) goes to the
+    cap end that the sign of f points to.  Where the step leaves
     BETA_BRACKET, the scores at both ends decide: with a sign change the
     step is clamped into the bracket, without one, or with a NaN score,
     the row fails.
@@ -377,15 +414,18 @@ def _shape_step(score, beta: np.ndarray):
     f_lo = np.full(beta.shape, math.nan)
     f_hi = f_lo.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f, df = score(beta)
+        f, df = score(beta) if first is None else first
         x = beta - f / df
-        x = np.where(np.isnan(x) & ~np.isnan(f), np.where(f > 0.0, 2.0 * beta, 0.5 * beta), x)
+        nan = np.isnan(x)
+        if nan.any():
+            x = np.where(nan & ~np.isnan(f), np.where(f > 0.0, 2.0 * beta, 0.5 * beta), x)
         x = np.clip(x, 0.5 * beta, 2.0 * beta)  # a NaN stays NaN
         out = ~((lo <= x) & (x <= hi))
-        if out.any():
-            rows = np.flatnonzero(out)
-            f_lo[rows] = score(np.full(rows.size, lo), rows)[0]
-            f_hi[rows] = score(np.full(rows.size, hi), rows)[0]
+        if not out.any():
+            return x, ~out, f_lo, f_hi
+        rows = np.flatnonzero(out)
+        f_lo[rows] = score(np.full(rows.size, lo), rows)[0]
+        f_hi[rows] = score(np.full(rows.size, hi), rows)[0]
     ok = ~out | ((f_lo >= 0.0) & (f_hi <= 0.0) & ~np.isnan(x))
     return np.where(ok, np.clip(x, lo, hi), math.nan), ok, f_lo, f_hi
 
@@ -860,11 +900,20 @@ class _Batch:
     the padded width; with own_sums the log-likelihood and weight sums
     run over each member's own slices instead, so a member's numbers do
     not depend on its batch mates.
+
+    Besides z and zt, a pass keeps what the mle M-step would otherwise
+    recompute: for the Weibull components rel = log(x / alpha) and
+    pw = (x / alpha)^beta over the values, (r, B, U), and for every
+    component each interval's transforms zlo, zhi and tail = 1 - e^(zlo - zhi),
+    (M, B, L).  weights_from_pass keeps wsum, the (M, B) sums of count * z,
+    and den, those plus the interval sums.  cv = count * value is the
+    exponential scale's constant row.  Each pass writes its z, rel and pw
+    over the last pass's, which are spent by then.
     """
 
-    _ROWS = ("ids", "nu", "nl", "vals", "logv", "cnt", "valid", "lo", "hi", "loglo", "loghi",
-             "ccnt", "ivalid", "total", "ll", "bad")
-    _COLUMNS = ("w", "alpha", "beta", "z", "zt")
+    _ROWS = ("ids", "nu", "nl", "vals", "logv", "cnt", "cv", "valid", "lo", "hi", "loglo",
+             "loghi", "ccnt", "ivalid", "total", "ll", "bad")
+    _COLUMNS = ("w", "alpha", "beta", "z", "zt", "rel", "pw", "zlo", "zhi", "tail")
 
     def __init__(
         self, samples: list[CensoredSample], models: list[MixtureModel], p: int,
@@ -890,6 +939,7 @@ class _Batch:
             for l, iv in enumerate(s.intervals):
                 self.lo[j, l], self.hi[j, l], self.ccnt[j, l] = iv.lo, iv.hi, iv.count
         self.logv = np.log(self.vals)
+        self.cv = self.cnt * self.vals
         self.loglo, self.loghi = np.log(self.lo), np.log(self.hi)
         self.valid = self.cnt > 0.0
         self.ivalid = np.arange(self.lo.shape[1]) < self.nl[:, None]
@@ -897,6 +947,7 @@ class _Batch:
         self.w = np.array([m.weights for m in models]).T
         self.alpha = np.array([[c.alpha for c in m.components] for m in models]).T
         self.beta = np.array([[c.beta for c in m.components] for m in models]).T
+        self.z = None  # before the first pass
 
     def take(self, keep: np.ndarray) -> None:
         for name in self._ROWS:
@@ -922,12 +973,18 @@ class _Batch:
         interval's log masses serve both its log-likelihood term and its
         z_tilde row.  The exponential components fill both as one block
         and the Weibull components as another."""
-        self.z = self.zt = None  # the last pass is spent; free it for this one
         m, p = self.w.shape[0], self.p
+        # the last pass is spent: this one overwrites its z, rel and pw,
+        # which saves the page faults that fresh arrays of their size cost
+        logmat = self.z
+        if logmat is None:
+            logmat = np.empty((m,) + self.vals.shape)
+            self.rel = np.empty((m - p,) + self.vals.shape)
+            self.pw = np.empty(self.rel.shape)
+        self.z = self.zt = None
         logw = np.log(self.w)[:, :, None]
         a = self.alpha[:, :, None]
         la = np.log(a)
-        logmat = np.empty((m,) + self.vals.shape)
         # each interval [lo, hi) mapped to [u, v) by the component's transform
         u = np.empty((m,) + self.lo.shape)
         v = np.empty(u.shape)
@@ -944,11 +1001,11 @@ class _Batch:
             # built in place
             bt = self.beta[p:, :, None]
             wbl = logmat[p:]
-            rel = self.logv - la[p:]
-            np.exp(np.multiply(bt, rel, out=wbl), out=wbl)
-            rel *= bt - 1.0
-            rel += np.log(bt) - la[p:]
-            np.subtract(rel, wbl, out=wbl)
+            rel = np.subtract(self.logv, la[p:], out=self.rel)  # log(x / alpha)
+            pw = np.exp(np.multiply(bt, rel, out=self.pw), out=self.pw)  # (x / alpha)^beta
+            np.multiply(rel, bt - 1.0, out=wbl)
+            wbl += np.log(bt) - la[p:]
+            np.subtract(wbl, pw, out=wbl)
             wbl += logw[p:]
             np.exp(bt * (self.loglo - la[p:]), out=u[p:])
             np.exp(bt * (self.loghi - la[p:]), out=v[p:])
@@ -962,22 +1019,26 @@ class _Batch:
                 u[one_c, one_b] = self.lo[one_b] / a[one_c, one_b]
                 v[one_c, one_b] = self.hi[one_b] / a[one_c, one_b]
         mx = logmat.max(axis=0)
-        dead = ~np.isfinite(mx) & self.valid
-        self.bad = np.where(dead.any(axis=1), dead.argmax(axis=1) if dead.size else 0, -1)
+        self.bad = np.full(mx.shape[0], -1)
+        if not np.isfinite(mx).all():
+            dead = ~np.isfinite(mx) & self.valid
+            self.bad = np.where(dead.any(axis=1), dead.argmax(axis=1), -1)
         pz = np.exp(np.subtract(logmat, mx, out=logmat), out=logmat)
         rowsum = pz.sum(axis=0)
+        self.z = np.divide(pz, rowsum, out=pz)
+        # each row's log mixture density mx + log(rowsum), in place; then
         # counts @ rows for each member, reduced as a dot product is: a
         # batch of one gives counts @ rows bit for bit, which the
         # multiply-and-sum form does not
-        rows = mx + np.log(rowsum)
+        rows = np.add(mx, np.log(rowsum, out=rowsum), out=mx)
         if self.own_sums:
             ll = np.array([self.cnt[pos, :u] @ rows[pos, :u] for pos, u in enumerate(self.nu)])
         else:
             ll = np.matmul(self.cnt[:, None, :], rows[:, :, None])[:, 0, 0]
-        self.z = np.divide(pz, rowsum, out=pz)
 
         # interval log masses -u + log(1 - e^(u - v))
-        tail = -np.expm1(u - v)
+        self.zlo, self.zhi = u, v
+        self.tail = tail = -np.expm1(u - v)
         lw = logw + np.where(tail <= 0.0, -math.inf, -u + np.log(tail))
         imx = lw.max(axis=0)
         idead = ~np.isfinite(imx) & self.ivalid
@@ -996,9 +1057,11 @@ class _Batch:
                 acc[:, pos] = (self.z[:, pos, :u] * self.cnt[pos, :u]).sum(axis=1) + (
                     self.zt[:, pos, :nl] * self.ccnt[pos, :nl]).sum(axis=1)
         else:
-            acc = (self.cnt * self.z).sum(axis=2)
+            # the M-step's exact-value masses and total masses
+            self.wsum = acc = np.einsum("mbu,bu->mb", self.z, self.cnt)
             if self.ccnt.shape[1]:
                 acc = acc + (self.ccnt * self.zt).sum(axis=2)
+            self.den = acc
         w = acc / self.total
         return w / w.sum(axis=0)
 
@@ -1018,33 +1081,57 @@ class _Batch:
         p = self.p
         stage = np.full(self.alpha.shape, _ST_OK)
         floor = WEIGHT_FLOOR * self.total
-        w = self.cnt * self.z
         cw = self.ccnt * self.zt
-        w_sum = w.sum(axis=2)
-        den = w_sum + cw.sum(axis=2)
+        w_sum, den = self.wsum, self.den
         alpha = np.empty(self.alpha.shape)
         beta = self.beta.copy()
         f_ends = None  # the shape scores at the bracket ends, where a step fails
 
         if p:
             means = _truncated_mean_exp_array(self.alpha[:p, :, None], self.lo, self.hi)
-            num = (w[:p] * self.vals).sum(axis=2) + _sum_l(cw[:p] * means)
+            num = np.einsum("mbu,bu->mb", self.z[:p], self.cv) + _sum_l(cw[:p] * means)
             np.minimum(stage[:p], _ST_MASS, out=stage[:p],
                        where=(den[:p] <= floor) | ~np.isfinite(num) | (num <= 0.0))
             alpha[:p] = num / den[:p]
         if p < alpha.shape[0]:
             stage_w = stage[p:]
-            w, cw, w_sum, den_w = w[p:], cw[p:], w_sum[p:], den[p:]
+            cw, w_sum, den_w = cw[p:], w_sum[p:], den[p:]
             a_prev, b_prev = self.alpha[p:], self.beta[p:]
             la, bt = np.log(a_prev)[:, :, None], b_prev[:, :, None]
-            z_lo, over_lo = _zeta_array(self.lo, self.loglo, la, bt)
-            z_hi, over_hi = _zeta_array(self.hi, self.loghi, la, bt)
-            np.minimum(stage_w, _ST_ZETA, out=stage_w, where=(over_lo | over_hi).any(axis=2))
-            mass = np.exp(-z_lo) * (-np.expm1(z_lo - z_hi))
+            if (b_prev == 1.0).any():
+                # the E-pass maps an interval by lo / alpha where beta == 1
+                z_lo = np.exp(bt * (self.loglo - la))
+                z_hi = np.exp(bt * (self.loghi - la))
+                tail = -np.expm1(z_lo - z_hi)
+            else:
+                z_lo, z_hi, tail = self.zlo[p:], self.zhi[p:], self.tail[p:]
+            # where _zeta's math.exp would raise OverflowError
+            over = np.isinf(z_lo) & np.isfinite(self.lo)
+            over |= np.isinf(z_hi) & np.isfinite(self.hi)
+            np.minimum(stage_w, _ST_ZETA, out=stage_w, where=over.any(axis=2))
+            mass = np.exp(-z_lo) * tail
             ab = np.exp(b_prev * la[:, :, 0])
             np.minimum(stage_w, _ST_POW, out=stage_w, where=np.isinf(ab))
             occupied = (cw > 0.0) & (mass > 0.0)
-            num = (w * np.exp(bt * self.logv)).sum(axis=2)
+            # The sums over the values that the scale and the shape score take,
+            # from the E-pass's rel = log(x / alpha) and pw = e^(beta rel):
+            # s_0 = sum w pw, so that sum w x^beta = s_0 alpha^beta, and
+            # s_r = sum w rel, s_1 = sum w pw rel, s_2 = sum w pw rel^2.
+            rel = self.rel
+            t = self.cnt * self.z[p:]
+            s_r = np.einsum("mbu,mbu->mb", t, rel)
+            t *= self.pw
+            s_0 = t.sum(axis=2)
+            s_1 = np.einsum("mbu,mbu->mb", t, rel)
+            t *= rel
+            s_2 = np.einsum("mbu,mbu->mb", t, rel)
+            num = s_0 * ab
+            # x^beta afresh where that product is not finite and positive (a
+            # power over- or underflowed)
+            fresh = ~(np.isfinite(num) & (num > 0.0))
+            if fresh.any():
+                num = np.where(fresh, (self.cnt * self.z[p:] * np.exp(bt * self.logv)).sum(axis=2),
+                               num)
             g = _gamma2_diff_array(z_lo, z_hi) / mass
             num = num + _sum_l(np.where(occupied, cw * ab[:, :, None] * g, 0.0))
             np.minimum(stage_w, _ST_MASS, out=stage_w,
@@ -1053,22 +1140,41 @@ class _Batch:
             np.minimum(stage_w, _ST_ALPHA, out=stage_w, where=np.isinf(alpha_new))
             alpha[p:] = alpha_new
 
-            # shape-score constants and the shape step, for the rows that have
-            # not failed; a row whose member failed in an earlier component
-            # steps too, but the member stops, so its step reaches no result
-            todo = stage_w == _ST_OK
+            # The shape score f(beta) = a_mass / beta + b_const - sum w l e^(beta l)
+            # and its slope at beta_prev, with l = log(x / alpha_new) = rel + delta:
+            # there e^(beta l) = pw rho with rho = e^(beta_prev delta), so
+            # sum w l e^(beta l) = rho (s_1 + delta s_0) and
+            # sum w l^2 e^(beta l) = rho (s_2 + delta (2 s_1 + delta s_0)).
             d_const = (_tlog_diff_array(z_lo, z_hi) - mass) / bt
-            l_rel = self.logv - np.log(alpha_new)[:, :, None]
-            wl = w * l_rel
+            delta = la[:, :, 0] - np.log(alpha_new)
+            rho = np.exp(b_prev * delta)
             a_mass = _sum_l(np.where(occupied, cw, 0.0), w_sum)
-            b_const = _sum_l(np.where(occupied, cw * d_const / mass, 0.0), wl.sum(axis=2))
+            b_const = _sum_l(np.where(occupied, cw * d_const / mass, 0.0), s_r + delta * w_sum)
+            f = a_mass / b_prev + b_const - rho * (s_1 + delta * s_0)
+            df = -a_mass / (b_prev * b_prev) - rho * (s_2 + delta * (2.0 * s_1 + delta * s_0))
+
+            # the shape step, for the rows that have not failed; a row whose
+            # member failed in an earlier component steps too, but the member
+            # stops, so its step reaches no result
+            todo = stage_w == _ST_OK
             if todo.any():
-                # row j of the step is the j-th todo (component, member) in C
-                # order; with every row todo the reshapes are views, not copies
-                full = todo.all()
-                rows = [v.reshape((-1,) + v.shape[2:]) if full else v[todo]
-                        for v in (l_rel, wl, a_mass, b_const, b_prev)]
-                steps, ok, f_lo, f_hi = _shape_step(_shape_score(*rows[:4]), rows[4])
+                # row j of the step is the j-th todo (component, member) in C order
+                comp, memb = np.nonzero(todo)
+
+                def score(beta, rows):
+                    """The score afresh on the given rows of the step."""
+                    c, k = comp[rows], memb[rows]
+                    l_rel = self.logv[k] - np.log(alpha_new[c, k])[:, None]
+                    wl = self.cnt[k] * self.z[p + c, k] * l_rel
+                    return _shape_score(l_rel, wl, a_mass[c, k], b_const[c, k])(beta)
+
+                first = (f[todo], df[todo])
+                b_todo = b_prev[todo]
+                # afresh on a row where the sums did not give a finite score
+                redo = np.flatnonzero(~(np.isfinite(first[0]) & np.isfinite(first[1])))
+                if redo.size:
+                    first[0][redo], first[1][redo] = score(b_todo[redo], redo)
+                steps, ok, f_lo, f_hi = _shape_step(score, b_todo, first)
                 stepped = np.zeros(todo.shape, dtype=bool)
                 stepped[todo] = ok
                 beta[p:][stepped] = steps[ok]
@@ -1077,6 +1183,8 @@ class _Batch:
                     f_ends[0, p:][todo], f_ends[1, p:][todo] = f_lo, f_hi
                     np.minimum(stage_w, _ST_BRACKET, out=stage_w, where=todo & ~stepped)
         np.minimum(stage, _ST_SPEC, out=stage, where=~((alpha > 0.0) & np.isfinite(alpha)))
+        if stage.min() == _ST_OK:
+            return alpha, beta, {}
         return alpha, beta, _m_step_errors(stage, p, den, alpha, f_ends)
 
     def direct_m_step(self, samples: list[CensoredSample]):
@@ -1133,12 +1241,6 @@ def _sum_l(terms: np.ndarray, acc=0.0):
     for l in range(terms.shape[-1]):
         acc = acc + terms[..., l]
     return acc
-
-
-def _zeta_array(bound: np.ndarray, log_bound: np.ndarray, la: np.ndarray, bt: np.ndarray):
-    """_zeta elementwise, plus where math.exp would raise OverflowError."""
-    out = np.exp(bt * (log_bound - la))
-    return out, np.isinf(out) & np.isfinite(bound)
 
 
 def _truncated_mean_exp_array(alpha: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -1336,10 +1438,8 @@ def _batch_loop(
         resp = None
         if st.bad[pos] < 0:
             u, nl = st.nu[pos], st.nl[pos]
-            # each observation's row among the sorted unique values; on 1e5
-            # observations this is faster than np.searchsorted on the row
-            inverse = np.unique(samples[m].uncensored, return_inverse=True)[1]
-            resp = Responsibilities(st.z[:, pos, :u].T[inverse], st.zt[:, pos, :nl].T.copy())
+            resp = partial(_expand, st.z[:, pos, :u].T.copy(), st.zt[:, pos, :nl].T.copy(),
+                           samples[m].uncensored)
         return m, FitResult(
             model=st.model(pos), loglik_trace=history[m, : iterations + 1].copy(),
             iterations=iterations, converged=converged, final_responsibilities=resp,

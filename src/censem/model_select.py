@@ -241,6 +241,13 @@ def run_selection(
     cfg = config or EmConfig()
     if subsample_size < 1:
         raise DomainError(f"subsample_size must be at least 1, got {subsample_size}")
+    # a sample must outnumber a shape's free parameters (fit_batch)
+    smallest = min(shapes, key=lambda s: s.dof)
+    if subsample_size < smallest.dof + 1:
+        raise DomainError(
+            f"subsample_size {subsample_size} is too small for every candidate shape: "
+            f"the smallest, {smallest.key}, needs at least {smallest.dof + 1}"
+        )
     if diffs.size < subsample_size:
         raise DomainError(
             f"{diffs.size} differences cannot supply subsamples of {subsample_size}"

@@ -316,6 +316,21 @@ def test_select_repeated_shape_exits_2(tmp_path, reference_mixture):
     assert not out.exists()
 
 
+def test_select_subsample_too_small_for_every_shape_exits_2(tmp_path, reference_mixture,
+                                                           capsys):
+    from censem.sample_data import generate_synthetic
+
+    diffs = tmp_path / "d.txt"
+    write_lines(diffs, generate_synthetic(reference_mixture, 500, rng_seed=6).tolist())
+    out = tmp_path / "sel.txt"
+    assert run("select", "--input", str(diffs), "--output", str(out), "--shapes", "1,1;2,1",
+               "--boot", "5", "--subsample", "3", "--days", "4", "--seed", "3") == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: subsample_size 3 is too small for every candidate shape: "
+        "the smallest, 1,1, needs at least 5\n")
+
+
 def test_selection_report_marks_sd_of_a_single_fit(tmp_path):
     """A shape with one usable fit in an ensemble has no sd: its column
     reads '-', as the mean column does with none, and the report is whole."""

@@ -1541,3 +1541,108 @@ def test_fit_loglik_equals_uncompressed_objective(reference_mixture, variant):
     s = build_sample(generate_synthetic(reference_mixture, 400, rng_seed=263))
     res = fit(s, (1, 1), EmConfig(m_step_variant=variant, max_iter=100))
     assert res.loglik == pytest.approx(censored_log_likelihood(res.model, s), rel=1e-12)
+
+
+# --- the lean mle pass: E-pass quantities in the M-step, responsibilities on read ----
+
+
+def lean_m_step_batch(reference_mixture, cold: bool):
+    """(samples, starts) of a 1,1 batch: a plain member, a member whose
+    shape step leaves BETA_BRACKET, an overflow member, a member whose
+    (x / alpha)^beta overflows at values where its Weibull responsibility
+    is 0 and, with cold, a cold-started member (beta = 1).  At alpha_new
+    the fourth member's powers are finite, so its step runs on the score
+    afresh, as the public operations take it."""
+    plain = build_sample(generate_synthetic(reference_mixture, 600, rng_seed=271))
+    steep = CensoredSample(
+        sample(MixtureModel([1.0], [ComponentSpec.weibull(1.0, 30.0)]), 500, rng_seed=47), [])
+    small = sample(MixtureModel([1.0], [ComponentSpec.weibull(1e-3, 2.0)]), 200, rng_seed=5)
+    huge = CensoredSample(np.concatenate([small, 7e27 * (1.0 + 0.001 * np.arange(20))]), [])
+    samples = [plain, steep, overflow_sample(), huge]
+    starts = [weibull_shapes_at(plain, (1, 1), 0.7),
+              MixtureModel([0.5, 0.5], [ComponentSpec.exponential(0.5),
+                                        ComponentSpec.weibull(1.0, 15.0)]),
+              weibull_shapes_at(overflow_sample(), (1, 1), 2.0),
+              MixtureModel([0.5, 0.5], [ComponentSpec.exponential(7e27),
+                                        ComponentSpec.weibull(1e-3, 10.0)])]
+    if cold:
+        fresh = build_sample(generate_synthetic(reference_mixture, 300, rng_seed=277))
+        samples.append(fresh)
+        starts.append(default_init(fresh, 1, 1))
+    return samples, starts
+
+
+def fresh_m_step(r: Responsibilities, s: CensoredSample, prev: MixtureModel):
+    """The member's M-step by the public operations, which exponentiate
+    x^beta and e^(beta l_rel) afresh: the [alpha, beta] of each component
+    as far as they get (beta None where it is not reached), and the
+    exception of the first one that fails, or None."""
+    reached = []
+    try:
+        for i, c in enumerate(prev.components):
+            if c.kind == Kind.EXPONENTIAL:
+                reached.append([m_step_exponential(r, s, i, c.alpha), 1.0])
+            else:
+                reached.append([m_step_weibull_alpha(r, s, i, c), None])
+                reached[-1][1] = m_step_weibull_beta(r, s, i, c, reached[-1][0])
+    except (BracketError, DegenerateComponentError, OverflowError) as exc:
+        return reached, exc
+    return reached, None
+
+
+@pytest.mark.parametrize("cold", [False, True])
+def test_batch_m_step_matches_fresh_exponentials(reference_mixture, cold):
+    """The batched mle M-step takes x^beta and the shape score at beta_prev
+    from the E-pass's powers.  Against the public operations, which
+    exponentiate afresh, each new scale and shape agrees to 1e-12, and
+    each member fails at the same stage with the same named error.  With
+    a cold-started member (beta = 1) the batch forms the interval
+    transforms anew; without one it takes them from the E-pass."""
+    samples, starts = lean_m_step_batch(reference_mixture, cold)
+    with np.errstate(all="ignore"):  # as fit_batch runs it
+        st = em_core._Batch(samples, starts, 1)
+        st.e_pass()
+        assert (st.bad < 0).all() and np.isinf(st.pw[0, 3]).any()
+        st.weights_from_pass()
+        alpha, beta, errors = st.m_step()
+    number = re.compile(r"-?\d+\.\d+(?:e[-+]\d+)?")
+    named = []
+    for pos, (s, start) in enumerate(zip(samples, starts)):
+        r = em_core._expand(st.z[:, pos, :st.nu[pos]].T, st.zt[:, pos, :st.nl[pos]].T,
+                            s.uncensored)
+        reached, exc = fresh_m_step(r, s, start)
+        for i, (a, b) in enumerate(reached):
+            assert alpha[i, pos] == pytest.approx(a, rel=1e-12)
+            if b is not None:
+                assert beta[i, pos] == pytest.approx(b, rel=1e-12)
+        got = errors.get(pos)
+        assert type(got) is type(exc)
+        if exc is not None:
+            assert number.sub("#", str(got)) == number.sub("#", str(exc))
+            np.testing.assert_allclose([float(v) for v in number.findall(str(got))],
+                                       [float(v) for v in number.findall(str(exc))], rtol=1e-8)
+        named.append(None if exc is None else type(exc).__name__)
+    assert named == [None, "BracketError", "OverflowError", None] + [None] * cold
+
+
+def test_final_responsibilities_expand_on_first_read(reference_mixture):
+    """A fit keeps its last responsibilities on its unique exact values and
+    expands them on the first read, bit for bit e_step's under the final
+    model: for mle members of unequal sizes in one batch and for a direct
+    fit.  A member whose first pass underflows has none, and a second
+    read gives the same arrays."""
+    samples = [build_sample(generate_synthetic(reference_mixture, n, rng_seed=283 + n))
+               for n in (150, 900, 400)]
+    bad = CensoredSample(np.array([1.0, 2.0, 5.0, 1e300]), [])
+    start = MixtureModel([1.0], [ComponentSpec.weibull(1.0, 2.0)])
+    out = fit_batch(samples + [bad], (0, 1), inits=[None, None, None, start])
+    assert out[3].final_responsibilities is None
+    direct = fit(samples[1], (1, 1), EmConfig(m_step_variant=MStepVariant.DIRECT_OBJECTIVE,
+                                              max_iter=30))
+    for res, s in [*zip(out, samples), (direct, samples[1])]:
+        first = res.final_responsibilities
+        ref = e_step(res.model, s)
+        assert np.array_equal(first.z, ref.z)
+        assert np.array_equal(first.z_tilde, ref.z_tilde)
+        again = res.final_responsibilities
+        assert np.array_equal(again.z, first.z) and np.array_equal(again.z_tilde, first.z_tilde)

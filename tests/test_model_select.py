@@ -322,6 +322,32 @@ def test_selection_rejects_no_replicas_or_empty_subsamples(reference_mixture, mo
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("shapes, size, message", [
+    ("1,1;2,1", 3, "subsample_size 3 is too small for every candidate shape: "
+                   "the smallest, 1,1, needs at least 5"),
+    ("2,1;0,2;1,0", 1, "subsample_size 1 is too small for every candidate shape: "
+                       "the smallest, 1,0, needs at least 2"),
+])
+def test_selection_rejects_a_subsample_too_small_for_every_shape(reference_mixture, monkeypatch,
+                                                                shapes, size, message):
+    for name in ("fit_batch", "subsample", "bootstrap_resample"):
+        monkeypatch.setattr(model_select, name, None)  # fails if anything is drawn or fitted
+    diffs = generate_synthetic(reference_mixture, 500, rng_seed=19)
+    with pytest.raises(DomainError) as info:
+        run_selection(diffs, [ModelShape.parse(t) for t in shapes.split(";")], n_boot=5,
+                      subsample_size=size, days=4, rng_seed=1)
+    assert str(info.value) == message
+
+
+def test_selection_runs_a_subsample_that_fits_only_the_smallest_shape(reference_mixture):
+    """A size too small for 2,1 (7 points) but enough for 1,1 (5): the
+    check lets it through, and the 2,1 fits are each skipped."""
+    diffs = generate_synthetic(reference_mixture, 500, rng_seed=19)
+    rep = run_selection(diffs, [ModelShape(1, 1), ModelShape(2, 1)], n_boot=2,
+                        subsample_size=6, days=1, rng_seed=1)
+    assert rep.ensembles[0].stats[ModelShape(2, 1)].skipped == 3
+
+
 def test_selection_rejects_repeated_shape(reference_mixture):
     # counted twice, a shape's BIC samples, Welch tests and tally row would double
     diffs = generate_synthetic(reference_mixture, 500, rng_seed=19)
@@ -522,3 +548,42 @@ def test_profile_direct_variant_report_equals_reference_loop(tmp_path, monkeypat
     argv[2] = str(tmp_path / "reference.txt")
     assert cli.main(argv) == 0
     assert (tmp_path / "batched.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+
+# --- the EM work behind a tournament and a profile ------------------------------------
+
+
+def test_selection_and_profile_em_work_is_pinned(reference_mixture, monkeypatch):
+    """The EM work of a small seeded tournament and profile: E-pass calls,
+    member-passes (members iterating at each call, summed) and summed fit
+    iterations.  Every timing rests on these counts; a change that moves
+    them does different work, and has to say so."""
+    work = {"calls": 0, "members": 0, "iterations": 0}
+    e_pass = em_core._Batch.e_pass
+
+    def counted(self):
+        work["calls"] += 1
+        work["members"] += int(self.ids.size)
+        return e_pass(self)
+
+    def summed(*args):
+        out = fit_batch(*args)
+        work["iterations"] += sum(r.iterations for r in out if isinstance(r, em_core.FitResult))
+        return out
+
+    monkeypatch.setattr(em_core._Batch, "e_pass", counted)
+    monkeypatch.setattr(model_select, "fit_batch", summed)
+    diffs = generate_synthetic(reference_mixture, 3000, rng_seed=31)
+    run_selection(diffs, [ModelShape(1, 1), ModelShape(0, 2), ModelShape(3, 0), ModelShape(2, 1)],
+                  n_boot=2, subsample_size=150, days=2, rng_seed=12)
+    assert work == {"calls": 865, "members": 1786, "iterations": 1762}
+
+    work.update(calls=0, members=0, iterations=0)
+    spec = BucketSpec.from_hhmm("09:00", "10:00", 20)
+    days = []
+    for seed in (41, 42):
+        stamps = _day_from_model(reference_mixture, 3000, seed, spec.session_start_ms)
+        days.append(TimestampSeries(stamps[stamps < spec.session_end_ms]))
+    prof = profile_intraday(days, spec, ModelShape(1, 1))
+    assert len(prof.buckets) == 3 and not prof.skipped
+    assert work == {"calls": 48, "members": 120, "iterations": 114}
