@@ -2,9 +2,11 @@
 
 An exponential component is carried as its own kind (with beta pinned to
 1) rather than as a beta=1 Weibull, because parameter counting and the
-closed-form scale update treat the two families differently.  All
-density work that feeds the EM loop happens in log space: for beta < 1
-the density blows up as x -> 0 and linear-space evaluation overflows.
+closed-form scale update treat the two families differently.  The kind
+alone picks the formula: a Weibull at beta = 1 is evaluated as a
+Weibull.  All density work that feeds the EM loop happens in log space:
+for beta < 1 the density blows up as x -> 0 and linear-space evaluation
+overflows.
 """
 
 from __future__ import annotations
@@ -105,16 +107,16 @@ class MixtureModel:
         return self._log_weights
 
 
-def _upow(x, alpha: float, beta: float):
-    """(x/alpha)^beta, overflow-safe for array x > 0 via exp(beta*log(x/alpha)).
+def _upow(c: ComponentSpec, x):
+    """(x/alpha)^beta, overflow-safe for x >= 0 via exp(beta*log(x/alpha)).
 
-    Saturates to inf far in the tail, which downstream code treats as
-    zero survival mass.
+    x = 0 gives 0 and x = inf gives inf, as does a far tail whose power
+    saturates, which downstream code treats as zero survival mass.
     """
-    if beta == 1.0:
-        return x / alpha
-    with np.errstate(over="ignore"):
-        return np.exp(beta * (np.log(x) - math.log(alpha)))
+    with np.errstate(divide="ignore", over="ignore"):
+        if c.kind == Kind.EXPONENTIAL:
+            return x / c.alpha
+        return np.exp(c.beta * (np.log(x) - math.log(c.alpha)))
 
 
 def pdf(c: ComponentSpec, x):
@@ -128,7 +130,7 @@ def log_pdf(c: ComponentSpec, x):
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("log_pdf requires x > 0")
     la = math.log(c.alpha)
-    if c.beta == 1.0:
+    if c.kind == Kind.EXPONENTIAL:
         out = -la - arr / c.alpha
     else:
         lx = np.log(arr)
@@ -145,15 +147,13 @@ def interval_prob(c: ComponentSpec, iv: CensoringInterval) -> float:
     exp(-u) - exp(-v) is formed as exp(-u) * (-expm1(u - v)) so narrow
     or far-tail intervals keep relative accuracy.
     """
-    u = 0.0 if iv.lo == 0.0 else float(_upow(iv.lo, c.alpha, c.beta))
-    v = math.inf if math.isinf(iv.hi) else float(_upow(iv.hi, c.alpha, c.beta))
+    u, v = float(_upow(c, iv.lo)), float(_upow(c, iv.hi))
     return math.exp(-u) * (-math.expm1(u - v))
 
 
 def log_interval_prob(c: ComponentSpec, iv: CensoringInterval) -> float:
     """log P(X in [lo, hi)); -inf when the mass underflows entirely."""
-    u = 0.0 if iv.lo == 0.0 else float(_upow(iv.lo, c.alpha, c.beta))
-    v = math.inf if math.isinf(iv.hi) else float(_upow(iv.hi, c.alpha, c.beta))
+    u, v = float(_upow(c, iv.lo)), float(_upow(c, iv.hi))
     tail = -math.expm1(u - v)
     if tail <= 0.0:
         return -math.inf

@@ -911,8 +911,8 @@ class _Batch:
     over the last pass's, which are spent by then.
     """
 
-    _ROWS = ("ids", "nu", "nl", "vals", "logv", "cnt", "cv", "valid", "lo", "hi", "loglo",
-             "loghi", "ccnt", "ivalid", "total", "ll", "bad")
+    _ROWS = ("ids", "nu", "nl", "vals", "logv", "cnt", "cv", "lo", "hi", "loglo", "loghi",
+             "ccnt", "ivalid", "total", "ll", "bad")
     _COLUMNS = ("w", "alpha", "beta", "z", "zt", "rel", "pw", "zlo", "zhi", "tail")
 
     def __init__(
@@ -941,7 +941,6 @@ class _Batch:
         self.logv = np.log(self.vals)
         self.cv = self.cnt * self.vals
         self.loglo, self.loghi = np.log(self.lo), np.log(self.hi)
-        self.valid = self.cnt > 0.0
         self.ivalid = np.arange(self.lo.shape[1]) < self.nl[:, None]
         self.total = np.array([s.total for s in samples], dtype=float)
         self.w = np.array([m.weights for m in models]).T
@@ -1009,19 +1008,10 @@ class _Batch:
             wbl += logw[p:]
             np.exp(bt * (self.loglo - la[p:]), out=u[p:])
             np.exp(bt * (self.loghi - la[p:]), out=v[p:])
-            # components.log_pdf takes the exponential form whenever beta == 1,
-            # as a cold-started Weibull component has it
-            one_c, one_b = np.nonzero(self.beta[p:] == 1.0)
-            if one_c.size:
-                one_c += p
-                logmat[one_c, one_b] = logw[one_c, one_b] + (
-                    -la[one_c, one_b] - self.vals[one_b] / a[one_c, one_b])
-                u[one_c, one_b] = self.lo[one_b] / a[one_c, one_b]
-                v[one_c, one_b] = self.hi[one_b] / a[one_c, one_b]
         mx = logmat.max(axis=0)
         self.bad = np.full(mx.shape[0], -1)
         if not np.isfinite(mx).all():
-            dead = ~np.isfinite(mx) & self.valid
+            dead = ~np.isfinite(mx) & (self.cnt > 0.0)
             self.bad = np.where(dead.any(axis=1), dead.argmax(axis=1), -1)
         pz = np.exp(np.subtract(logmat, mx, out=logmat), out=logmat)
         rowsum = pz.sum(axis=0)
@@ -1098,13 +1088,7 @@ class _Batch:
             cw, w_sum, den_w = cw[p:], w_sum[p:], den[p:]
             a_prev, b_prev = self.alpha[p:], self.beta[p:]
             la, bt = np.log(a_prev)[:, :, None], b_prev[:, :, None]
-            if (b_prev == 1.0).any():
-                # the E-pass maps an interval by lo / alpha where beta == 1
-                z_lo = np.exp(bt * (self.loglo - la))
-                z_hi = np.exp(bt * (self.loghi - la))
-                tail = -np.expm1(z_lo - z_hi)
-            else:
-                z_lo, z_hi, tail = self.zlo[p:], self.zhi[p:], self.tail[p:]
+            z_lo, z_hi, tail = self.zlo[p:], self.zhi[p:], self.tail[p:]
             # where _zeta's math.exp would raise OverflowError
             over = np.isinf(z_lo) & np.isfinite(self.lo)
             over |= np.isinf(z_hi) & np.isfinite(self.hi)

@@ -174,6 +174,13 @@ def test_beta_one_weibull_equals_exponential_pointwise():
         assert abs(pdf(e, x) - pdf(w, x)) <= 1e-12 * pdf(e, x)
     for iv in (CensoringInterval(0.0, 0.5), CensoringInterval(1.0, 5.0)):
         assert abs(interval_prob(e, iv) - interval_prob(w, iv)) <= 1e-12
+    # the kind, not beta's value, picks the formula, bit for bit
+    xs = np.array([0.01, 0.5, 1.0, 3.7, 10.0, 100.0, 1e4])
+    la, lx, b = math.log(3.7), np.log(xs), 1.0
+    assert np.array_equal(log_pdf(w, xs), math.log(b) - la + (b - 1.0) * (lx - la) - np.exp(b * (lx - la)))
+    assert np.array_equal(log_pdf(e, xs), -la - xs / 3.7)
+    for c in (e, w):
+        assert interval_prob(c, CensoringInterval(0.0, math.inf)) == 1.0
 
 
 def test_beta_one_weibull_samples_identical_paired_seed():

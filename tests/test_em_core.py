@@ -965,6 +965,34 @@ def test_fit_single_pass_matches_e_step_and_two_pass_loglik(reference_mixture, s
     assert res.loglik == two_pass_loglik(res.model, s)
 
 
+THREE_INTERVALS = [CensoringInterval(0.0, 0.5), CensoringInterval(0.5, 0.75),
+                   CensoringInterval(40.5, 60.5)]
+
+
+@pytest.mark.parametrize("spec", [None, THREE_INTERVALS], ids=["default", "three"])
+@pytest.mark.parametrize("shape", [(1, 1), (0, 2), (2, 1)])
+def test_cold_start_pass_matches_e_step_and_two_pass_loglik(reference_mixture, shape, spec):
+    """The first pass of a batch started from default_init, whose Weibull
+    components have beta = 1, is e_step's pass bit for bit: a Weibull at
+    beta = 1 is evaluated as a Weibull on both paths.  own_sums keeps each
+    member's log-likelihood sum off the padded width, which rounds with it."""
+    samples = [build_sample(generate_synthetic(reference_mixture, n, rng_seed=n), spec)
+               for n in (300, 1200, 700)]
+    models = [default_init(s, *shape) for s in samples]
+    with np.errstate(all="ignore"):  # as fit_batch runs it
+        st = em_core._Batch(samples, models, shape[0], own_sums=True)
+        st.e_pass()
+    assert (st.bad < 0).all()
+    for pos, (model, s) in enumerate(zip(models, samples)):
+        assert [c.beta for c in model.components[shape[0]:]] == [1.0] * shape[1]
+        got = em_core._expand(st.z[:, pos, : st.nu[pos]].T, st.zt[:, pos, : st.nl[pos]].T,
+                              s.uncensored)
+        ref = e_step(model, s)
+        assert np.array_equal(got.z, ref.z)
+        assert np.array_equal(got.z_tilde, ref.z_tilde)
+        assert st.ll[pos] == two_pass_loglik(model, s)
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (0, 2), (3, 0), (2, 1)])
 def test_pass_kernels_match_logsumexp_bitwise(reference_mixture, shape):
     """Each row's and each interval's log mixture mass equals the
