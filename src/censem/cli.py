@@ -132,9 +132,10 @@ def _array_body(path: str, skip: int, dtype) -> np.ndarray | None:
 
     `loadtxt` and `int()`/`float()` disagree on some text, so the result
     is taken only where they cannot differ:
-    - The body must be ASCII.  `loadtxt` rejects `1_000` and digits such
-      as `٥` that `int()` accepts, and its integer parser reads some other
-      non-ASCII characters as digits (`Ǿ5` parses as 4625).
+    - The file must be ASCII, which the codec checks as it decodes.
+      `loadtxt` rejects `1_000` and digits such as `٥` that `int()`
+      accepts, and its integer parser reads some other non-ASCII
+      characters as digits (`Ǿ5` parses as 4625).
     - The result must be one column, and no warning may be raised.  A line
       with two fields makes two columns, `comments=None` rejects a `#`
       after the first value, an empty body warns, and older numpy
@@ -146,15 +147,9 @@ def _array_body(path: str, skip: int, dtype) -> np.ndarray | None:
     compressed data.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
             for _ in range(skip):
                 fh.readline()
-            # The ASCII test holds the body as one string; loadtxt then
-            # reads the handle again, so no list of lines is built.
-            start = fh.tell()
-            if not fh.read().isascii():
-                return None
-            fh.seek(start)
             warnings.simplefilter("error")
             body = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=2)
     except (ValueError, Warning):

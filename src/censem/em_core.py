@@ -53,7 +53,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -131,33 +131,21 @@ class Responsibilities:
     z_tilde: np.ndarray
 
 
-def _expand(z_unique: np.ndarray, z_tilde: np.ndarray, observations: np.ndarray):
-    """Responsibilities of every observation from the rows (nu, M) of its
-    sorted unique values."""
-    # each observation's row among the sorted unique values; on 1e5
-    # observations this is faster than np.searchsorted on the row
-    inverse = np.unique(observations, return_inverse=True)[1]
-    return Responsibilities(z_unique[inverse], z_tilde)
+class _Expanding(Responsibilities):
+    """Responsibilities kept on a sample's sorted unique exact values (the
+    rows z_unique, nu x M) and expanded to every observation on the first
+    read of z."""
 
+    def __init__(self, z_unique: np.ndarray, z_tilde: np.ndarray, observations: np.ndarray):
+        self.z_unique = z_unique
+        self.z_tilde = z_tilde
+        self.observations = observations
 
-class _ExpandOnRead:
-    """The data descriptor behind FitResult.final_responsibilities.  It
-    holds Responsibilities or None, or a callable that builds them, which
-    runs on the first read; its result is kept for later reads."""
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            raise AttributeError(self.slot)  # so the dataclass field has no default
-        value = obj.__dict__[self.slot]
-        if callable(value):
-            value = obj.__dict__[self.slot] = value()
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.slot] = value
+    @cached_property
+    def z(self) -> np.ndarray:
+        # each observation's row among the sorted unique values; on 1e5
+        # observations this is faster than np.searchsorted on the row
+        return self.z_unique[np.unique(self.observations, return_inverse=True)[1]]
 
 
 @dataclass
@@ -166,16 +154,16 @@ class FitResult:
 
     final_responsibilities belong to `model` and come from the fit
     loop's last E-step pass; they are None when an exact observation's
-    mixture density underflows under `model`.  The fit keeps them on its
-    unique exact values and expands them to every observation on the
-    first read.
+    mixture density underflows under `model`.  The fit keeps z on the
+    sample's unique exact values and expands it to every observation on
+    the first read of `final_responsibilities.z`.
     """
 
     model: MixtureModel
     loglik_trace: np.ndarray
     iterations: int
     converged: bool
-    final_responsibilities: Responsibilities | None = _ExpandOnRead()
+    final_responsibilities: Responsibilities | None = None
     degenerate: bool = False
     warnings: list[str] = field(default_factory=list)
     error: str | None = None
@@ -895,11 +883,12 @@ class _Batch:
 
     Padding rows repeat the member's first exact value with count 0, and
     padding intervals are [0, inf) with count 0, so every padded entry is
-    finite and drops out of each count-weighted sum; the underflow tests
-    mask it out explicitly.  A sum over the padded axis still rounds with
-    the padded width; with own_sums the log-likelihood and weight sums
-    run over each member's own slices instead, so a member's numbers do
-    not depend on its batch mates.
+    finite and drops out of each count-weighted sum; the exact-row
+    underflow test masks padding values out, and a padding interval has
+    mass 1 under every component.  A sum over the padded axis still
+    rounds with the padded width; with own_sums the log-likelihood and
+    weight sums run over each member's own slices instead, so a member's
+    numbers do not depend on its batch mates.
 
     Besides z and zt, a pass keeps what the mle M-step would otherwise
     recompute: for the Weibull components rel = log(x / alpha) and
@@ -912,7 +901,7 @@ class _Batch:
     """
 
     _ROWS = ("ids", "nu", "nl", "vals", "logv", "cnt", "cv", "lo", "hi", "loglo", "loghi",
-             "ccnt", "ivalid", "total", "ll", "bad")
+             "ccnt", "total", "ll", "bad")
     _COLUMNS = ("w", "alpha", "beta", "z", "zt", "rel", "pw", "zlo", "zhi", "tail")
 
     def __init__(
@@ -941,7 +930,6 @@ class _Batch:
         self.logv = np.log(self.vals)
         self.cv = self.cnt * self.vals
         self.loglo, self.loghi = np.log(self.lo), np.log(self.hi)
-        self.ivalid = np.arange(self.lo.shape[1]) < self.nl[:, None]
         self.total = np.array([s.total for s in samples], dtype=float)
         self.w = np.array([m.weights for m in models]).T
         self.alpha = np.array([[c.alpha for c in m.components] for m in models]).T
@@ -1031,7 +1019,7 @@ class _Batch:
         self.tail = tail = -np.expm1(u - v)
         lw = logw + np.where(tail <= 0.0, -math.inf, -u + np.log(tail))
         imx = lw.max(axis=0)
-        idead = ~np.isfinite(imx) & self.ivalid
+        idead = ~np.isfinite(imx)
         pt = np.exp(lw - imx)
         psum = pt.sum(axis=0)
         self.zt = np.where(idead, 1.0 / lw.shape[0], pt / psum)
@@ -1422,8 +1410,8 @@ def _batch_loop(
         resp = None
         if st.bad[pos] < 0:
             u, nl = st.nu[pos], st.nl[pos]
-            resp = partial(_expand, st.z[:, pos, :u].T.copy(), st.zt[:, pos, :nl].T.copy(),
-                           samples[m].uncensored)
+            resp = _Expanding(st.z[:, pos, :u].T.copy(), st.zt[:, pos, :nl].T.copy(),
+                              samples[m].uncensored)
         return m, FitResult(
             model=st.model(pos), loglik_trace=history[m, : iterations + 1].copy(),
             iterations=iterations, converged=converged, final_responsibilities=resp,

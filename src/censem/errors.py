@@ -31,10 +31,6 @@ class BracketError(CensemError, ArithmeticError):
 class DegenerateComponentError(CensemError, ArithmeticError):
     """A mixture component lost essentially all of its effective mass."""
 
-    def __init__(self, message, component=None):
-        super().__init__(message)
-        self.component = component
-
 
 class ResponsibilityUnderflowError(CensemError, ArithmeticError):
     """A responsibility denominator underflowed for a specific observation."""

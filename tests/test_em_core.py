@@ -985,8 +985,8 @@ def test_cold_start_pass_matches_e_step_and_two_pass_loglik(reference_mixture, s
     assert (st.bad < 0).all()
     for pos, (model, s) in enumerate(zip(models, samples)):
         assert [c.beta for c in model.components[shape[0]:]] == [1.0] * shape[1]
-        got = em_core._expand(st.z[:, pos, : st.nu[pos]].T, st.zt[:, pos, : st.nl[pos]].T,
-                              s.uncensored)
+        got = em_core._Expanding(st.z[:, pos, : st.nu[pos]].T, st.zt[:, pos, : st.nl[pos]].T,
+                                 s.uncensored)
         ref = e_step(model, s)
         assert np.array_equal(got.z, ref.z)
         assert np.array_equal(got.z_tilde, ref.z_tilde)
@@ -1201,6 +1201,15 @@ def test_interval_underflow_warned_once_per_fit(caplog):
     ref = reference_fit(underflow_sample(), (2, 0))
     for b in batched:
         assert_matches_reference(b, ref)
+    # a member with no intervals gets the padding interval [0, inf), which
+    # never underflows: only the other member's real interval is warned about
+    caplog.clear()
+    plain = CensoredSample(underflow_sample().uncensored, [])
+    with caplog.at_level("WARNING", logger="censem.em_core"):
+        mixed = fit_batch([underflow_sample(), plain], (2, 0))
+    assert [rec.getMessage() for rec in caplog.records] == [message]
+    for b, s in zip(mixed, [underflow_sample(), plain]):
+        assert_matches_reference(b, reference_fit(s, (2, 0)))
 
 
 # --- fit_batch ---------------------------------------------------------------------------
@@ -1636,8 +1645,8 @@ def test_batch_m_step_matches_fresh_exponentials(reference_mixture, cold):
     number = re.compile(r"-?\d+\.\d+(?:e[-+]\d+)?")
     named = []
     for pos, (s, start) in enumerate(zip(samples, starts)):
-        r = em_core._expand(st.z[:, pos, :st.nu[pos]].T, st.zt[:, pos, :st.nl[pos]].T,
-                            s.uncensored)
+        r = em_core._Expanding(st.z[:, pos, :st.nu[pos]].T, st.zt[:, pos, :st.nl[pos]].T,
+                               s.uncensored)
         reached, exc = fresh_m_step(r, s, start)
         for i, (a, b) in enumerate(reached):
             assert alpha[i, pos] == pytest.approx(a, rel=1e-12)

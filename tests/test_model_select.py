@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from censem import ComponentSpec, MixtureModel, censored_log_likelihood, em_core, fit
+from censem import ComponentSpec, MixtureModel, censored_log_likelihood, cli, em_core, fit
 from censem.em_core import EmConfig, MStepVariant, fit_batch
 from censem.errors import DomainError
 import censem.model_select as model_select
@@ -587,3 +587,21 @@ def test_selection_and_profile_em_work_is_pinned(reference_mixture, monkeypatch)
     prof = profile_intraday(days, spec, ModelShape(1, 1))
     assert len(prof.buckets) == 3 and not prof.skipped
     assert work == {"calls": 48, "members": 120, "iterations": 114}
+
+
+def test_select_profile_and_fit_command_never_expand_responsibilities(
+        reference_mixture, monkeypatch, tmp_path):
+    """A fit keeps its final responsibilities on its unique values, and
+    select, profile and the fit command never build the per-observation
+    rows: with that expansion made to raise, all three run."""
+    def expand(self):
+        raise AssertionError("per-observation responsibilities were built")
+
+    monkeypatch.setattr(em_core._Expanding, "z", property(expand))
+    diffs = generate_synthetic(reference_mixture, 3000, rng_seed=47)
+    run_selection(diffs, [ModelShape(1, 1)], n_boot=2, subsample_size=150, days=2, rng_seed=3)
+    profile_intraday(profile_days()[:2], PROFILE_SPEC, ModelShape(1, 1))
+    sample = tmp_path / "sample.txt"
+    cli.write_censored_sample(str(sample), build_sample(diffs[:400]))
+    argv = ["fit", "--shape", "1,1", "--input", str(sample), "--output", str(tmp_path / "fit.txt")]
+    assert cli.main(argv) == 0

@@ -128,6 +128,7 @@ INTEGER_CASES = [
     ("blank lines mid-file", "1\n\n  \n2\n", "array"),
     ("BOM", "\ufeff5\n6\n", "loop"),
     ("BOM before a comment", "\ufeff# h\n5\n", "loop"),
+    ("non-ASCII comment before the values", "# café\n5\n6\n", "loop"),
 ]
 
 SAMPLE_HEAD = "n=2\nL=1\ninterval 0 0.5 3\n"
@@ -156,6 +157,7 @@ SAMPLE_CASES = [
     ("plus sign", SAMPLE_HEAD + "+7\n2\n", "array"),
     ("blank lines mid-file", SAMPLE_HEAD + "1.5\n\n \n2\n", "array"),
     ("BOM", "\ufeff" + SAMPLE_HEAD + "1.5\n2\n", "loop"),
+    ("non-ASCII comment before the values", "# café\n" + SAMPLE_HEAD + "1.5\n2\n", "loop"),
 ]
 
 
