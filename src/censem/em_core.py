@@ -33,9 +33,10 @@ weight update's sums of count * z, and the E-step's (x/alpha)^beta,
 log(x/alpha) and interval transforms, so it exponentiates no value; the
 shape score at the previous shape comes from four weighted sums over
 them, and is evaluated afresh only where a step leaves BETA_BRACKET.
-An M-step marks each (component, member) with the first check it
-fails, and a failed member stops with the exception of its lowest
-failing component at that check.
+An M-step tests its results at once; only when that test fails does it
+mark each (component, member) with the first check it fails, and a
+failed member stops with the exception of its lowest failing component
+at that check.
 The public uncompressed operations (e_step, update_weights, the m_step_*
 functions, q_objective) are the readable reference: an EM loop built
 from them stops at the same iteration, with the same flags and named
@@ -403,11 +404,12 @@ def _shape_step(score, beta: np.ndarray, first=None):
     f_hi = f_lo.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f, df = score(beta) if first is None else first
-        x = beta - f / df
-        nan = np.isnan(x)
-        if nan.any():
-            x = np.where(nan & ~np.isnan(f), np.where(f > 0.0, 2.0 * beta, 0.5 * beta), x)
-        x = np.clip(x, 0.5 * beta, 2.0 * beta)  # a NaN stays NaN
+        half, twice = 0.5 * beta, 2.0 * beta
+        x = np.minimum(np.maximum(beta - f / df, half), twice)  # a NaN stays NaN
+        inside = (lo <= x) & (x <= hi)
+        if inside.all():
+            return x, inside, f_lo, f_hi
+        x = np.where(np.isnan(x) & ~np.isnan(f), np.where(f > 0.0, twice, half), x)
         out = ~((lo <= x) & (x <= hi))
         if not out.any():
             return x, ~out, f_lo, f_hi
@@ -894,15 +896,25 @@ class _Batch:
     recompute: for the Weibull components rel = log(x / alpha) and
     pw = (x / alpha)^beta over the values, (r, B, U), and for every
     component each interval's transforms zlo, zhi and tail = 1 - e^(zlo - zhi),
-    (M, B, L).  weights_from_pass keeps wsum, the (M, B) sums of count * z,
-    and den, those plus the interval sums.  cv = count * value is the
-    exponential scale's constant row.  Each pass writes its z, rel and pw
-    over the last pass's, which are spent by then.
+    (M, B, L).  When every interval of the batch starts at 0, as the
+    default censoring [0, 0.5) and the padding do, zlo is 0 throughout:
+    from_zero is set, zlo is None, and the pass and the M-step leave its
+    terms out.  weights_from_pass keeps cw, the (M, B, L) interval counts
+    times z_tilde, wsum, the (M, B) sums of count * z, and den, those
+    plus the interval sums.  cv = count * value is the exponential
+    scale's constant row.  Each pass writes over the last pass's arrays,
+    which are spent by then.
     """
 
-    _ROWS = ("ids", "nu", "nl", "vals", "logv", "cnt", "cv", "lo", "hi", "loglo", "loghi",
-             "ccnt", "total", "ll", "bad")
-    _COLUMNS = ("w", "alpha", "beta", "z", "zt", "rel", "pw", "zlo", "zhi", "tail")
+    # What take moves, with each array's member axis.  The small arrays of
+    # one width are stacked, so that one copy moves each group (_unpack
+    # names the parts): ivs holds the rows lo, hi, loglo, loghi and ccnt,
+    # zz the pass's z and zt side by side, rp its rel and pw, and zs its
+    # zhi, tail and (but for intervals [0, hi)) zlo.  The (B, U) rows stay
+    # apart: on wide members one copy of the four costs more than four.
+    _MOVED = (("ids", 0), ("nu", 0), ("nl", 0), ("total", 0), ("ll", 0), ("bad", 0),
+              ("vals", 0), ("logv", 0), ("cnt", 0), ("cv", 0), ("ivs", 1), ("w", 1),
+              ("alpha", 1), ("beta", 1), ("zz", 1), ("rp", 2), ("zs", 2))
 
     def __init__(
         self, samples: list[CensoredSample], models: list[MixtureModel], p: int,
@@ -917,9 +929,12 @@ class _Batch:
         self.nl = np.array([len(s.intervals) for s in samples])
         self.vals = np.ones((b, self.nu.max()))
         self.cnt = np.zeros(self.vals.shape)
-        self.lo = np.zeros((b, self.nl.max()))
-        self.hi = np.full(self.lo.shape, math.inf)
-        self.ccnt = np.zeros(self.lo.shape)
+        self.ivs = np.empty((5, b, self.nl.max()))
+        self.zz = self.rp = self.zs = None  # before the first pass
+        self._unpack()
+        self.lo[:] = 0.0
+        self.hi[:] = math.inf
+        self.ccnt[:] = 0.0
         for j, ((values, counts), s) in enumerate(zip(uniques, samples)):
             if values.size:
                 self.vals[j] = values[0]
@@ -929,18 +944,34 @@ class _Batch:
                 self.lo[j, l], self.hi[j, l], self.ccnt[j, l] = iv.lo, iv.hi, iv.count
         self.logv = np.log(self.vals)
         self.cv = self.cnt * self.vals
-        self.loglo, self.loghi = np.log(self.lo), np.log(self.hi)
+        np.log(self.lo, out=self.loglo)
+        np.log(self.hi, out=self.loghi)
+        # every interval is [0, hi), the default censoring's [0, 0.5) and the
+        # padding [0, inf) included: then the lower transform zlo is 0 for
+        # every component, and the pass and the M-step skip its terms
+        self.from_zero = not self.lo.any()
         self.total = np.array([s.total for s in samples], dtype=float)
         self.w = np.array([m.weights for m in models]).T
         self.alpha = np.array([[c.alpha for c in m.components] for m in models]).T
         self.beta = np.array([[c.beta for c in m.components] for m in models]).T
-        self.z = None  # before the first pass
+
+    def _unpack(self) -> None:
+        """Name the parts of the stacked arrays."""
+        self.lo, self.hi, self.loglo, self.loghi, self.ccnt = self.ivs
+        if self.zz is None:  # before the first pass
+            self.z = self.zt = self.rel = self.pw = self.zhi = self.tail = self.zlo = None
+            return
+        nu = self.vals.shape[1]
+        self.z, self.zt = self.zz[:, :, :nu], self.zz[:, :, nu:]
+        self.rel, self.pw = self.rp
+        self.zhi, self.tail = self.zs[0], self.zs[1]
+        self.zlo = None if self.from_zero else self.zs[2]
 
     def take(self, keep: np.ndarray) -> None:
-        for name in self._ROWS:
-            setattr(self, name, getattr(self, name)[keep])
-        for name in self._COLUMNS:
-            setattr(self, name, getattr(self, name)[:, keep])
+        rows = np.flatnonzero(keep)
+        for name, axis in self._MOVED:
+            setattr(self, name, getattr(self, name).take(rows, axis=axis))
+        self._unpack()
 
     def model(self, pos: int) -> MixtureModel:
         comps = [
@@ -951,81 +982,91 @@ class _Batch:
 
     # -- E-step ---------------------------------------------------------------
 
-    def e_pass(self) -> np.ndarray:
+    def e_pass(self) -> np.ndarray | None:
         """One E-step pass of every member's model over its collapsed
         sample: sets ll (B,), z (M, B, U), zt (M, B, L) and bad, the first
         underflowing exact row per member (-1 for none), and returns the
-        underflowing intervals (B, L).  The log matrix, its row max and
-        exp(logmat - max) serve both the log-likelihood and z; each
-        interval's log masses serve both its log-likelihood term and its
-        z_tilde row.  The exponential components fill both as one block
-        and the Weibull components as another."""
+        underflowing intervals (B, L), or None where there are none.  The
+        exact values' log densities and the intervals' log masses fill one
+        log matrix, whose column max and exp(logmat - max) serve both the
+        log-likelihood and z and zt.  The exponential components fill it
+        as one block and the Weibull components as another."""
         m, p = self.w.shape[0], self.p
-        # the last pass is spent: this one overwrites its z, rel and pw,
-        # which saves the page faults that fresh arrays of their size cost
-        logmat = self.z
-        if logmat is None:
-            logmat = np.empty((m,) + self.vals.shape)
-            self.rel = np.empty((m - p,) + self.vals.shape)
-            self.pw = np.empty(self.rel.shape)
-        self.z = self.zt = None
+        nu = self.vals.shape[1]
+        # the last pass is spent: this one writes over its arrays, which
+        # saves the page faults that fresh arrays of their size cost
+        if self.zz is None:
+            b, nl = self.lo.shape
+            self.zz = np.empty((m, b, nu + nl))
+            self.rp = np.empty((2, m - p, b, nu))
+            self.zs = np.empty((2 if self.from_zero else 3, m, b, nl))
+            self._unpack()
+        logmat = self.zz
         logw = np.log(self.w)[:, :, None]
         a = self.alpha[:, :, None]
         la = np.log(a)
-        # each interval [lo, hi) mapped to [u, v) by the component's transform
-        u = np.empty((m,) + self.lo.shape)
-        v = np.empty(u.shape)
+        # each interval [lo, hi) mapped to [u, v) by the component's transform;
+        # on intervals [0, hi) u is 0 and left out
+        u, v = self.zlo, self.zhi
         if p:
             # exponential block: logw + (-la - x / alpha), built in place
-            ex = logmat[:p]
+            ex = logmat[:p, :, :nu]
             np.divide(self.vals, a[:p], out=ex)
             np.subtract(-la[:p], ex, out=ex)
             ex += logw[:p]
-            np.divide(self.lo, a[:p], out=u[:p])
+            if u is not None:
+                np.divide(self.lo, a[:p], out=u[:p])
             np.divide(self.hi, a[:p], out=v[:p])
         if p < m:
             # Weibull block: logw + ((log(beta) - la) + (beta - 1) rel - exp(beta rel)),
             # built in place
             bt = self.beta[p:, :, None]
-            wbl = logmat[p:]
+            wbl = logmat[p:, :, :nu]
             rel = np.subtract(self.logv, la[p:], out=self.rel)  # log(x / alpha)
             pw = np.exp(np.multiply(bt, rel, out=self.pw), out=self.pw)  # (x / alpha)^beta
             np.multiply(rel, bt - 1.0, out=wbl)
             wbl += np.log(bt) - la[p:]
             np.subtract(wbl, pw, out=wbl)
             wbl += logw[p:]
-            np.exp(bt * (self.loglo - la[p:]), out=u[p:])
+            if u is not None:
+                np.exp(bt * (self.loglo - la[p:]), out=u[p:])
             np.exp(bt * (self.loghi - la[p:]), out=v[p:])
+        # interval log masses -u + log(tail), tail = 1 - e^(u - v), in the
+        # last columns
+        np.negative(np.expm1(-v if u is None else u - v), out=self.tail)
+        lw = np.log(self.tail, out=logmat[:, :, nu:])
+        if u is not None:
+            lw -= u
+        lw += logw
         mx = logmat.max(axis=0)
+        finite = np.isfinite(mx).all()
         self.bad = np.full(mx.shape[0], -1)
-        if not np.isfinite(mx).all():
-            dead = ~np.isfinite(mx) & (self.cnt > 0.0)
-            self.bad = np.where(dead.any(axis=1), dead.argmax(axis=1), -1)
+        idead = None
+        if not finite:
+            dead = ~np.isfinite(mx[:, :nu]) & (self.cnt > 0.0)
+            if dead.any():
+                self.bad = np.where(dead.any(axis=1), dead.argmax(axis=1), -1)
+            idead = ~np.isfinite(mx[:, nu:])
+            if not idead.any():
+                idead = None
         pz = np.exp(np.subtract(logmat, mx, out=logmat), out=logmat)
-        rowsum = pz.sum(axis=0)
-        self.z = np.divide(pz, rowsum, out=pz)
-        # each row's log mixture density mx + log(rowsum), in place; then
-        # counts @ rows for each member, reduced as a dot product is: a
-        # batch of one gives counts @ rows bit for bit, which the
+        colsum = pz.sum(axis=0)
+        np.divide(pz, colsum, out=pz)  # z and zt
+        # each column's log mixture density or mass mx + log(colsum), in
+        # place; then counts @ rows for each member, reduced as a dot product
+        # is: a batch of one gives counts @ rows bit for bit, which the
         # multiply-and-sum form does not
-        rows = np.add(mx, np.log(rowsum, out=rowsum), out=mx)
+        rows = np.add(mx, np.log(colsum, out=colsum), out=mx)
         if self.own_sums:
             ll = np.array([self.cnt[pos, :u] @ rows[pos, :u] for pos, u in enumerate(self.nu)])
         else:
-            ll = np.matmul(self.cnt[:, None, :], rows[:, :, None])[:, 0, 0]
-
-        # interval log masses -u + log(1 - e^(u - v))
-        self.zlo, self.zhi = u, v
-        self.tail = tail = -np.expm1(u - v)
-        lw = logw + np.where(tail <= 0.0, -math.inf, -u + np.log(tail))
-        imx = lw.max(axis=0)
-        idead = ~np.isfinite(imx)
-        pt = np.exp(lw - imx)
-        psum = pt.sum(axis=0)
-        self.zt = np.where(idead, 1.0 / lw.shape[0], pt / psum)
-        log_mass = np.where(idead, -math.inf, imx + np.log(psum))
+            ll = np.matmul(self.cnt[:, None, :], rows[:, :nu, None])[:, 0, 0]
+        log_mass = rows[:, nu:]
+        if idead is not None:
+            self.zt[:, idead] = 1.0 / m
+            log_mass[idead] = -math.inf
         ll = _sum_l(np.where(self.ccnt > 0.0, self.ccnt * log_mass, 0.0), ll)
-        self.ll = np.where(self.bad >= 0, -math.inf, ll)
+        self.ll = ll if finite else np.where(self.bad >= 0, -math.inf, ll)
         return idead
 
     def weights_from_pass(self) -> np.ndarray:
@@ -1035,10 +1076,11 @@ class _Batch:
                 acc[:, pos] = (self.z[:, pos, :u] * self.cnt[pos, :u]).sum(axis=1) + (
                     self.zt[:, pos, :nl] * self.ccnt[pos, :nl]).sum(axis=1)
         else:
-            # the M-step's exact-value masses and total masses
+            # the M-step's interval weights, exact-value masses and total masses
+            self.cw = self.ccnt * self.zt
             self.wsum = acc = np.einsum("mbu,bu->mb", self.z, self.cnt)
             if self.ccnt.shape[1]:
-                acc = acc + (self.ccnt * self.zt).sum(axis=2)
+                acc = acc + self.cw.sum(axis=2)
             self.den = acc
         w = acc / self.total
         return w / w.sum(axis=0)
@@ -1047,43 +1089,50 @@ class _Batch:
 
     def m_step(self):
         """The mle M-step: new (alphas, betas) from the last pass, and
-        {row: exception} for the members that fail.  Each check lowers the
-        stage of the (component, member) entries it fails to its own, in
-        the order m_step_exponential, m_step_weibull_alpha,
-        m_step_weibull_beta and the ComponentSpec check reach them, so each
-        entry keeps its first failing stage; a failed member is named by
-        its lowest failing component (_m_step_errors).  The exponential
+        {row: exception} for the members that fail.  The exponential
         components update as one (p, B) block and the Weibull components
         as one (r, B) block, whose rows that get as far as their shape
-        take one _shape_step together."""
-        p = self.p
-        stage = np.full(self.alpha.shape, _ST_OK)
+        take one _shape_step together.
+
+        One test over the results (the scales, the masses against the
+        floor, alpha_prev^beta_prev, the shape scores and the interval
+        transforms) tells whether any check can fail; only then do the
+        checks run one by one.  Each lowers the stage of the (component,
+        member) entries it fails to its own, in the order
+        m_step_exponential, m_step_weibull_alpha, m_step_weibull_beta and
+        the ComponentSpec check reach them, so each entry keeps its first
+        failing stage; a failed member is named by its lowest failing
+        component (_m_step_errors), and its new values mean nothing."""
+        p, m = self.p, self.alpha.shape[0]
         floor = WEIGHT_FLOOR * self.total
-        cw = self.ccnt * self.zt
-        w_sum, den = self.wsum, self.den
+        cw, w_sum, den = self.cw, self.wsum, self.den
+        z_lo = self.zlo  # None on intervals [0, hi)
         alpha = np.empty(self.alpha.shape)
         beta = self.beta.copy()
         f_ends = None  # the shape scores at the bracket ends, where a step fails
 
         if p:
-            means = _truncated_mean_exp_array(self.alpha[:p, :, None], self.lo, self.hi)
-            num = np.einsum("mbu,bu->mb", self.z[:p], self.cv) + _sum_l(cw[:p] * means)
-            np.minimum(stage[:p], _ST_MASS, out=stage[:p],
-                       where=(den[:p] <= floor) | ~np.isfinite(num) | (num <= 0.0))
-            alpha[:p] = num / den[:p]
-        if p < alpha.shape[0]:
-            stage_w = stage[p:]
+            # 1 - e^(-(hi - lo) / alpha), the E-pass's tail where lo is 0
+            em = (self.tail[:p] if z_lo is None
+                  else -np.expm1(-(self.hi - self.lo) / self.alpha[:p, :, None]))
+            means = _truncated_mean_exp_array(self.alpha[:p, :, None], self.lo, self.hi, em)
+            num_e = np.einsum("mbu,bu->mb", self.z[:p], self.cv) + _sum_l(cw[:p] * means)
+            np.divide(num_e, den[:p], out=alpha[:p])
+        # the values the one test takes; log(x) is finite exactly where 0 < x < inf
+        checks = [np.log(den - floor)]
+        if p < m:
             cw, w_sum, den_w = cw[p:], w_sum[p:], den[p:]
             a_prev, b_prev = self.alpha[p:], self.beta[p:]
             la, bt = np.log(a_prev)[:, :, None], b_prev[:, :, None]
-            z_lo, z_hi, tail = self.zlo[p:], self.zhi[p:], self.tail[p:]
-            # where _zeta's math.exp would raise OverflowError
-            over = np.isinf(z_lo) & np.isfinite(self.lo)
-            over |= np.isinf(z_hi) & np.isfinite(self.hi)
-            np.minimum(stage_w, _ST_ZETA, out=stage_w, where=over.any(axis=2))
-            mass = np.exp(-z_lo) * tail
+            z_hi, mass = self.zhi[p:], self.tail[p:]
+            if z_lo is not None:
+                z_lo = z_lo[p:]
+                mass = np.exp(-z_lo) * mass
+                checks.append(z_lo)
+            # z_hi is infinite on an open interval, and overflowed elsewhere
+            # where _zeta's math.exp raises
+            checks.append(np.where(np.isinf(self.hi), 0.0, z_hi))
             ab = np.exp(b_prev * la[:, :, 0])
-            np.minimum(stage_w, _ST_POW, out=stage_w, where=np.isinf(ab))
             occupied = (cw > 0.0) & (mass > 0.0)
             # The sums over the values that the scale and the shape score take,
             # from the E-pass's rel = log(x / alpha) and pw = e^(beta rel):
@@ -1097,19 +1146,16 @@ class _Batch:
             s_1 = np.einsum("mbu,mbu->mb", t, rel)
             t *= rel
             s_2 = np.einsum("mbu,mbu->mb", t, rel)
-            num = s_0 * ab
+            num_w = s_0 * ab
             # x^beta afresh where that product is not finite and positive (a
             # power over- or underflowed)
-            fresh = ~(np.isfinite(num) & (num > 0.0))
+            fresh = ~(np.isfinite(num_w) & (num_w > 0.0))
             if fresh.any():
-                num = np.where(fresh, (self.cnt * self.z[p:] * np.exp(bt * self.logv)).sum(axis=2),
-                               num)
+                num_w = np.where(fresh, (self.cnt * self.z[p:] * np.exp(bt * self.logv)).sum(axis=2),
+                                 num_w)
             g = _gamma2_diff_array(z_lo, z_hi) / mass
-            num = num + _sum_l(np.where(occupied, cw * ab[:, :, None] * g, 0.0))
-            np.minimum(stage_w, _ST_MASS, out=stage_w,
-                       where=(den_w <= floor) | ~np.isfinite(num) | (num <= 0.0))
-            alpha_new = np.exp(np.log(num / den_w) / b_prev)
-            np.minimum(stage_w, _ST_ALPHA, out=stage_w, where=np.isinf(alpha_new))
+            num_w = num_w + _sum_l(np.where(occupied, cw * ab[:, :, None] * g, 0.0))
+            alpha_new = np.exp(np.log(num_w / den_w) / b_prev)
             alpha[p:] = alpha_new
 
             # The shape score f(beta) = a_mass / beta + b_const - sum w l e^(beta l)
@@ -1124,36 +1170,59 @@ class _Batch:
             b_const = _sum_l(np.where(occupied, cw * d_const / mass, 0.0), s_r + delta * w_sum)
             f = a_mass / b_prev + b_const - rho * (s_1 + delta * s_0)
             df = -a_mass / (b_prev * b_prev) - rho * (s_2 + delta * (2.0 * s_1 + delta * s_0))
+            checks += [ab, f, df]
+        checks.append(np.log(alpha))
 
+        stage = None
+        if not np.isfinite(np.concatenate(checks, axis=None)).all():
+            stage = np.full(alpha.shape, _ST_OK)
+            if p:
+                np.minimum(stage[:p], _ST_MASS, out=stage[:p],
+                           where=(den[:p] <= floor) | ~np.isfinite(num_e) | (num_e <= 0.0))
+            if p < m:
+                stage_w = stage[p:]
+                over = np.isinf(z_hi) & np.isfinite(self.hi)
+                if z_lo is not None:
+                    over |= np.isinf(z_lo) & np.isfinite(self.lo)
+                np.minimum(stage_w, _ST_ZETA, out=stage_w, where=over.any(axis=2))
+                np.minimum(stage_w, _ST_POW, out=stage_w, where=np.isinf(ab))
+                np.minimum(stage_w, _ST_MASS, out=stage_w,
+                           where=(den_w <= floor) | ~np.isfinite(num_w) | (num_w <= 0.0))
+                np.minimum(stage_w, _ST_ALPHA, out=stage_w, where=np.isinf(alpha_new))
+
+        if p < m:
             # the shape step, for the rows that have not failed; a row whose
             # member failed in an earlier component steps too, but the member
             # stops, so its step reaches no result
-            todo = stage_w == _ST_OK
+            todo = np.ones(b_prev.shape, dtype=bool) if stage is None else stage[p:] == _ST_OK
             if todo.any():
-                # row j of the step is the j-th todo (component, member) in C order
-                comp, memb = np.nonzero(todo)
-
                 def score(beta, rows):
-                    """The score afresh on the given rows of the step."""
-                    c, k = comp[rows], memb[rows]
+                    """The score afresh on the given rows of the step, row j
+                    being the j-th todo (component, member) in C order."""
+                    c, k = (i[rows] for i in np.nonzero(todo))
                     l_rel = self.logv[k] - np.log(alpha_new[c, k])[:, None]
                     wl = self.cnt[k] * self.z[p + c, k] * l_rel
                     return _shape_score(l_rel, wl, a_mass[c, k], b_const[c, k])(beta)
 
                 first = (f[todo], df[todo])
                 b_todo = b_prev[todo]
-                # afresh on a row where the sums did not give a finite score
-                redo = np.flatnonzero(~(np.isfinite(first[0]) & np.isfinite(first[1])))
-                if redo.size:
-                    first[0][redo], first[1][redo] = score(b_todo[redo], redo)
+                if stage is not None:
+                    # afresh on a row where the sums did not give a finite score
+                    redo = np.flatnonzero(~(np.isfinite(first[0]) & np.isfinite(first[1])))
+                    if redo.size:
+                        first[0][redo], first[1][redo] = score(b_todo[redo], redo)
                 steps, ok, f_lo, f_hi = _shape_step(score, b_todo, first)
-                stepped = np.zeros(todo.shape, dtype=bool)
-                stepped[todo] = ok
-                beta[p:][stepped] = steps[ok]
+                beta[p:][todo] = steps
                 if not ok.all():
+                    if stage is None:
+                        stage = np.full(alpha.shape, _ST_OK)
                     f_ends = np.full((2,) + stage.shape, math.nan)
                     f_ends[0, p:][todo], f_ends[1, p:][todo] = f_lo, f_hi
-                    np.minimum(stage_w, _ST_BRACKET, out=stage_w, where=todo & ~stepped)
+                    unbracketed = np.zeros(todo.shape, dtype=bool)
+                    unbracketed[todo] = ~ok
+                    stage[p:][unbracketed] = _ST_BRACKET
+        if stage is None:
+            return alpha, beta, {}
         np.minimum(stage, _ST_SPEC, out=stage, where=~((alpha > 0.0) & np.isfinite(alpha)))
         if stage.min() == _ST_OK:
             return alpha, beta, {}
@@ -1215,25 +1284,28 @@ def _sum_l(terms: np.ndarray, acc=0.0):
     return acc
 
 
-def _truncated_mean_exp_array(alpha: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    e = np.expm1(-(hi - lo) / alpha)
-    em = -e
-    mean = np.where(em == 0.0, 0.5 * (lo + hi), alpha + ((lo - hi) - hi * e) / em)
+def _truncated_mean_exp_array(alpha: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                              em: np.ndarray) -> np.ndarray:
+    """truncated_mean_exp elementwise, given em = 1 - e^(-(hi - lo) / alpha)."""
+    mean = np.where(em == 0.0, 0.5 * (lo + hi), alpha + ((lo - hi) + hi * em) / em)
     return np.where(np.isinf(hi), lo + alpha, mean)
 
 
-def _gamma2_diff_array(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
-    """_gamma_upper_diff(2, ., .) elementwise."""
-    lower = gamma_lower2_array(z_hi) - gamma_lower2_array(z_lo)
+def _gamma2_diff_array(z_lo: np.ndarray | None, z_hi: np.ndarray) -> np.ndarray:
+    """_gamma_upper_diff(2, ., .) elementwise; z_lo None stands for 0."""
+    lower = gamma_lower2_array(z_hi)
+    if z_lo is not None:
+        lower = lower - gamma_lower2_array(z_lo)
     small = z_hi < 3.0
     if small.all():
         return lower
-    return np.where(small, lower, gamma_upper2_array(z_lo) - gamma_upper2_array(z_hi))
+    upper = 1.0 if z_lo is None else gamma_upper2_array(z_lo)  # Gamma(2, 0) = 1
+    return np.where(small, lower, upper - gamma_upper2_array(z_hi))
 
 
-def _tlog_diff_array(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
+def _tlog_diff_array(z_lo: np.ndarray | None, z_hi: np.ndarray) -> np.ndarray:
     """z_hi e^(-z_hi) log z_hi - z_lo e^(-z_lo) log z_lo elementwise, with
-    the term 0 at z = 0 and z = inf.
+    the term 0 at z = 0 and z = inf; z_lo None stands for 0.
 
     Since (1 - t) e^(-t) = d/dt (t e^(-t)), integrating by parts gives
     elog_num - bracket(s=2) = int (1 - t) e^(-t) log t dt over [z_lo, z_hi)
@@ -1245,7 +1317,7 @@ def _tlog_diff_array(z_lo: np.ndarray, z_hi: np.ndarray) -> np.ndarray:
         z = np.where((z > 0.0) & (z < math.inf), z, 1.0)  # log 1 = 0 at the ends
         return z * np.exp(-z) * np.log(z)
 
-    if (z_lo == 0.0).all():  # always under the default censoring [0, 0.5)
+    if z_lo is None:
         return term(z_hi)
     return term(z_hi) - term(z_lo)
 
@@ -1395,7 +1467,7 @@ def _batch_loop(
         if iterations == history.shape[1]:
             history = np.concatenate([history, np.empty_like(history)], axis=1)
         history[st.ids, iterations] = st.ll
-        if not idead.any():
+        if idead is None:
             return
         # e_step raises at an underflowing row before the intervals
         fresh = idead & ~warned[st.ids] & (st.bad < 0)[:, None]
@@ -1436,25 +1508,30 @@ def _batch_loop(
 
     while st.ids.size:
         weights = st.weights_from_pass()
-        hits = weights < WEIGHT_FLOOR
-        for pos in np.flatnonzero(hits.any(axis=0)) if hits.any() else ():
-            m = int(st.ids[pos])
-            if not flagged[m]:
-                flagged[m] = True
-                floor_hits = [int(i) for i in np.flatnonzero(hits[:, pos])]
-                warnings[m].append(
-                    f"component(s) {floor_hits} fell below the weight floor "
-                    f"{WEIGHT_FLOOR}; fit continues with them flagged"
-                )
+        # one test each for the weight floor and the MixtureModel checks
+        # below; the per-member work runs only where it fails
+        low = weights.min()
+        if not low >= WEIGHT_FLOOR:
+            hits = weights < WEIGHT_FLOOR
+            for pos in np.flatnonzero(hits.any(axis=0)):
+                m = int(st.ids[pos])
+                if not flagged[m]:
+                    flagged[m] = True
+                    floor_hits = [int(i) for i in np.flatnonzero(hits[:, pos])]
+                    warnings[m].append(
+                        f"component(s) {floor_hits} fell below the weight floor "
+                        f"{WEIGHT_FLOOR}; fit continues with them flagged"
+                    )
         alpha, beta, errors = st.m_step() if mle else st.direct_m_step(samples)
         # the MixtureModel checks on the new weights come after every
         # component's, so a member's component error wins
-        bad_w = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
         wsum = weights.sum(axis=0)
-        for pos in np.flatnonzero(bad_w | (np.abs(wsum - 1.0) > WEIGHT_SUM_TOL)):
-            errors.setdefault(int(pos), DomainError(
-                "weights must be finite and non-negative" if bad_w[pos]
-                else f"weights must sum to 1, got {float(wsum[pos])!r}"))
+        if not (low >= 0.0 and np.abs(wsum - 1.0).max() <= WEIGHT_SUM_TOL):
+            bad_w = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
+            for pos in np.flatnonzero(bad_w | (np.abs(wsum - 1.0) > WEIGHT_SUM_TOL)):
+                errors.setdefault(int(pos), DomainError(
+                    "weights must be finite and non-negative" if bad_w[pos]
+                    else f"weights must sum to 1, got {float(wsum[pos])!r}"))
         for pos, exc in sorted(errors.items()):
             yield (int(st.ids[pos]), exc) if isinstance(exc, DomainError) else stop(pos, exc)
         st.w, st.alpha, st.beta = weights, alpha, beta
@@ -1468,14 +1545,17 @@ def _batch_loop(
         iterations += 1
         ll_prev = st.ll
         e_pass()
-        nonfinite = ~np.isfinite(st.ll)
-        converged = ~nonfinite & (np.abs(st.ll - ll_prev) <= cfg.epsilon)
-        finished = nonfinite | converged | (iterations >= cfg.max_iter)
+        # a non-finite log-likelihood is never within epsilon of the last
+        converged = np.abs(st.ll - ll_prev) <= cfg.epsilon
+        finished = converged | ~np.isfinite(st.ll)
+        if iterations >= cfg.max_iter:
+            finished[:] = True
+        if not finished.any():
+            continue
         for pos in np.flatnonzero(finished):
             error = None
-            if nonfinite[pos]:
+            if not math.isfinite(st.ll[pos]):
                 error = "log-likelihood became non-finite"
                 warnings[st.ids[pos]].append(error)
             yield result(pos, bool(converged[pos]), error)
-        if finished.any():
-            st.take(~finished)
+        st.take(~finished)

@@ -1458,6 +1458,53 @@ def test_fit_batch_overflow_stages_match_reference_loop(reference_mixture, membe
         assert np.array_equal(params(out[1]), params(alone))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (0, 2), (2, 1)])
+def test_fit_batch_default_censoring_fits_the_same_on_either_interval_route(
+        reference_mixture, shape):
+    """A batch whose intervals all start at 0 leaves the lower interval
+    transform out of its passes and M-steps; a mate with an interval off 0
+    sends the whole batch down the general route.  A member under the
+    default censoring [0, 0.5) fits the same in both batches: the same
+    iterations, flags, error and warnings, and its parameters and
+    log-likelihood trace within 1e-12."""
+    diffs = generate_synthetic(reference_mixture, 400, rng_seed=307)
+    member = build_sample(diffs[:200])
+    fits = {}
+    for spec in sorted(CENSOR_SPECS):
+        mate = build_sample(diffs[200:], CENSOR_SPECS[spec])
+        models = [default_init(s, *shape) for s in (member, mate)]
+        with np.errstate(all="ignore"):  # as fit_batch runs it
+            route = em_core._Batch([member, mate], models, shape[0]).from_zero
+        assert route == (spec == "default")
+        fits[spec] = fit_batch([member, mate], shape)[0]
+    got, ref = fits["two-with-empty"], fits["default"]
+    assert ref.iterations > 5 and ref.converged
+    assert (got.iterations, got.converged, got.degenerate) == (
+        ref.iterations, ref.converged, ref.degenerate)
+    assert (got.error, got.warnings) == (ref.error, ref.warnings)
+    np.testing.assert_allclose(params(got), params(ref), rtol=1e-12)
+    np.testing.assert_allclose(got.loglik_trace, ref.loglik_trace, rtol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [[CensoringInterval(0.0, 0.5, 100)],
+                                  [CensoringInterval(0.0, 0.5, 100),
+                                   CensoringInterval(0.5, 0.75, 0)]], ids=["from-0", "general"])
+def test_fit_batch_interval_transform_overflow_matches_reference_loop(spec):
+    """No exact value and a start Weibull(1e-160, 2): (0.5 / alpha)^beta
+    overflows, where the reference loop's scale update raises, though
+    alpha^beta, the new scale and the shape score stay finite.  On either
+    interval route the member stops at the first M-step with the
+    reference loop's error and warnings."""
+    cfg = EmConfig(max_iter=5)
+    s = CensoredSample(np.empty(0), spec)
+    start = MixtureModel([1.0], [ComponentSpec.weibull(1e-160, 2.0)])
+    (res,) = fit_batch([s], (0, 1), cfg, [start])
+    ref = reference_fit(s, (0, 1), cfg, start)
+    assert res.error == ref.error == "OverflowError: math range error"
+    assert res.iterations == ref.iterations == 0
+    assert_matches_reference(res, ref)
+
+
 def test_fit_batch_takes_one_e_pass_per_lockstep_iteration(reference_mixture, monkeypatch):
     """Members advance in lockstep: a mixed 2,1 batch makes one E-step pass
     for the start and one per iteration of its slowest member."""

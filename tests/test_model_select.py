@@ -589,6 +589,36 @@ def test_selection_and_profile_em_work_is_pinned(reference_mixture, monkeypatch)
     assert work == {"calls": 48, "members": 120, "iterations": 114}
 
 
+def test_tournament_em_work_per_shape_is_pinned(reference_mixture, monkeypatch):
+    """Per candidate shape, the E-pass calls, member-passes and summed fit
+    iterations of a small seeded tournament on 200-point subsamples, as
+    the batched pass made them before its per-call cost was trimmed: a
+    speed change that moves the iteration schedule of any shape fails
+    here."""
+    work = {}  # shape: [E-pass calls, member-passes, summed iterations]
+    current = []
+    e_pass = em_core._Batch.e_pass
+
+    def counted(self):
+        current[-1][0] += 1
+        current[-1][1] += int(self.ids.size)
+        return e_pass(self)
+
+    def batched(samples, shape, config, inits):
+        current.append(work.setdefault("%d,%d" % shape, [0, 0, 0]))
+        out = fit_batch(samples, shape, config, inits)
+        current[-1][2] += sum(r.iterations for r in out if isinstance(r, em_core.FitResult))
+        return out
+
+    monkeypatch.setattr(em_core._Batch, "e_pass", counted)
+    monkeypatch.setattr(model_select, "fit_batch", batched)
+    diffs = generate_synthetic(reference_mixture, 4000, rng_seed=37)
+    run_selection(diffs, [ModelShape(1, 1), ModelShape(0, 2), ModelShape(3, 0), ModelShape(2, 1)],
+                  n_boot=2, subsample_size=200, days=3, rng_seed=14)
+    assert work == {"1,1": [91, 260, 251], "0,2": [171, 470, 461],
+                    "3,0": [253, 614, 605], "2,1": [455, 1297, 1288]}
+
+
 def test_select_profile_and_fit_command_never_expand_responsibilities(
         reference_mixture, monkeypatch, tmp_path):
     """A fit keeps its final responsibilities on its unique values, and
