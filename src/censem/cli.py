@@ -298,9 +298,11 @@ def _censor_spec(args) -> list[CensoringInterval]:
         return default_censor_spec()
     spec = []
     for text in args.censor:
+        bounds = text.split(",")
+        if len(bounds) != 2:
+            raise InputFormatError(f"bad --censor {text!r}; expected LO,HI")
         try:
-            lo, hi = text.split(",")
-            spec.append(CensoringInterval(float(lo), float(hi)))
+            spec.append(CensoringInterval(float(bounds[0]), float(bounds[1])))
         except (ValueError, DomainError) as exc:
             raise InputFormatError(f"bad --censor {text!r}: {exc}") from exc
     spec.sort(key=lambda iv: iv.lo)
@@ -365,7 +367,7 @@ def cmd_fit(args) -> int:
     _write_fit_report(args.output, path, shape, sample, cfg, seed, result)
     status = "converged" if result.converged else "not converged"
     print(f"wrote {args.output}: loglik={result.loglik:.6g} ({status})")
-    return EXIT_NUMERIC if (result.degenerate or not math.isfinite(result.loglik)) else EXIT_OK
+    return EXIT_NUMERIC if result.degenerate else EXIT_OK
 
 
 def _write_fit_report(
@@ -448,7 +450,7 @@ def cmd_select(args) -> int:
           + ", ".join(f"{s.key}={report.winner_tally[s]:.3f}" for s in report.shapes))
     for shape in report.shapes:
         if report.pooled_samples(shape).size == 0:
-            print(f"shape {shape.key}: every replica degenerate", file=sys.stderr)
+            print(f"shape {shape.key}: no fit counted", file=sys.stderr)
             return EXIT_NUMERIC
     return EXIT_OK
 

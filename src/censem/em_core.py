@@ -65,7 +65,6 @@ from .components import (
     ComponentSpec,
     Kind,
     MixtureModel,
-    WEIGHT_SUM_TOL,
     _log_mixture_interval,
     _log_mixture_matrix,
     dof,
@@ -883,14 +882,15 @@ class _Batch:
     their counts, in rows of (B, L) arrays; its own slices are the first
     nu values and the first nl intervals of its rows.
 
-    Padding rows repeat the member's first exact value with count 0, and
-    padding intervals are [0, inf) with count 0, so every padded entry is
-    finite and drops out of each count-weighted sum; the exact-row
-    underflow test masks padding values out, and a padding interval has
-    mass 1 under every component.  A sum over the padded axis still
-    rounds with the padded width; with own_sums the log-likelihood and
-    weight sums run over each member's own slices instead, so a member's
-    numbers do not depend on its batch mates.
+    Padding rows repeat the member's own first exact value with count 0
+    (fit_batch runs samples without exact values in batches of their own,
+    which have no value columns), and padding intervals are [0, inf) with
+    count 0.  A padding column thus copies the member's first column and
+    underflows only where that one does, and a padding interval has mass 1
+    under every component; each drops out of every count-weighted sum.  A
+    sum over the padded axis still rounds with the padded width; with
+    own_sums the log-likelihood and weight sums run over each member's own
+    slices instead, so a member's numbers do not depend on its batch mates.
 
     Besides z and zt, a pass keeps what the mle M-step would otherwise
     recompute: for the Weibull components rel = log(x / alpha) and
@@ -927,7 +927,7 @@ class _Batch:
         self.ids = np.arange(b)
         self.nu = np.array([values.size for values, _ in uniques])
         self.nl = np.array([len(s.intervals) for s in samples])
-        self.vals = np.ones((b, self.nu.max()))
+        self.vals = np.empty((b, self.nu.max()))
         self.cnt = np.zeros(self.vals.shape)
         self.ivs = np.empty((5, b, self.nl.max()))
         self.zz = self.rp = self.zs = None  # before the first pass
@@ -936,10 +936,11 @@ class _Batch:
         self.hi[:] = math.inf
         self.ccnt[:] = 0.0
         for j, ((values, counts), s) in enumerate(zip(uniques, samples)):
-            if values.size:
-                self.vals[j] = values[0]
-                self.vals[j, : values.size] = values
-                self.cnt[j, : values.size] = counts
+            # padding repeats the first value; fit_batch runs samples without
+            # values apart, so a row has a first value or no columns
+            self.vals[j] = values[:1]
+            self.vals[j, : values.size] = values
+            self.cnt[j, : values.size] = counts
             for l, iv in enumerate(s.intervals):
                 self.lo[j, l], self.hi[j, l], self.ccnt[j, l] = iv.lo, iv.hi, iv.count
         self.logv = np.log(self.vals)
@@ -1043,7 +1044,7 @@ class _Batch:
         self.bad = np.full(mx.shape[0], -1)
         idead = None
         if not finite:
-            dead = ~np.isfinite(mx[:, :nu]) & (self.cnt > 0.0)
+            dead = ~np.isfinite(mx[:, :nu])
             if dead.any():
                 self.bad = np.where(dead.any(axis=1), dead.argmax(axis=1), -1)
             idead = ~np.isfinite(mx[:, nu:])
@@ -1414,7 +1415,11 @@ def fit_batch(
     fitted, or whose start model's components are not p exponentials then
     r Weibulls, gets the DomainError that says why in its slot instead of
     a FitResult.  An inits list whose length differs from samples' raises.
-    The accepted members run as batches of at most BATCH_MEMBERS, in order.
+    The accepted members with exact values, then those without, run as
+    batches of at most BATCH_MEMBERS, in order, so padding repeats only a
+    member's own first value.  A fit that stops on an error or ends with a
+    non-finite log-likelihood is degenerate: that flag alone says whether
+    a FitResult counts.
     """
     cfg = config or EmConfig()
     if inits is not None and len(inits) != len(samples):
@@ -1423,7 +1428,7 @@ def fit_batch(
     d = dof(p, r)
     kinds = [Kind.EXPONENTIAL] * p + [Kind.WEIBULL] * r
     results: list[FitResult | DomainError | None] = [None] * len(samples)
-    slots, models = [], []
+    slots, models = [], {}
     for j, s in enumerate(samples):
         start = None if inits is None else inits[j]
         if s.total < d + 1:
@@ -1433,15 +1438,16 @@ def fit_batch(
         elif start is not None and [c.kind for c in start.components] != kinds:
             results[j] = DomainError(f"start model components do not match the shape ({p}, {r})")
         else:
-            models.append(default_init(s, p, r) if start is None else
-                          MixtureModel(start.weights / start.weights.sum(), start.components))
+            models[j] = (default_init(s, p, r) if start is None else
+                         MixtureModel(start.weights / start.weights.sum(), start.components))
             slots.append(j)
     with np.errstate(all="ignore"):
-        for k in range(0, len(slots), BATCH_MEMBERS):
-            batch = slots[k : k + BATCH_MEMBERS]
-            starts = models[k : k + BATCH_MEMBERS]
-            for m, res in _batch_loop([samples[j] for j in batch], starts, p, cfg):
-                results[batch[m]] = res
+        for group in ([j for j in slots if samples[j].n], [j for j in slots if not samples[j].n]):
+            for k in range(0, len(group), BATCH_MEMBERS):
+                batch = group[k : k + BATCH_MEMBERS]
+                starts = [models[j] for j in batch]
+                for m, res in _batch_loop([samples[j] for j in batch], starts, p, cfg):
+                    results[batch[m]] = res
     return results
 
 
@@ -1508,10 +1514,8 @@ def _batch_loop(
 
     while st.ids.size:
         weights = st.weights_from_pass()
-        # one test each for the weight floor and the MixtureModel checks
-        # below; the per-member work runs only where it fails
-        low = weights.min()
-        if not low >= WEIGHT_FLOOR:
+        # the per-member work runs only where the one floor test fails
+        if not weights.min() >= WEIGHT_FLOOR:
             hits = weights < WEIGHT_FLOOR
             for pos in np.flatnonzero(hits.any(axis=0)):
                 m = int(st.ids[pos])
@@ -1523,15 +1527,6 @@ def _batch_loop(
                         f"{WEIGHT_FLOOR}; fit continues with them flagged"
                     )
         alpha, beta, errors = st.m_step() if mle else st.direct_m_step(samples)
-        # the MixtureModel checks on the new weights come after every
-        # component's, so a member's component error wins
-        wsum = weights.sum(axis=0)
-        if not (low >= 0.0 and np.abs(wsum - 1.0).max() <= WEIGHT_SUM_TOL):
-            bad_w = ~np.all(np.isfinite(weights) & (weights >= 0.0), axis=0)
-            for pos in np.flatnonzero(bad_w | (np.abs(wsum - 1.0) > WEIGHT_SUM_TOL)):
-                errors.setdefault(int(pos), DomainError(
-                    "weights must be finite and non-negative" if bad_w[pos]
-                    else f"weights must sum to 1, got {float(wsum[pos])!r}"))
         for pos, exc in sorted(errors.items()):
             yield (int(st.ids[pos]), exc) if isinstance(exc, DomainError) else stop(pos, exc)
         st.w, st.alpha, st.beta = weights, alpha, beta

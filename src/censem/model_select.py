@@ -199,7 +199,7 @@ def _bic_of(
     res: FitResult | DomainError, shape: ModelShape, sample: CensoredSample
 ) -> float | None:
     """The fit's BIC, or None for a skipped (rejected or degenerate) fit."""
-    if isinstance(res, DomainError) or res.degenerate or not math.isfinite(res.loglik):
+    if isinstance(res, DomainError) or res.degenerate:
         return None
     return bic(res.loglik, shape.dof, sample.total)
 
@@ -384,7 +384,7 @@ def _bucket_outcome(res: FitResult | DomainError) -> dict[str, float] | str:
     """A bucket fit's parameter summary, or the reason it is skipped."""
     if isinstance(res, DomainError):
         return str(res)
-    if res.degenerate or not math.isfinite(res.loglik):
+    if res.degenerate:
         return res.error or "degenerate fit"
     return _fit_summary(res)
 

@@ -480,3 +480,61 @@ def test_profile_unsorted_timestamps_name_the_file(tmp_path, capsys):
                    "--output", str(out)) == 2
         assert capsys.readouterr().err == f"error: {path}: timestamps must be non-decreasing\n"
         assert not out.exists()
+
+
+# --- input errors ---------------------------------------------------------------
+
+
+INPUT_ERRORS = {
+    "censor-one-bound": (["preprocess", "--input", "d.txt", "--pre-diffed", "--censor", "1"],
+                         {}, "bad --censor '1'; expected LO,HI"),
+    "censor-overlap": (["preprocess", "--input", "d.txt", "--pre-diffed",
+                        "--censor", "0,2", "--censor", "1,3"],
+                       {}, "--censor intervals must be disjoint"),
+    "env-seed": (["simulate", "--component", "exp,1,5", "--n", "20"], {"CENSEM_SEED": "abc"},
+                 "CENSEM_SEED must be an integer, got 'abc'"),
+    "fit-two-inputs": (["fit", "--input", "s.txt", "--input", "s.txt", "--shape", "1,0"],
+                       {}, "this command takes exactly one --input"),
+    "profile-no-input": (["profile"], {}, "profile needs at least one --input day file"),
+    "simulate-no-component": (["simulate", "--n", "20"], {},
+                              "simulate needs at least one --component"),
+    "simulate-bad-weight": (["simulate", "--component", "exp,x,1", "--n", "20"], {},
+                            "bad --component 'exp,x,1': could not convert string to float: 'x'"),
+    "simulate-negative-weight": (["simulate", "--component", "exp,-1,1",
+                                  "--component", "exp,2,1", "--n", "20"],
+                                 {}, "component weights must be non-negative with positive sum"),
+    "simulate-negative-n": (["simulate", "--component", "exp,1,1", "--n", "-1"], {},
+                            "--n must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_error_exits_2_with_its_message(tmp_path, monkeypatch, capsys, case):
+    argv, env, message = INPUT_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    write_lines(tmp_path / "d.txt", range(1, 300))
+    (tmp_path / "s.txt").write_text("n=3\nL=1\ninterval 0 0.5 2\n1\n2\n3\n", encoding="utf-8")
+    monkeypatch.delenv("CENSEM_SEED", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert run(*argv, "--output", "o.txt") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o.txt").exists()
+
+
+def test_select_shape_with_no_counted_fit_exits_3_with_report(tmp_path, reference_mixture,
+                                                              capsys):
+    """Every 3,3 fit of a 12-point subsample is refused for its size: the
+    report is written, 3,3 wins nothing, and the exit code is 3."""
+    from censem.sample_data import generate_synthetic
+
+    diffs = tmp_path / "d.txt"
+    write_lines(diffs, generate_synthetic(reference_mixture, 500, rng_seed=6).tolist())
+    out = tmp_path / "sel.txt"
+    assert run("select", "--input", str(diffs), "--output", str(out), "--shapes", "1,1;3,3",
+               "--subsample", "12", "--days", "2", "--boot", "2", "--seed", "3") == 3
+    assert capsys.readouterr().err == "shape 3,3: no fit counted\n"
+    _, sections = parse_report(out)
+    assert sections["tally"]["rows"] == [["1,1", "1"], ["3,3", "0"]]
+    assert [row[2:] for row in sections["bic"]["rows"] if row[2] == "3,3"] == [
+        ["3,3", "-", "-", "0", "3"]] * 2

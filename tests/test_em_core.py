@@ -468,6 +468,20 @@ def test_shape_step_non_finite_step_takes_the_cap():
     assert np.isnan(f_lo[:2]).all() and np.isnan(f_hi[:2]).all()
 
 
+def test_shape_step_non_finite_steps_inside_the_bracket_end_there():
+    """When every row's f and f' overflowed (a NaN step from a score that
+    is not NaN) and each cap toward the root lies inside BETA_BRACKET, the
+    step returns there, ok, after one evaluation per row and with no end
+    values."""
+    f, df = np.array([-math.inf, math.inf]), np.array([-math.inf, -math.inf])
+    counted, calls = counting(lambda beta, rows=...: (f[rows], df[rows]), 2)
+    with np.errstate(invalid="raise"):  # the step runs with the warnings off
+        steps, ok, f_lo, f_hi = _shape_step(counted, np.array([2.0, 3.0]))
+    assert steps.tolist() == [1.0, 6.0] and ok.all()
+    assert calls.tolist() == [1, 1]
+    assert np.isnan(f_lo).all() and np.isnan(f_hi).all()
+
+
 def test_shape_step_fixed_point_is_the_score_root():
     """A 1,1 fit run to a tight epsilon ends where m_step_weibull_beta
     returns the model's own shape: EM's fixed points survive the one step."""
@@ -1456,6 +1470,66 @@ def test_fit_batch_overflow_stages_match_reference_loop(reference_mixture, membe
         assert out[1].iterations == alone.iterations == 5 and out[1].error is None
         assert np.array_equal(out[1].loglik_trace, alone.loglik_trace)
         assert np.array_equal(params(out[1]), params(alone))
+
+
+ZEROS_ONLY_STARTS = {
+    "wbl-1e-160": ((0, 1), MixtureModel([1.0], [ComponentSpec.weibull(1e-160, 2.0)])),
+    "exp-1e-320": ((2, 0), MixtureModel([0.5, 0.5], [ComponentSpec.exponential(1e-320),
+                                                     ComponentSpec.exponential(2e-320)])),
+    "default-1,1": ((1, 1), None),
+}
+
+
+@pytest.mark.parametrize("case", list(ZEROS_ONLY_STARTS))
+def test_fit_batch_member_without_exact_values_ignores_its_batch_mates(reference_mixture, case):
+    """100 counts in [0, 0.5) and no exact value, the far end of the zero
+    inflation: fitted beside members with exact values, the member gets
+    its batch of one's FitResult bit for bit.  Padded with a mate's value
+    it would see a column its own model may not reach (1.0 under
+    Weibull(1e-160, 2), or under exponential scales of 1e-320)."""
+    shape, start = ZEROS_ONLY_STARTS[case]
+    cfg = EmConfig(max_iter=50)
+    zeros = CensoredSample(np.empty(0), [CensoringInterval(0.0, 0.5, 100)])
+    mates = [build_sample(generate_synthetic(reference_mixture, n, rng_seed=293 + n))
+             for n in (600, 250)]
+    (alone,) = fit_batch([zeros], shape, cfg, [start])
+    out = fit_batch([mates[0], zeros, mates[1]], shape, cfg, [None, start, None])
+    got = out[1]
+    assert np.array_equal(got.loglik_trace, alone.loglik_trace)
+    assert np.array_equal(params(got), params(alone))
+    assert (got.iterations, got.converged, got.degenerate, got.error, got.warnings) == (
+        alone.iterations, alone.converged, alone.degenerate, alone.error, alone.warnings)
+
+
+def test_fit_batch_non_finite_loglik_is_degenerate(reference_mixture):
+    """A FitResult counts unless it is degenerate: over the degenerate
+    fixtures of this module, with either M-step, every fit whose
+    log-likelihood ends non-finite is flagged degenerate."""
+    s_scale, c_scale = scale_overflow_member()
+    s_power, c_power = power_overflow_member()
+    cases = [
+        ([CensoredSample(np.array([1.0, 2.0, 5.0, 1e300]), [])], (0, 1),
+         [MixtureModel([1.0], [ComponentSpec.weibull(1.0, 2.0)])]),
+        ([overflow_sample()], (1, 1), [weibull_shapes_at(overflow_sample(), (1, 1), 2.0)]),
+        ([s_scale, s_power], (0, 1), [MixtureModel([1.0], [c_scale]),
+                                      MixtureModel([1.0], [c_power])]),
+        ([underflow_sample()], (2, 0), None),
+        ([CensoredSample(np.empty(0), [CensoringInterval(0.0, 0.5, 50)])], (1, 0), None),
+        ([CensoredSample(np.empty(0), [CensoringInterval(0.0, 0.5, 100)])], (0, 1),
+         [ZEROS_ONLY_STARTS["wbl-1e-160"][1]]),
+    ]
+    for shape in [(0, 2), (3, 0), (2, 1)]:
+        samples, starts, _ = failure_order_members(reference_mixture, shape)
+        cases.append((samples, shape, starts))
+    non_finite = 0
+    for variant in VARIANTS:
+        cfg = EmConfig(max_iter=5, m_step_variant=variant)
+        for samples, shape, starts in cases:
+            for res in fit_batch(samples, shape, cfg, starts):
+                if not math.isfinite(res.loglik):
+                    non_finite += 1
+                    assert res.degenerate and res.error is not None
+    assert non_finite == 2  # the exact-row underflow, under either M-step
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (0, 2), (2, 1)])

@@ -155,6 +155,27 @@ def test_welch_needs_two_observations():
         welch_t([1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_welch_rejects_non_finite_samples(bad):
+    with pytest.raises(DomainError, match="welch_t requires finite samples"):
+        welch_t([1.0, bad, 2.0], [1.0, 2.0])
+    with pytest.raises(DomainError, match="welch_t requires finite samples"):
+        welch_t([1.0, 2.0], [bad, 2.0])
+
+
+def test_welch_two_sided_zero_variance():
+    """With both variances zero the two-sided test compares the constants:
+    equal means are not significant, unequal means are, either way round."""
+    a, b = np.full(4, 2.0), np.full(6, 3.0)
+    same = welch_t(a, a.copy(), two_sided=True)
+    assert same.degenerate and same.t == 0.0 and not same.significant
+    assert same.p_value == 1.0
+    for x, y, sign in [(a, b, -1.0), (b, a, 1.0)]:
+        res = welch_t(x, y, two_sided=True)
+        assert res.degenerate and res.significant and res.t == sign * math.inf
+        assert res.p_value == 0.0 and res.dof == 8.0
+
+
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_welch_p_value_equals_scipy_stats(two_sided):
     """welch_t calls scipy.special.stdtr directly; its p-values are
@@ -232,6 +253,88 @@ def test_selection_tally_sums_to_one(reference_mixture):
     rep = run_selection(diffs, shapes, n_boot=4, subsample_size=120, days=3, rng_seed=6)
     assert sum(rep.winner_tally.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(v >= 0 for v in rep.winner_tally.values())
+
+
+def stub_fit_batch(bics, n_total):
+    """A fit_batch whose fits end with chosen BICs: bics[shape][e] lists
+    ensemble e's BIC values, original first, then its replicas in order; a
+    None is a degenerate fit with a NaN log-likelihood.  Each shape is
+    fitted twice, the originals first, then the replicas."""
+    calls = {}
+    model = MixtureModel([1.0], [ComponentSpec.exponential(1.0)])
+
+    def fitted(b, d):
+        ll = math.nan if b is None else (d * math.log(n_total) - b) / 2.0
+        return em_core.FitResult(model, np.array([ll]), 1, b is not None,
+                                 degenerate=b is None,
+                                 error="log-likelihood became non-finite" if b is None else None)
+
+    def stub(samples, shape, config, inits):
+        key = "%d,%d" % shape
+        table, d = bics[key], ModelShape(*shape).dof
+        replicas = calls.setdefault(key, 0)
+        calls[key] += 1
+        if not replicas:
+            return [fitted(row[0], d) for row in table]
+        return [fitted(b, d) for row in table for b in row[1:]]
+
+    return stub
+
+
+BASE = [100.0, 101.0, 102.0, 103.0]  # the baseline 1,1 BICs of each ensemble
+WINNER_RULE_BICS = {
+    # e0, e4: 0,2 significantly lower; e1: 0,2 and 2,1 both significant, 2,1
+    # with the lower mean (but the smaller |t|); e2: 0,2 lower in mean, not
+    # significantly; e3: one counted baseline fit
+    "1,1": [BASE, BASE, BASE, [100.0, None, None, None], BASE],
+    "0,2": [[90.0, 91.0, 92.0, 93.0], [90.0, 90.1, 90.2, 90.3], [90.0, 110.0, 95.0, 105.0],
+            [90.0, 91.0, 92.0, 93.0], [80.0, 81.0, 82.0, 83.0]],
+    "2,1": [[100.5, 101.5, 102.5, 103.5], [80.0, 82.0, 84.0, 86.0],
+            [110.0, 111.0, 112.0, 113.0], [80.0, 81.0, 82.0, 83.0], [None, None, 90.0, 91.0]],
+}
+WINNER_SHAPES = [ModelShape(1, 1), ModelShape(0, 2), ModelShape(2, 1)]
+
+
+def test_selection_winner_rule(monkeypatch):
+    """The baseline wins an ensemble unless an alternative's BIC sample is
+    significantly lower; of several significant beaters the lowest mean
+    wins, and a baseline with fewer than two counted fits drops its
+    ensemble."""
+    monkeypatch.setattr(model_select, "fit_batch", stub_fit_batch(WINNER_RULE_BICS, 50))
+    rep = run_selection(np.arange(1, 201), WINNER_SHAPES, n_boot=3, subsample_size=50,
+                        days=5, rng_seed=2)
+    assert rep.dropped_ensembles == 1
+    assert [e.index for e in rep.ensembles] == [0, 1, 2, 4]
+    for e in rep.ensembles:
+        for shape in WINNER_SHAPES:
+            want = [b for b in WINNER_RULE_BICS[shape.key][e.index] if b is not None]
+            np.testing.assert_allclose(e.stats[shape].samples, want, rtol=1e-12)
+            assert e.stats[shape].skipped == 4 - len(want)
+    winners = {e.index: e.winner.key for e in rep.ensembles}
+    assert winners == {0: "0,2", 1: "2,1", 2: "1,1", 4: "0,2"}
+    significant = {(e.index, t.shape_a.key): t.significant
+                   for e in rep.ensembles for t in e.tests}
+    assert significant == {(0, "0,2"): True, (0, "2,1"): False,
+                           (1, "0,2"): True, (1, "2,1"): True,
+                           (2, "0,2"): False, (2, "2,1"): False,
+                           (4, "0,2"): True, (4, "2,1"): True}
+    # e1: 0,2 has the more extreme t, 2,1 the lower mean
+    t1 = {t.shape_a.key: t.t for t in rep.ensembles[1].tests}
+    assert t1["0,2"] < t1["2,1"] < 0.0
+    # e2: 0,2's mean is lower, though not significantly
+    assert rep.ensembles[2].stats[ModelShape(0, 2)].mean < rep.ensembles[2].stats[
+        ModelShape(1, 1)].mean
+    assert rep.winner_tally == {ModelShape(1, 1): 0.25, ModelShape(0, 2): 0.5,
+                                ModelShape(2, 1): 0.25}
+
+
+def test_selection_with_every_ensemble_dropped_raises(monkeypatch):
+    bics = {key: [[100.0, None, None, None], [None, None, None, None]]
+            for key in WINNER_RULE_BICS}
+    monkeypatch.setattr(model_select, "fit_batch", stub_fit_batch(bics, 50))
+    with pytest.raises(DomainError, match="all ensembles degenerate; nothing to report"):
+        run_selection(np.arange(1, 201), WINNER_SHAPES, n_boot=3, subsample_size=50,
+                      days=2, rng_seed=2)
 
 
 def scalar_fit_batch(samples, shape, config, inits):
