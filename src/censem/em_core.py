@@ -25,9 +25,16 @@ incomplete-gamma expression.
 
 There is one EM loop, `fit_batch`; `fit` is a batch of one.  The
 samples are collapsed to unique values and padded into shared arrays,
-every iteration is one array E-step and weight update plus the M-step
-(for mle one array scale update and one array shape step), and a
-member leaves the arrays when it converges, reaches max_iter or fails.
+one EM step F is one array weight update plus the M-step (for mle one
+array scale update and one array shape step) at the last E-step pass,
+and a member leaves the arrays when it converges, reaches max_iter or
+fails.  With the direct M-step the loop iterates F.  With the mle
+M-step it runs SqS3 cycles over F (Varadhan & Roland, Scand. J.
+Statist. 35 (2008) 335-353): two F steps, then an extrapolation along
+them in log coordinates, accepted where it keeps the log-likelihood and
+F at it succeeds, and one F step from the accepted point (see
+_batch_loop).  Either way an iteration is one E-step pass, so max_iter
+caps the passes, and loglik_trace holds every pass's log-likelihood.
 The mle M-step computes nothing the pass already holds: it takes the
 weight update's sums of count * z, and the E-step's (x/alpha)^beta,
 log(x/alpha) and interval transforms, so it exponentiates no value; the
@@ -39,8 +46,10 @@ failed member stops with the exception of its lowest failing component
 at that check.
 The public uncompressed operations (e_step, update_weights, the m_step_*
 functions, q_objective) are the readable reference: an EM loop built
-from them stops at the same iteration, with the same flags and named
-error, and its numbers differ from fit_batch's only by rounding.  Both
+from them stops at the same iteration as fit_batch's plain loop (the
+direct variant, or mle through the private _plain keyword), with the
+same flags and named error, and its numbers differ from that loop's
+only by rounding.  Both
 take the shape step by the one rule, _shape_step, but they form the
 censored shape constant apart: the reference as E[log U] minus the
 s = 2 bracket, whose kernels are checked against quadrature and a
@@ -52,6 +61,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -118,8 +128,16 @@ class EmConfig:
     def __post_init__(self):
         if not (self.epsilon > 0.0):
             raise DomainError("epsilon must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be >= 1")
+        # a bool is an int, and a float cap (NaN above all) never compares as reached
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) \
+                or self.max_iter < 1:
+            raise DomainError(f"max_iter must be an int >= 1, got {self.max_iter!r}")
+        try:
+            variant = MStepVariant(self.m_step_variant)
+        except ValueError:
+            raise DomainError(f"unknown m_step_variant {self.m_step_variant!r}; expected "
+                              f"one of {[v.value for v in MStepVariant]}") from None
+        object.__setattr__(self, "m_step_variant", variant)
 
 
 @dataclass
@@ -601,6 +619,10 @@ _UNDERFLOW_MSG = (
 )
 
 
+_NO_MAXIMUM_MSG = ("every count lies in the interval [0, %s), where the likelihood has no "
+                   "maximum; fit continues flagged")
+
+
 def _warn_underflow(iv: CensoringInterval, warnings: list[str] | None = None) -> None:
     """Log the uniform-row fallback for `iv`; also record it on a fit's
     warnings when given them."""
@@ -833,9 +855,10 @@ def fit(
 ) -> FitResult:
     """Run the censored EM loop for a p-exponential + r-Weibull mixture.
 
-    Iterates E-step, weight update and per-component M-steps until the
-    absolute log-likelihood change drops to config.epsilon or max_iter
-    is hit (converged=False then, no exception).  Numerical degeneracies
+    Iterates E-step, weight update and per-component M-steps, as SqS3
+    cycles with the mle M-step (fit_batch), until the log-likelihood
+    stops moving by more than config.epsilon or max_iter E-step passes
+    are made (converged=False then, no exception).  Numerical degeneracies
     (component death, shape-bracket failures, responsibility underflow)
     are surfaced on the result with the last valid state rather than
     raised; a sample the fit cannot run raises DomainError.  This is
@@ -1401,19 +1424,34 @@ def fit_batch(
     model_shape: tuple[int, int],
     config: EmConfig | None = None,
     inits: Sequence[MixtureModel | None] | None = None,
+    *,
+    _plain: bool = False,
 ) -> list[FitResult | DomainError]:
     """The censored EM for many samples at once, with either M-step.
 
     Member j starts from the model inits[j], its weights rescaled to sum
     to 1, or from default_init where that is None or inits is not given.
-    Its stopping rule, iteration count, warnings
-    and named error are those of an EM loop built from e_step,
-    update_weights and the m_step_* operations, and its numbers differ
-    from that loop's only by rounding.  With the mle M-step that rounding
-    also moves with the other members' sizes, through the padded sums;
-    a direct-variant member equals fit on its sample alone.  A sample that cannot be
-    fitted, or whose start model's components are not p exponentials then
-    r Weibulls, gets the DomainError that says why in its slot instead of
+    The direct M-step iterates the EM step F, and the mle M-step runs
+    SqS3 cycles over F (_batch_loop), each member with its own step
+    length and accept or reject decisions; _plain=True, a private keyword
+    that the tests' reference-loop oracle uses, makes mle iterate F too.
+    iterations counts the E-step passes after the first, whatever loop
+    makes them; loglik_trace holds every pass's log-likelihood, the
+    extrapolated points' too, and its last entry and
+    final_responsibilities belong to the returned model.  On the plain
+    loop a member's stopping rule (a pass that moves the log-likelihood
+    by at most epsilon), iteration count, warnings and named error are
+    those of an EM loop built from e_step, update_weights and the
+    m_step_* operations, and its numbers differ from that loop's only by
+    rounding.  With the mle M-step that rounding also moves with the
+    other members' sizes, through the padded sums, and the SqS3
+    extrapolation can magnify it; a member's passes never depend on its
+    batch mates, and a direct-variant member equals fit on its sample
+    alone.  A sample without exact values whose counts all lie in one
+    interval from 0 is flagged degenerate: its likelihood rises as the
+    scales shrink and has no maximum.  A sample that cannot be fitted, or
+    whose start model's components are not p exponentials then r
+    Weibulls, gets the DomainError that says why in its slot instead of
     a FitResult.  An inits list whose length differs from samples' raises.
     The accepted members with exact values, then those without, run as
     batches of at most BATCH_MEMBERS, in order, so padding repeats only a
@@ -1446,15 +1484,93 @@ def fit_batch(
             for k in range(0, len(group), BATCH_MEMBERS):
                 batch = group[k : k + BATCH_MEMBERS]
                 starts = [models[j] for j in batch]
-                for m, res in _batch_loop([samples[j] for j in batch], starts, p, cfg):
+                for m, res in _batch_loop([samples[j] for j in batch], starts, p, cfg, _plain):
                     results[batch[m]] = res
     return results
 
 
+# SqS3 step lengths s lie in [-s_max, -1]; a member's s_max starts at 1,
+# grows by this factor after an accepted step at its bound and shrinks by it,
+# to no less than 1, after a rejected one.
+_SQ_STEP_FACTOR = 4.0
+# E-passes in one SqS3 cycle: at theta1, theta2, the extrapolated point and
+# the cycle's end point.
+_SQ_PASSES = 4
+
+
+def _sq_coords(w: np.ndarray, alpha: np.ndarray, beta: np.ndarray, p: int) -> np.ndarray:
+    """A batch's (M, B) parameters as SqS3 coordinates, (D, B): log alpha
+    of every component, log beta of the Weibull rows and log(w_i / w_0)."""
+    return np.concatenate([np.log(alpha), np.log(beta[p:]), np.log(w[1:] / w[0])])
+
+
+def _sq_params(t: np.ndarray, p: int, m: int, beta: np.ndarray):
+    """(w, alpha, beta) at SqS3 coordinates t, (D, B), with the Weibull
+    shapes clipped into BETA_BRACKET; beta gives the exponential rows."""
+    alpha = np.exp(t[:m])
+    beta = beta.copy()
+    beta[p:] = np.clip(np.exp(t[m : 2 * m - p]), *BETA_BRACKET)
+    logw = np.concatenate([np.zeros((1, t.shape[1])), t[2 * m - p :]])
+    w = np.exp(logw - logw.max(axis=0))
+    return w / w.sum(axis=0), alpha, beta
+
+
+def _sq_step(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, s_max: np.ndarray):
+    """The SqS3 step of each column from theta0, theta1 = F(theta0) and
+    theta2 = F(theta1), in coordinates (D, B): with r = theta1 - theta0 and
+    v = theta2 - 2 theta1 + theta0, the step length s = -|r| / |v| kept in
+    [-s_max, -1], and the point theta0 - 2 s r + s^2 v.  A column whose
+    length is not a number steps with s = -1, whose point is theta2.
+    Returns (s, point)."""
+    r = t1 - t0
+    v = t2 - 2.0 * t1 + t0
+    s = -np.sqrt((r * r).sum(axis=0) / (v * v).sum(axis=0))
+    s = np.where(np.isnan(s), -1.0, np.clip(s, -s_max, -1.0))
+    return s, t0 - 2.0 * s * r + s * s * v
+
+
 def _batch_loop(
-    samples: list[CensoredSample], models: list[MixtureModel], p: int, cfg: EmConfig
+    samples: list[CensoredSample], models: list[MixtureModel], p: int, cfg: EmConfig,
+    plain: bool = False,
 ):
-    """Yield (member, FitResult or DomainError) as members stop."""
+    """Yield (member, FitResult or DomainError) as members stop.
+
+    Write F for one EM step: weights_from_pass and the M-step at the last
+    E-pass, whose parameters the next E-pass takes.  The direct variant,
+    and the mle variant with plain set, iterate F, and a member stops
+    when an E-pass moves its log-likelihood by at most epsilon.
+
+    Otherwise the mle variant runs SqS3 cycles over F (Varadhan & Roland,
+    Scand. J. Statist. 35 (2008) 335-353) in the _sq_coords coordinates,
+    each member with its own step bound s_max, 1 at the start.  From
+    theta0, whose E-pass is done, a cycle takes theta1 = F(theta0) and
+    theta2 = F(theta1), each with its E-pass.  _sq_step gives the step
+    length s in [-s_max, -1] and the extrapolated point theta', whose
+    Weibull shapes are clipped into BETA_BRACKET; at s = -1 theta' is
+    theta2.  In the first cycle every s_max is 1, so theta' is theta2,
+    whose pass is the last one; every later cycle makes the E-pass at
+    theta', even where no member moves, so that a member's passes never
+    depend on its batch mates.  theta' is accepted where its
+    log-likelihood is finite and at least theta0's and F(theta') fails no
+    check: the cycle ends at F(theta'), and s_max grows by _SQ_STEP_FACTOR
+    where s was at its bound.  Elsewhere the cycle ends at theta2, and
+    s_max shrinks by that factor, to no less than 1.  The E-pass at the
+    end point opens the next cycle, and the member stops where it moves
+    the log-likelihood by at most epsilon from theta0's.  A member whose
+    s_max is 1 takes plain EM steps in the cycle, and stops as plain EM
+    does on the step to theta1 or theta2 as well.
+
+    iterations counts the E-passes after the first: 3 in the first cycle
+    and 4 in each later one.  loglik_trace holds every E-pass's
+    log-likelihood, theta's included.  A cycle starts only where
+    _SQ_PASSES more passes fit under max_iter; the passes left are plain
+    F steps, so the cap falls on a plain step.  Only the EM map stops a
+    member with a named error: F at theta0 or theta1, and a non-finite
+    log-likelihood at theta1, theta2 or the cycle's end point.  A failure
+    at theta' (a log-likelihood there that is not finite, or F(theta')
+    failing a check) rejects it instead, and its underflow warnings and
+    weight-floor flags count only where it is accepted.  A member returns
+    the model of its last E-pass, with that pass's responsibilities."""
     mle = cfg.m_step_variant == MStepVariant.SELF_CONSISTENT_MLE
     # the direct M-step loops over the members anyway, so its sums can
     # run per member at little cost
@@ -1465,22 +1581,57 @@ def _batch_loop(
     warned = np.zeros((n, st.lo.shape[1]), dtype=bool)
     history = np.empty((n, 64))  # loglik per member and iteration
     iterations = 0
+    accelerate = mle and not plain
+    # each member's SqS3 state, by member: s_max, and theta0's
+    # log-likelihood and coordinates and theta1's coordinates
+    s_max = np.ones(n)
+    ll0 = np.empty(n)
+    t0, t1 = np.empty((2, 3 * st.w.shape[0] - p - 1, n))
 
-    def e_pass() -> None:
-        """st.e_pass, plus the trace and the once-per-fit underflow warnings."""
+    def e_pass(defer: bool = False):
+        """st.e_pass, plus the trace and the once-per-fit underflow warnings;
+        with defer, the fresh underflowing (row, interval) pairs are returned
+        instead of warned about (None where there are none)."""
         nonlocal history
         idead = st.e_pass()
         if iterations == history.shape[1]:
             history = np.concatenate([history, np.empty_like(history)], axis=1)
         history[st.ids, iterations] = st.ll
         if idead is None:
-            return
+            return None
         # e_step raises at an underflowing row before the intervals
         fresh = idead & ~warned[st.ids] & (st.bad < 0)[:, None]
+        if defer:
+            return fresh
+        warn(fresh)
+        return None
+
+    def warn(fresh: np.ndarray) -> None:
         for pos, l in zip(*np.nonzero(fresh)):
             m = st.ids[pos]
             warned[m, l] = True
             _warn_underflow(samples[m].intervals[l], warnings[m])
+
+    def flag(hits: np.ndarray) -> None:
+        """Flag the members with a weight below the floor in hits (M, B)."""
+        for pos in np.flatnonzero(hits.any(axis=0)):
+            m = int(st.ids[pos])
+            if not flagged[m]:
+                flagged[m] = True
+                floor_hits = [int(i) for i in np.flatnonzero(hits[:, pos])]
+                warnings[m].append(
+                    f"component(s) {floor_hits} fell below the weight floor "
+                    f"{WEIGHT_FLOOR}; fit continues with them flagged"
+                )
+
+    def f_update():
+        """F's update from the last pass: (weights, alpha, beta, errors,
+        the weights below the floor or None)."""
+        weights = st.weights_from_pass()
+        # the per-member work runs only where the one floor test fails
+        hits = None if weights.min() >= WEIGHT_FLOOR else weights < WEIGHT_FLOOR
+        alpha, beta, errors = st.m_step() if mle else st.direct_m_step(samples)
+        return weights, alpha, beta, errors, hits
 
     def result(pos: int, converged: bool, error: str | None = None):
         """(member, FitResult) from the model and the pass at row pos."""
@@ -1502,6 +1653,103 @@ def _batch_loop(
         warnings[m].append(f"stopped at iteration {iterations + 1}: {error}")
         return result(pos, False, error)
 
+    def em_step():
+        """F from the last pass: the members it fails stop, the others take
+        its parameters."""
+        weights, alpha, beta, errors, hits = f_update()
+        if hits is not None:
+            flag(hits)
+        for pos, exc in sorted(errors.items()):
+            yield (int(st.ids[pos]), exc) if isinstance(exc, DomainError) else stop(pos, exc)
+        st.w, st.alpha, st.beta = weights, alpha, beta
+        if errors:
+            keep = np.ones(st.ids.size, dtype=bool)
+            keep[list(errors)] = False
+            st.take(keep)
+
+    def finish(ll_prev: np.ndarray, may_converge=True):
+        """Stop the members that the last pass ends: a change from ll_prev
+        of at most epsilon where may_converge, a non-finite log-likelihood
+        or max_iter."""
+        # a non-finite log-likelihood is never within epsilon of the last
+        converged = (np.abs(st.ll - ll_prev) <= cfg.epsilon) & may_converge
+        finished = converged | ~np.isfinite(st.ll)
+        if iterations >= cfg.max_iter:
+            finished[:] = True
+        if not finished.any():
+            return
+        for pos in np.flatnonzero(finished):
+            error = None
+            if not math.isfinite(st.ll[pos]):
+                error = "log-likelihood became non-finite"
+                warnings[st.ids[pos]].append(error)
+            yield result(pos, bool(converged[pos]), error)
+        st.take(~finished)
+
+    def plain_step(in_cycle: bool = False):
+        """One F step and the E-pass at its parameters; in a cycle only the
+        members whose s_max is 1, for which the cycle is plain EM, stop on
+        the step's change."""
+        nonlocal iterations
+        yield from em_step()
+        if not st.ids.size:
+            return
+        iterations += 1
+        ll_prev = st.ll
+        e_pass()
+        yield from finish(ll_prev, s_max[st.ids] == 1.0 if in_cycle else True)
+
+    def cycle():
+        """One SqS3 cycle from the parameters of the last pass."""
+        nonlocal iterations
+        first = iterations == 0
+        ll0[st.ids] = st.ll
+        t0[:, st.ids] = _sq_coords(st.w, st.alpha, st.beta, p)
+        yield from plain_step(True)
+        if not st.ids.size:
+            return
+        t1[:, st.ids] = _sq_coords(st.w, st.alpha, st.beta, p)
+        yield from plain_step(True)
+        if not st.ids.size:
+            return
+        ids, theta2 = st.ids, (st.w, st.alpha, st.beta)
+        fresh = None
+        if first:
+            # every s_max is 1, so theta' is theta2, and the last pass is its
+            # pass; a later cycle makes its third pass even where no member
+            # moves, so that no member's passes depend on its batch mates
+            s = np.full(ids.size, -1.0)
+        else:
+            s, point = _sq_step(t0[:, ids], t1[:, ids], _sq_coords(*theta2, p), s_max[ids])
+            away = s != -1.0
+            st.w, st.alpha, st.beta = (np.where(away, x, y) for x, y in
+                                       zip(_sq_params(point, p, st.w.shape[0], st.beta), theta2))
+            iterations += 1
+            fresh = e_pass(defer=True)
+        ok = np.isfinite(st.ll) & (st.ll >= ll0[ids])
+        weights, alpha, beta, errors, hits = f_update()
+        if errors:
+            ok[list(errors)] = False
+        if fresh is not None:
+            warn(fresh & ok[:, None])
+        if hits is not None:
+            flag(hits & ok)
+        bound = s_max[ids]
+        s_max[ids] = np.where(ok, np.where(s <= -bound, _SQ_STEP_FACTOR * bound, bound),
+                              np.maximum(bound / _SQ_STEP_FACTOR, 1.0))
+        st.w, st.alpha, st.beta = (np.where(ok, x, y)
+                                   for x, y in zip((weights, alpha, beta), theta2))
+        iterations += 1
+        e_pass()
+        yield from finish(ll0[ids])
+
+    for m, sample in enumerate(samples):
+        occupied = [iv for iv in sample.intervals if iv.count]
+        if not sample.n and len(occupied) == 1 and occupied[0].lo == 0.0:
+            # the likelihood N log F(hi) of the mixture's cdf F rises toward
+            # 0 as the scales shrink, and reaches no maximum
+            flagged[m] = True
+            warnings[m].append(_NO_MAXIMUM_MSG % occupied[0].hi)
     e_pass()
     # A member whose first pass underflows stops before its first M-step.
     underflow = st.bad >= 0
@@ -1513,44 +1761,7 @@ def _batch_loop(
         st.take(~underflow)
 
     while st.ids.size:
-        weights = st.weights_from_pass()
-        # the per-member work runs only where the one floor test fails
-        if not weights.min() >= WEIGHT_FLOOR:
-            hits = weights < WEIGHT_FLOOR
-            for pos in np.flatnonzero(hits.any(axis=0)):
-                m = int(st.ids[pos])
-                if not flagged[m]:
-                    flagged[m] = True
-                    floor_hits = [int(i) for i in np.flatnonzero(hits[:, pos])]
-                    warnings[m].append(
-                        f"component(s) {floor_hits} fell below the weight floor "
-                        f"{WEIGHT_FLOOR}; fit continues with them flagged"
-                    )
-        alpha, beta, errors = st.m_step() if mle else st.direct_m_step(samples)
-        for pos, exc in sorted(errors.items()):
-            yield (int(st.ids[pos]), exc) if isinstance(exc, DomainError) else stop(pos, exc)
-        st.w, st.alpha, st.beta = weights, alpha, beta
-        if errors:
-            keep = np.ones(st.ids.size, dtype=bool)
-            keep[list(errors)] = False
-            st.take(keep)
-            if not st.ids.size:
-                break
-
-        iterations += 1
-        ll_prev = st.ll
-        e_pass()
-        # a non-finite log-likelihood is never within epsilon of the last
-        converged = np.abs(st.ll - ll_prev) <= cfg.epsilon
-        finished = converged | ~np.isfinite(st.ll)
-        if iterations >= cfg.max_iter:
-            finished[:] = True
-        if not finished.any():
-            continue
-        for pos in np.flatnonzero(finished):
-            error = None
-            if not math.isfinite(st.ll[pos]):
-                error = "log-likelihood became non-finite"
-                warnings[st.ids[pos]].append(error)
-            yield result(pos, bool(converged[pos]), error)
-        st.take(~finished)
+        if accelerate and iterations + _SQ_PASSES <= cfg.max_iter:
+            yield from cycle()
+        else:
+            yield from plain_step()

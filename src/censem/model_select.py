@@ -426,7 +426,9 @@ def profile_intraday(
                 continue
             plan.append((bucket_id, None))
             samples.append(sample)
-        # summarised as the day's fits return: no FitResult outlives its day
+        # summarised as the day's fits return: no FitResult outlives its day.
+        # One batch for all days is no faster (fewer but wider passes) and
+        # lifts profile-day's peak RSS from 65 to 77 MB.
         outcomes = [_bucket_outcome(res) for res in fit_batch(samples, (shape.p, shape.r), cfg)]
         fitted = iter(zip(samples, outcomes))
         for bucket_id, reason in plan:

@@ -1061,6 +1061,18 @@ def test_config_validation():
                                                               "m_step_variant"]
 
 
+@pytest.mark.parametrize("field, bad", [("m_step_variant", "bogus"), ("max_iter", float("nan")),
+                                        ("max_iter", 2.5), ("max_iter", True), ("max_iter", 0)],
+                         ids=["variant-bogus", "max_iter-nan", "max_iter-2.5", "max_iter-True",
+                              "max_iter-0"])
+def test_config_rejects_bad_variant_and_cap_naming_the_value(field, bad):
+    """An unknown variant would run the direct M-step, and a cap of NaN
+    never stops the loop; a bool or a float cap is no count of passes."""
+    with pytest.raises(DomainError, match=re.escape(repr(bad))):
+        EmConfig(**{field: bad})
+    assert EmConfig(m_step_variant="direct").m_step_variant is MStepVariant.DIRECT_OBJECTIVE
+
+
 @pytest.mark.parametrize("knob", [{"weight_floor": 1e-8}, {"beta_bracket": (0.05, 20.0)},
                                   {"init": None}])
 def test_config_takes_no_floor_bracket_or_start(knob):
@@ -1072,6 +1084,8 @@ def test_config_takes_no_floor_bracket_or_start(knob):
 
 UNDERFLOW_MSG = ("interval [%s, %s) mass underflows for every component; "
                  "using a uniform responsibility row")
+NO_MAXIMUM_MSG = ("every count lies in the interval [0, %s), where the likelihood has no "
+                  "maximum; fit continues flagged")
 
 
 def reference_fit(s: CensoredSample, shape, cfg: EmConfig = EmConfig(),
@@ -1087,6 +1101,11 @@ def reference_fit(s: CensoredSample, shape, cfg: EmConfig = EmConfig(),
     model = default_init(s, p, r) if start is None else MixtureModel(
         start.weights / start.weights.sum(), start.components)
     warnings, warned = [], set()
+    # no exact value and every count in [0, hi): N log F(hi) has no maximum
+    occupied = [iv for iv in s.intervals if iv.count]
+    no_maximum = not s.n and len(occupied) == 1 and occupied[0].lo == 0.0
+    if no_maximum:
+        warnings.append(NO_MAXIMUM_MSG % occupied[0].hi)
 
     def e_pass(m):
         """m's loglik, and its responsibilities or the error to stop with.
@@ -1113,7 +1132,7 @@ def reference_fit(s: CensoredSample, shape, cfg: EmConfig = EmConfig(),
         return ComponentSpec.weibull(alpha, m_step_weibull_beta(resp, s, i, c, alpha))
 
     ll, resp = e_pass(model)
-    trace, iterations, converged, degenerate, error = [ll], 0, False, False, None
+    trace, iterations, converged, degenerate, error = [ll], 0, False, no_maximum, None
     for _ in range(cfg.max_iter):
         try:
             if isinstance(resp, ResponsibilityUnderflowError):
@@ -1204,13 +1223,13 @@ def underflow_sample() -> CensoredSample:
 def test_interval_underflow_warned_once_per_fit(caplog):
     message = UNDERFLOW_MSG % (1e308, math.inf)
     with caplog.at_level("WARNING", logger="censem.em_core"):
-        res = fit(underflow_sample(), (2, 0))
+        (res,) = fit_batch([underflow_sample()], (2, 0), _plain=True)
     assert res.converged and res.iterations == 32
     assert [rec.getMessage() for rec in caplog.records] == [message]
     assert res.warnings == [message]
     caplog.clear()
     with caplog.at_level("WARNING", logger="censem.em_core"):
-        batched = fit_batch([underflow_sample(), underflow_sample()], (2, 0))
+        batched = fit_batch([underflow_sample(), underflow_sample()], (2, 0), _plain=True)
     assert [rec.getMessage() for rec in caplog.records] == [message, message]
     ref = reference_fit(underflow_sample(), (2, 0))
     for b in batched:
@@ -1220,7 +1239,7 @@ def test_interval_underflow_warned_once_per_fit(caplog):
     caplog.clear()
     plain = CensoredSample(underflow_sample().uncensored, [])
     with caplog.at_level("WARNING", logger="censem.em_core"):
-        mixed = fit_batch([underflow_sample(), plain], (2, 0))
+        mixed = fit_batch([underflow_sample(), plain], (2, 0), _plain=True)
     assert [rec.getMessage() for rec in caplog.records] == [message]
     for b, s in zip(mixed, [underflow_sample(), plain]):
         assert_matches_reference(b, reference_fit(s, (2, 0)))
@@ -1229,14 +1248,10 @@ def test_interval_underflow_warned_once_per_fit(caplog):
 # --- fit_batch ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("start", ["cold", "warm"])
-@pytest.mark.parametrize("spec", sorted(CENSOR_SPECS))
-@pytest.mark.parametrize("n", [200, 2000])
-@pytest.mark.parametrize("shape", [(1, 1), (0, 2), (3, 0), (2, 1)])
-def test_fit_batch_matches_scalar_fit(reference_mixture, shape, n, spec, start):
-    """Each member against the scalar reference loop.  Cold: three samples
-    of different sizes in one batch.  Warm: three bootstrap replicas
-    started from the original's fit, as the tournament runs them."""
+def batch_fixture(reference_mixture, shape, n, spec, start):
+    """(samples, start model) of one fit_batch fixture.  Cold: three
+    samples of different sizes.  Warm: three bootstrap replicas started
+    from the original's fit, as the tournament runs them."""
     spec_ivs = CENSOR_SPECS[spec]
     if start == "cold":
         samples = [build_sample(generate_synthetic(reference_mixture, n + 37 * k, rng_seed=211 + k),
@@ -1248,8 +1263,179 @@ def test_fit_batch_matches_scalar_fit(reference_mixture, shape, n, spec, start):
         samples = [bootstrap_resample(original, rng_seed=227 + k) for k in range(3)]
     if spec == "two-with-empty":
         assert all(s.intervals[1].count == 0 for s in samples)
-    for batched, s in zip(fit_batch(samples, shape, inits=[model] * 3), samples):
+    return samples, model
+
+
+def over_fixtures(test):
+    """Parametrize test over the batch_fixture grid."""
+    for name, values in [("shape", [(1, 1), (0, 2), (3, 0), (2, 1)]), ("n", [200, 2000]),
+                         ("spec", sorted(CENSOR_SPECS)), ("start", ["cold", "warm"])]:
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
+
+
+@over_fixtures
+def test_fit_batch_matches_scalar_fit(reference_mixture, shape, n, spec, start):
+    """Each member of the plain loop against the scalar reference loop."""
+    samples, model = batch_fixture(reference_mixture, shape, n, spec, start)
+    for batched, s in zip(fit_batch(samples, shape, inits=[model] * 3, _plain=True), samples):
         assert_matches_reference(batched, reference_fit(s, shape, start=model))
+
+
+@over_fixtures
+def test_squarem_fit_ends_at_a_fixed_point_no_lower_than_plain_em(
+        reference_mixture, shape, n, spec, start):
+    """The SqS3 loop against the plain loop on the same fixtures: each fit
+    converges, its log-likelihood is no more than 1e-6 below the plain
+    loop's, its trace ends with the log-likelihood of its model, and one
+    plain EM step from its model moves the log-likelihood by at most
+    epsilon."""
+    samples, model = batch_fixture(reference_mixture, shape, n, spec, start)
+    cfg = EmConfig()
+    fast = fit_batch(samples, shape, cfg, [model] * 3)
+    slow = fit_batch(samples, shape, cfg, [model] * 3, _plain=True)
+    for res, ref, s in zip(fast, slow, samples):
+        assert res.converged and not res.degenerate and res.error is None
+        assert res.warnings == ref.warnings == []
+        assert res.loglik >= ref.loglik - 1e-6
+        assert res.loglik_trace.size == res.iterations + 1
+        assert res.loglik == pytest.approx(censored_log_likelihood(res.model, s), rel=1e-10)
+        (step,) = fit_batch([s], shape, EmConfig(max_iter=1), [res.model], _plain=True)
+        assert abs(step.loglik_trace[1] - step.loglik_trace[0]) <= cfg.epsilon
+
+
+def far_tail_sample(reference_mixture) -> CensoredSample:
+    """300 draws under the default censoring, plus an empty interval
+    [1e6, inf) whose mass underflows only where every scale is tiny."""
+    diffs = generate_synthetic(reference_mixture, 300, rng_seed=311)
+    return build_sample(diffs, [CensoringInterval(0.0, 0.5), CensoringInterval(1e6, math.inf)])
+
+
+@pytest.mark.parametrize("failure", ["loglik-drops", "exact-rows-underflow", "step-fails"])
+def test_squarem_rejected_point_falls_back_to_theta2_silently(
+        reference_mixture, monkeypatch, failure):
+    """Every extrapolated point is rejected: its log-likelihood drops
+    (every scale 1e-5, so the far interval underflows, and a weight of
+    about 1e-12, under the floor), or is -inf (scales 1e-310 and 1e-300
+    and Weibull shape 20, so every exact value's density underflows), or
+    F at it fails.  After the first cycle, whose three passes are plain
+    steps, each cycle then ends at theta2 with its pass made again, so
+    the trace is the plain loop's with the rejected pass and that repeat
+    in every later cycle, the model is the plain loop's after as many
+    steps, and the fit adds no error, warning or flag."""
+    s = far_tail_sample(reference_mixture)
+    shape = (1, 1)
+    armed = []
+    m_step = em_core._Batch.m_step
+
+    def far_step(t0, t1, t2, s_max):
+        point = t2.copy()
+        if failure == "loglik-drops":
+            point[:2] = math.log(1e-5)  # both scales
+            point[3] = math.log(1e-12)  # w_1 / w_0
+        elif failure == "exact-rows-underflow":
+            point[:3] = np.log([[1e-310], [1e-300], [20.0]])  # both scales, the shape
+        armed.append(True)
+        return np.full(t2.shape[1], -2.0), point
+
+    def failing_m_step(self):
+        alpha, beta, errors = m_step(self)
+        if armed and failure == "step-fails":
+            armed.clear()
+            errors = {pos: DegenerateComponentError("forced") for pos in range(self.ids.size)}
+        return alpha, beta, errors
+
+    monkeypatch.setattr(em_core, "_sq_step", far_step)
+    monkeypatch.setattr(em_core._Batch, "m_step", failing_m_step)
+    (res,) = fit_batch([s], shape)
+    monkeypatch.undo()
+    assert res.converged and not res.degenerate and res.error is None and res.warnings == []
+    trace = res.loglik_trace
+    # later cycles: theta1, theta2, the rejected point, theta2 again
+    rejected = np.arange(6, trace.size, 4)
+    assert rejected.size >= 2
+    path = [k for k in range(trace.size) if k <= 3 or k % 4 in (0, 1)]
+    steps = len(path) - 1
+    (plain,) = fit_batch([s], shape, EmConfig(epsilon=1e-300, max_iter=steps), _plain=True)
+    assert plain.iterations == steps
+    np.testing.assert_allclose(trace[path], plain.loglik_trace, rtol=1e-12)
+    np.testing.assert_allclose(params(res), params(plain), rtol=1e-12)
+    if failure == "loglik-drops":
+        assert np.all(trace[rejected] < trace[rejected - 3])
+    elif failure == "exact-rows-underflow":
+        assert np.all(trace[rejected] == -math.inf)
+    else:
+        np.testing.assert_array_equal(trace[rejected], trace[rejected - 1])
+    again = rejected[rejected + 1 < trace.size] + 1
+    np.testing.assert_array_equal(trace[again], trace[again - 2])
+
+
+def test_squarem_member_equals_its_batch_of_one(reference_mixture):
+    """With SqS3 each member keeps its own step bound and accept or reject
+    decisions, and makes the same passes in any batch: beside batch mates
+    it takes the iterations, flags, error and warnings of its batch of
+    one, and its log-likelihoods differ only by the padded sums' rounding.
+    An extrapolation multiplies that rounding by up to s^2 (s reaches
+    about 60 here), and plain EM steps damp it only slowly along a flat
+    direction of the likelihood: on the slow 2,1 fit of the far-tail
+    sample (295 iterations) the extrapolated points' log-likelihoods move
+    by 1e-11 and the parameters by 4e-9 relative, where the plain loop
+    keeps 1e-14."""
+    specs = [None, CENSOR_SPECS["two-with-empty"],
+             [CensoringInterval(0.0, 0.5), CensoringInterval(0.5, 0.75),
+              CensoringInterval(40.5, 60.5)]]
+    samples = [build_sample(generate_synthetic(reference_mixture, n, rng_seed=271 + k), spec)
+               for k, (n, spec) in enumerate(zip((150, 420, 260), specs))]
+    samples.append(far_tail_sample(reference_mixture))
+    for shape in [(1, 1), (2, 1), (0, 2)]:
+        for res, s in zip(fit_batch(samples, shape), samples):
+            (alone,) = fit_batch([s], shape)
+            assert (res.iterations, res.converged, res.degenerate, res.error, res.warnings) == (
+                alone.iterations, alone.converged, alone.degenerate, alone.error, alone.warnings)
+            # the extrapolated points are the trace entries 6, 10, 14, ...
+            extrapolated = np.arange(res.loglik_trace.size) % 4 == 2
+            extrapolated[:6] = False
+            np.testing.assert_allclose(res.loglik_trace[~extrapolated],
+                                       alone.loglik_trace[~extrapolated], rtol=1e-12)
+            np.testing.assert_allclose(res.loglik_trace[extrapolated],
+                                       alone.loglik_trace[extrapolated], rtol=1e-10)
+            np.testing.assert_allclose(params(res), params(alone), rtol=1e-8)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 4, 7, 8, 9, 10, 11, 20, 500])
+def test_squarem_makes_at_most_max_iter_passes_after_the_first(reference_mixture, monkeypatch,
+                                                               max_iter):
+    """iterations counts every E-pass after the first, the extrapolated
+    points' too, so a 2,1 fit makes at most max_iter + 1 E-passes; it
+    needs more than 20 to converge."""
+    calls = []
+    e_pass = em_core._Batch.e_pass
+    monkeypatch.setattr(em_core._Batch, "e_pass", lambda self: calls.append(1) or e_pass(self))
+    s = build_sample(generate_synthetic(reference_mixture, 400, rng_seed=283))
+    (res,) = fit_batch([s], (2, 1), EmConfig(max_iter=max_iter))
+    assert len(calls) == res.iterations + 1 == res.loglik_trace.size
+    assert res.iterations <= max_iter
+    assert res.converged == (max_iter == 500) and (res.converged or res.iterations == max_iter)
+
+
+@pytest.mark.parametrize("tail", [1, 2, 3])
+def test_squarem_cap_inside_a_cycle_ends_on_plain_steps(reference_mixture, tail):
+    """A cycle starts only where its passes fit under max_iter; the passes
+    left are plain EM steps, so a fit capped there returns the model of
+    its last plain step, with that pass's log-likelihood and
+    responsibilities."""
+    s = build_sample(generate_synthetic(reference_mixture, 400, rng_seed=283))
+    shape = (2, 1)
+    (head,) = fit_batch([s], shape, EmConfig(max_iter=7))  # two whole cycles: 3 + 4 passes
+    (res,) = fit_batch([s], shape, EmConfig(max_iter=7 + tail))
+    (rest,) = fit_batch([s], shape, EmConfig(max_iter=tail), [head.model], _plain=True)
+    assert (head.iterations, res.iterations, rest.iterations) == (7, 7 + tail, tail)
+    np.testing.assert_array_equal(res.loglik_trace[:8], head.loglik_trace)
+    np.testing.assert_allclose(res.loglik_trace[7:], rest.loglik_trace, rtol=1e-12)
+    np.testing.assert_allclose(params(res), params(rest), rtol=1e-10)
+    assert res.loglik == pytest.approx(censored_log_likelihood(res.model, s), rel=1e-10)
+    r = e_step(res.model, s)
+    np.testing.assert_allclose(res.final_responsibilities.z, r.z, rtol=1e-9, atol=1e-300)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (0, 2), (2, 1)])
@@ -1352,7 +1538,7 @@ def test_fit_batch_mixed_members_keep_their_own_state(reference_mixture):
     cfg = EmConfig(max_iter=5)
     members = [big, slow, tiny, overflow_sample()]
     inits = [at_optimum, None, None, overflow]
-    out = fit_batch(members, (1, 1), cfg, inits)
+    out = fit_batch(members, (1, 1), cfg, inits, _plain=True)
 
     assert out[0].converged and not out[0].degenerate and out[0].iterations <= 2
     assert not out[1].converged and not out[1].degenerate and out[1].iterations == 5
@@ -1601,7 +1787,7 @@ def test_fit_batch_exact_row_underflow_matches_scalar():
     s = CensoredSample(np.array([1.0, 2.0, 5.0, 1e300]), [])
     ok = CensoredSample(np.array([1.0, 2.0, 5.0, 3.0, 4.0]), [])
     start = MixtureModel([1.0], [ComponentSpec.weibull(1.0, 2.0)])
-    bad, good = fit_batch([s, ok], (0, 1), inits=[start, start])
+    bad, good = fit_batch([s, ok], (0, 1), inits=[start, start], _plain=True)
     ref = reference_fit(s, (0, 1), start=start)
     assert bad.final_responsibilities is None and bad.loglik == -math.inf
     assert (bad.error, bad.warnings, bad.iterations) == (ref.error, ref.warnings, 0)
@@ -1651,7 +1837,8 @@ def test_fit_with_occupied_open_tail_interval_converges():
     res = fit(s, (1, 1))
     assert res.converged and not res.degenerate and res.error is None
     assert math.isfinite(res.loglik)
-    assert_matches_reference(res, reference_fit(s, (1, 1)))
+    (plain,) = fit_batch([s], (1, 1), _plain=True)
+    assert_matches_reference(plain, reference_fit(s, (1, 1)))
 
 
 # --- invariances the maths guarantees ----------------------------------------------------

@@ -656,11 +656,10 @@ def test_profile_direct_variant_report_equals_reference_loop(tmp_path, monkeypat
 # --- the EM work behind a tournament and a profile ------------------------------------
 
 
-def test_selection_and_profile_em_work_is_pinned(reference_mixture, monkeypatch):
-    """The EM work of a small seeded tournament and profile: E-pass calls,
-    member-passes (members iterating at each call, summed) and summed fit
-    iterations.  Every timing rests on these counts; a change that moves
-    them does different work, and has to say so."""
+def selection_and_profile_em_work(reference_mixture, monkeypatch, plain: bool):
+    """The EM work of a small seeded tournament and of a profile, on the
+    plain EM loop or the SqS3 one: E-pass calls, member-passes (members
+    iterating at each call, summed) and summed fit iterations."""
     work = {"calls": 0, "members": 0, "iterations": 0}
     e_pass = em_core._Batch.e_pass
 
@@ -670,7 +669,7 @@ def test_selection_and_profile_em_work_is_pinned(reference_mixture, monkeypatch)
         return e_pass(self)
 
     def summed(*args):
-        out = fit_batch(*args)
+        out = fit_batch(*args, _plain=plain)
         work["iterations"] += sum(r.iterations for r in out if isinstance(r, em_core.FitResult))
         return out
 
@@ -679,7 +678,7 @@ def test_selection_and_profile_em_work_is_pinned(reference_mixture, monkeypatch)
     diffs = generate_synthetic(reference_mixture, 3000, rng_seed=31)
     run_selection(diffs, [ModelShape(1, 1), ModelShape(0, 2), ModelShape(3, 0), ModelShape(2, 1)],
                   n_boot=2, subsample_size=150, days=2, rng_seed=12)
-    assert work == {"calls": 865, "members": 1786, "iterations": 1762}
+    tournament = dict(work)
 
     work.update(calls=0, members=0, iterations=0)
     spec = BucketSpec.from_hhmm("09:00", "10:00", 20)
@@ -689,15 +688,29 @@ def test_selection_and_profile_em_work_is_pinned(reference_mixture, monkeypatch)
         days.append(TimestampSeries(stamps[stamps < spec.session_end_ms]))
     prof = profile_intraday(days, spec, ModelShape(1, 1))
     assert len(prof.buckets) == 3 and not prof.skipped
-    assert work == {"calls": 48, "members": 120, "iterations": 114}
+    return tournament, work
 
 
-def test_tournament_em_work_per_shape_is_pinned(reference_mixture, monkeypatch):
+def test_selection_and_profile_em_work_is_pinned(reference_mixture, monkeypatch):
+    """The EM work of a small seeded tournament and profile on the plain
+    loop.  Every timing rests on these counts; a change that moves them
+    does different work, and has to say so."""
+    tournament, profile = selection_and_profile_em_work(reference_mixture, monkeypatch, True)
+    assert tournament == {"calls": 865, "members": 1786, "iterations": 1762}
+    assert profile == {"calls": 48, "members": 120, "iterations": 114}
+
+
+def test_selection_and_profile_em_work_is_pinned_with_squarem(reference_mixture, monkeypatch):
+    """The same work on the SqS3 loop that fit_batch runs by default."""
+    tournament, profile = selection_and_profile_em_work(reference_mixture, monkeypatch, False)
+    assert tournament == {"calls": 360, "members": 845, "iterations": 821}
+    assert profile == {"calls": 40, "members": 108, "iterations": 102}
+
+
+def tournament_em_work_per_shape(reference_mixture, monkeypatch, plain: bool) -> dict:
     """Per candidate shape, the E-pass calls, member-passes and summed fit
-    iterations of a small seeded tournament on 200-point subsamples, as
-    the batched pass made them before its per-call cost was trimmed: a
-    speed change that moves the iteration schedule of any shape fails
-    here."""
+    iterations of a small seeded tournament on 200-point subsamples, on
+    the plain EM loop or the SqS3 one."""
     work = {}  # shape: [E-pass calls, member-passes, summed iterations]
     current = []
     e_pass = em_core._Batch.e_pass
@@ -709,7 +722,7 @@ def test_tournament_em_work_per_shape_is_pinned(reference_mixture, monkeypatch):
 
     def batched(samples, shape, config, inits):
         current.append(work.setdefault("%d,%d" % shape, [0, 0, 0]))
-        out = fit_batch(samples, shape, config, inits)
+        out = fit_batch(samples, shape, config, inits, _plain=plain)
         current[-1][2] += sum(r.iterations for r in out if isinstance(r, em_core.FitResult))
         return out
 
@@ -718,8 +731,23 @@ def test_tournament_em_work_per_shape_is_pinned(reference_mixture, monkeypatch):
     diffs = generate_synthetic(reference_mixture, 4000, rng_seed=37)
     run_selection(diffs, [ModelShape(1, 1), ModelShape(0, 2), ModelShape(3, 0), ModelShape(2, 1)],
                   n_boot=2, subsample_size=200, days=3, rng_seed=14)
-    assert work == {"1,1": [91, 260, 251], "0,2": [171, 470, 461],
-                    "3,0": [253, 614, 605], "2,1": [455, 1297, 1288]}
+    return work
+
+
+def test_tournament_em_work_per_shape_is_pinned(reference_mixture, monkeypatch):
+    """The plain loop's work per shape, as the batched pass made it before
+    its per-call cost was trimmed: a speed change that moves the iteration
+    schedule of any shape fails here."""
+    assert tournament_em_work_per_shape(reference_mixture, monkeypatch, True) == {
+        "1,1": [91, 260, 251], "0,2": [171, 470, 461],
+        "3,0": [253, 614, 605], "2,1": [455, 1297, 1288]}
+
+
+def test_tournament_em_work_per_shape_is_pinned_with_squarem(reference_mixture, monkeypatch):
+    """The SqS3 loop's work per shape on the same tournament."""
+    assert tournament_em_work_per_shape(reference_mixture, monkeypatch, False) == {
+        "1,1": [48, 172, 163], "0,2": [72, 252, 243],
+        "3,0": [100, 300, 291], "2,1": [172, 540, 531]}
 
 
 def test_select_profile_and_fit_command_never_expand_responsibilities(
