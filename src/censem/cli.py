@@ -505,6 +505,8 @@ def _write_selection_report(
 def cmd_profile(args) -> int:
     if not args.input:
         raise InputFormatError("profile needs at least one --input day file")
+    if args.min_bucket < 0:
+        raise InputFormatError(f"--min-bucket must be >= 0, got {args.min_bucket}")
     shape = ModelShape.parse(args.shape)
     if shape.p < 1 or shape.r < 1:
         raise InputFormatError(

@@ -126,8 +126,9 @@ class EmConfig:
     m_step_variant: MStepVariant = MStepVariant.SELF_CONSISTENT_MLE
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise DomainError("epsilon must be positive")
+        # an infinite epsilon would count the first step as converged
+        if not (0.0 < self.epsilon < math.inf):
+            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         # a bool is an int, and a float cap (NaN above all) never compares as reached
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) \
                 or self.max_iter < 1:
@@ -555,9 +556,12 @@ def e_step(m: MixtureModel, s: CensoredSample) -> Responsibilities:
 
     z_ij = w_i f_i(x_j) / sum_i w_i f_i(x_j); z_tilde uses interval
     masses instead of densities.  Computed in log space with row-max
-    subtraction.  An exact observation whose mixture density underflows
-    entirely raises (with its index); an interval whose mass underflows
-    for every component gets a uniform row and a warning.
+    subtraction.  Where w_i f_i(x_j) is below e^EXP_FLUSH = e^-700
+    (about 1e-304) times the row's largest term, z_ij is an exact 0, not
+    a subnormal or tiny number (_shifted_exp); so is z_tilde.  An exact
+    observation whose mixture density underflows entirely raises (with
+    its index); an interval whose mass underflows for every component
+    gets a uniform row and a warning.
     """
     x = np.asarray(s.uncensored, dtype=float)
     _, z, bad = _row_pass(_log_mixture_matrix(m, x))
@@ -572,10 +576,31 @@ def e_step(m: MixtureModel, s: CensoredSample) -> Responsibilities:
     return Responsibilities(z=z, z_tilde=zt)
 
 
+# A shifted log term (a component's term less the max over the components)
+# below EXP_FLUSH gives an exact 0, not e^x, which is below about 1e-304
+# there and subnormal or 0 further down.  numpy's SIMD exp computes a whole
+# vector on a slow scalar path when one of its results is subnormal or 0
+# (AVX-512, numpy 2.4: a 48k-value exp takes 32 us, 552 us with one such
+# lane in 8), and a fast component's terms underflow over the whole tail of
+# a large sample.
+EXP_FLUSH = -700.0
+
+
+def _shifted_exp(x: np.ndarray) -> np.ndarray:
+    """e^x in place for shifted log terms x, with an exact 0 wherever
+    x < EXP_FLUSH; NaN stays NaN.  Where no term lies below EXP_FLUSH
+    this is one plain exp, so only such arrays pay for the mask."""
+    if x.min() >= EXP_FLUSH:
+        return np.exp(x, out=x)
+    np.exp(x, out=x, where=x >= EXP_FLUSH)
+    return np.maximum(x, 0.0, out=x)  # the terms left below EXP_FLUSH
+
+
 def _row_pass(
     logw: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray | None, int | None]:
-    """Row log-sum-exp and responsibilities from one exp(logw - row max).
+    """Row log-sum-exp and responsibilities from one exp(logw - row max),
+    flushed by _shifted_exp.
 
     Returns (log mixture density per row, z, None), or (None, None, j)
     when row j is the first whose mixture density underflows entirely.
@@ -586,7 +611,7 @@ def _row_pass(
     dead = ~np.isfinite(mx[:, 0])
     if np.any(dead):
         return None, None, int(np.argmax(dead))
-    p = np.exp(logw - mx)
+    p = _shifted_exp(logw - mx)
     rowsum = p.sum(axis=1, keepdims=True)
     return mx[:, 0] + np.log(rowsum[:, 0]), p / rowsum, None
 
@@ -606,7 +631,7 @@ def _interval_pass(
             rows.append(np.full(m.m, 1.0 / m.m))
             log_mass.append(-math.inf)
             continue
-        p = np.exp(lw - mx)
+        p = _shifted_exp(lw - mx)
         psum = p.sum()
         rows.append(p / psum)
         log_mass.append(float(mx + np.log(psum)))
@@ -926,7 +951,11 @@ class _Batch:
     times z_tilde, wsum, the (M, B) sums of count * z, and den, those
     plus the interval sums.  cv = count * value is the exponential
     scale's constant row.  Each pass writes over the last pass's arrays,
-    which are spent by then.
+    which are spent by then, except after hold: then the held pass stays
+    intact while the next one writes into the spare arrays, one more set
+    that add_spare allocates, until restore or release ends the hold and
+    makes the spent set the spare.  take drops the spare, whose width is
+    spent.
     """
 
     # What take moves, with each array's member axis.  The small arrays of
@@ -954,6 +983,7 @@ class _Batch:
         self.cnt = np.zeros(self.vals.shape)
         self.ivs = np.empty((5, b, self.nl.max()))
         self.zz = self.rp = self.zs = None  # before the first pass
+        self.held = self.spare = None
         self._unpack()
         self.lo[:] = 0.0
         self.hi[:] = math.inf
@@ -995,7 +1025,33 @@ class _Batch:
         rows = np.flatnonzero(keep)
         for name, axis in self._MOVED:
             setattr(self, name, getattr(self, name).take(rows, axis=axis))
+        self.spare = None
         self._unpack()
+
+    def add_spare(self) -> None:
+        """Allocate the spare: one more set of the last pass's arrays."""
+        self.spare = tuple(np.empty_like(a) for a in (self.zz, self.rp, self.zs))
+
+    def hold(self) -> None:
+        """Keep the last pass (its arrays, ll and bad) aside; the next pass
+        writes into the spare arrays."""
+        self.held = (self.zz, self.rp, self.zs, self.ll, self.bad)
+        self.zz, self.rp, self.zs = self.spare
+        self.spare = None
+        self._unpack()
+
+    def restore(self) -> None:
+        """The held pass is the last pass again; the arrays of the pass
+        made since are spent, and are the spare now."""
+        self.spare = (self.zz, self.rp, self.zs)
+        self.zz, self.rp, self.zs, self.ll, self.bad = self.held
+        self.held = None
+        self._unpack()
+
+    def release(self) -> None:
+        """Drop the held pass; its arrays are the spare now."""
+        self.spare = self.held[:3]
+        self.held = None
 
     def model(self, pos: int) -> MixtureModel:
         comps = [
@@ -1073,7 +1129,7 @@ class _Batch:
             idead = ~np.isfinite(mx[:, nu:])
             if not idead.any():
                 idead = None
-        pz = np.exp(np.subtract(logmat, mx, out=logmat), out=logmat)
+        pz = _shifted_exp(np.subtract(logmat, mx, out=logmat))
         colsum = pz.sum(axis=0)
         np.divide(pz, colsum, out=pz)  # z and zt
         # each column's log mixture density or mass mx + log(colsum), in
@@ -1436,9 +1492,12 @@ def fit_batch(
     length and accept or reject decisions; _plain=True, a private keyword
     that the tests' reference-loop oracle uses, makes mle iterate F too.
     iterations counts the E-step passes after the first, whatever loop
-    makes them; loglik_trace holds every pass's log-likelihood, the
-    extrapolated points' too, and its last entry and
-    final_responsibilities belong to the returned model.  On the plain
+    makes them, and a pass that a cycle keeps from theta2 rather than
+    computing it again counts too; loglik_trace holds every pass's
+    log-likelihood, the extrapolated points' too, and its last entry and
+    final_responsibilities belong to the returned model; a
+    responsibility below e^EXP_FLUSH times its row's largest term is an
+    exact 0 there, as in e_step.  On the plain
     loop a member's stopping rule (a pass that moves the log-likelihood
     by at most epsilon), iteration count, warnings and named error are
     those of an EM loop built from e_step, update_weights and the
@@ -1547,24 +1606,34 @@ def _batch_loop(
     theta2 = F(theta1), each with its E-pass.  _sq_step gives the step
     length s in [-s_max, -1] and the extrapolated point theta', whose
     Weibull shapes are clipped into BETA_BRACKET; at s = -1 theta' is
-    theta2.  In the first cycle every s_max is 1, so theta' is theta2,
-    whose pass is the last one; every later cycle makes the E-pass at
-    theta', even where no member moves, so that a member's passes never
-    depend on its batch mates.  theta' is accepted where its
-    log-likelihood is finite and at least theta0's and F(theta') fails no
-    check: the cycle ends at F(theta'), and s_max grows by _SQ_STEP_FACTOR
-    where s was at its bound.  Elsewhere the cycle ends at theta2, and
-    s_max shrinks by that factor, to no less than 1.  The E-pass at the
-    end point opens the next cycle, and the member stops where it moves
-    the log-likelihood by at most epsilon from theta0's.  A member whose
-    s_max is 1 takes plain EM steps in the cycle, and stops as plain EM
-    does on the step to theta1 or theta2 as well.
+    theta2.  theta' is accepted where its log-likelihood is finite and at
+    least theta0's and F(theta') fails no check: the cycle ends at
+    F(theta'), and s_max grows by _SQ_STEP_FACTOR where s was at its
+    bound.  Elsewhere the cycle ends at theta2, and s_max shrinks by that
+    factor, to no less than 1.  The E-pass at the end point opens the
+    next cycle, and the member stops where it moves the log-likelihood by
+    at most epsilon from theta0's.  A member whose s_max is 1 takes plain
+    EM steps in the cycle, and stops as plain EM does on the step to
+    theta1 or theta2 as well.
 
-    iterations counts the E-passes after the first: 3 in the first cycle
-    and 4 in each later one.  loglik_trace holds every E-pass's
-    log-likelihood, theta's included.  A cycle starts only where
-    _SQ_PASSES more passes fit under max_iter; the passes left are plain
-    F steps, so the cap falls on a plain step.  Only the EM map stops a
+    Where no member moves (in the first cycle every s_max is 1, so theta'
+    is theta2), theta' takes theta2's pass, the last one.  Where no member
+    accepts theta' by its log-likelihood, the cycle skips F(theta') and
+    ends at theta2.  Once the batch has a spare set of pass arrays, it
+    holds theta2's pass through the pass at theta' (_Batch.hold) and ends
+    such a cycle on it (_Batch.restore).  It allocates the spare at the
+    first such cycle, which makes theta2's pass again, and again after
+    each take, which drops it.  Where a member accepts theta', the held
+    pass is released, so a cycle that F then rejects for every member
+    makes theta2's pass again.  A reused pass is the one the batch would
+    compute again bit for bit, so a member's passes still never depend on
+    its batch mates.
+
+    iterations counts the E-passes after the first, computed or reused:
+    3 in the first cycle and 4 in each later one.  loglik_trace holds
+    every E-pass's log-likelihood, theta's included.  A cycle starts only
+    where _SQ_PASSES more passes fit under max_iter; the passes left are
+    plain F steps, so the cap falls on a plain step.  Only the EM map stops a
     member with a named error: F at theta0 or theta1, and a non-finite
     log-likelihood at theta1, theta2 or the cycle's end point.  A failure
     at theta' (a log-likelihood there that is not finite, or F(theta')
@@ -1588,15 +1657,19 @@ def _batch_loop(
     ll0 = np.empty(n)
     t0, t1 = np.empty((2, 3 * st.w.shape[0] - p - 1, n))
 
+    def record():
+        """Trace the last pass's log-likelihoods as pass number iterations."""
+        nonlocal history
+        if iterations == history.shape[1]:
+            history = np.concatenate([history, np.empty_like(history)], axis=1)
+        history[st.ids, iterations] = st.ll
+
     def e_pass(defer: bool = False):
         """st.e_pass, plus the trace and the once-per-fit underflow warnings;
         with defer, the fresh underflowing (row, interval) pairs are returned
         instead of warned about (None where there are none)."""
-        nonlocal history
         idead = st.e_pass()
-        if iterations == history.shape[1]:
-            history = np.concatenate([history, np.empty_like(history)], axis=1)
-        history[st.ids, iterations] = st.ll
+        record()
         if idead is None:
             return None
         # e_step raises at an underflowing row before the intervals
@@ -1714,33 +1787,53 @@ def _batch_loop(
             return
         ids, theta2 = st.ids, (st.w, st.alpha, st.beta)
         fresh = None
-        if first:
-            # every s_max is 1, so theta' is theta2, and the last pass is its
-            # pass; a later cycle makes its third pass even where no member
-            # moves, so that no member's passes depend on its batch mates
-            s = np.full(ids.size, -1.0)
-        else:
+        # in the first cycle every s_max is 1, so theta' is theta2
+        s = np.full(ids.size, -1.0)
+        if not first:
             s, point = _sq_step(t0[:, ids], t1[:, ids], _sq_coords(*theta2, p), s_max[ids])
-            away = s != -1.0
+            iterations += 1
+        away = s != -1.0
+        if away.any():
             st.w, st.alpha, st.beta = (np.where(away, x, y) for x, y in
                                        zip(_sq_params(point, p, st.w.shape[0], st.beta), theta2))
-            iterations += 1
+            if st.spare is not None:
+                st.hold()  # theta2's pass, until some member takes theta'
             fresh = e_pass(defer=True)
+        elif not first:
+            record()  # theta' is theta2, and the last pass is its pass
         ok = np.isfinite(st.ll) & (st.ll >= ll0[ids])
-        weights, alpha, beta, errors, hits = f_update()
-        if errors:
-            ok[list(errors)] = False
-        if fresh is not None:
-            warn(fresh & ok[:, None])
-        if hits is not None:
-            flag(hits & ok)
+        if ok.any():
+            if st.held is not None:
+                st.release()
+            weights, alpha, beta, errors, hits = f_update()
+            if errors:
+                ok[list(errors)] = False
+            if fresh is not None:
+                warn(fresh & ok[:, None])
+            if hits is not None:
+                flag(hits & ok)
+            st.w, st.alpha, st.beta = (np.where(ok, x, y)
+                                       for x, y in zip((weights, alpha, beta), theta2))
         bound = s_max[ids]
         s_max[ids] = np.where(ok, np.where(s <= -bound, _SQ_STEP_FACTOR * bound, bound),
                               np.maximum(bound / _SQ_STEP_FACTOR, 1.0))
-        st.w, st.alpha, st.beta = (np.where(ok, x, y)
-                                   for x, y in zip((weights, alpha, beta), theta2))
         iterations += 1
-        e_pass()
+        if ok.any():
+            e_pass()
+        else:
+            # every member ends at theta2
+            st.w, st.alpha, st.beta = theta2
+            if st.held is not None:
+                st.restore()
+                record()
+            elif not away.any():
+                record()  # the last pass is theta2's
+            else:
+                # theta2's pass is spent: make it again, and from here on
+                # hold the next ones in a spare
+                if st.spare is None:
+                    st.add_spare()
+                e_pass()
         yield from finish(ll0[ids])
 
     for m, sample in enumerate(samples):

@@ -405,8 +405,11 @@ def profile_intraday(
     that are rejected or end degenerate, in (day, bucket) order.
     Differences are always taken within a bucket, never across bucket
     boundaries.  Each day's eligible buckets are fitted together, in one
-    fit_batch call, and summarised before the next day starts.
+    fit_batch call, and summarised before the next day starts.  A
+    negative min_bucket_size raises DomainError before any fit.
     """
+    if min_bucket_size < 0:
+        raise DomainError(f"min_bucket_size must be >= 0, got {min_bucket_size}")
     cfg = config or EmConfig()
     acc: dict[int, list[dict[str, float]]] = {}
     sizes: dict[int, int] = {}

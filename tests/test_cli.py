@@ -273,6 +273,16 @@ def test_fit_bad_shape_exits_2(tmp_path, sample_file):
                "--shape", "one,one") == 2
 
 
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0", "-1e-5"])
+def test_fit_rejects_an_epsilon_not_positive_and_finite(tmp_path, sample_file, capsys, epsilon):
+    """An infinite epsilon would report the first step as converged."""
+    out = tmp_path / "r.txt"
+    assert run("fit", "--input", str(sample_file), "--output", str(out), "--shape", "2,1",
+               f"--epsilon={epsilon}") == 2
+    assert "epsilon must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- select ----------------------------------------------------------------------
 
 
@@ -455,6 +465,14 @@ def test_profile_determinism_and_shape_guard(tmp_path, reference_mixture):
     assert a.read_bytes() == b.read_bytes()
     assert run("profile", "--input", str(day), "--output", str(tmp_path / "c.txt"),
                "--shape", "2,0") == 2
+
+
+def test_profile_negative_min_bucket_exits_2_naming_the_flag(tmp_path, capsys, reference_mixture):
+    day = _write_day(tmp_path, "day0.txt", reference_mixture, 4_000, 12)
+    out = tmp_path / "p.txt"
+    assert run("profile", "--input", str(day), "--output", str(out), "--min-bucket", "-3") == 2
+    assert capsys.readouterr().err == "error: --min-bucket must be >= 0, got -3\n"
+    assert not out.exists()
 
 
 def test_profile_no_usable_buckets_exits_2(tmp_path):

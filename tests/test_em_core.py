@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import hashlib
 import math
 import re
 
@@ -1026,6 +1027,59 @@ def test_pass_kernels_match_logsumexp_bitwise(reference_mixture, shape):
     assert log_mass == [_logsumexp(_log_mixture_interval(model, iv)) for iv in s.intervals]
 
 
+def test_shifted_exp_flushes_below_the_threshold_and_keeps_nan():
+    x = np.array([[0.0, -1.0, -699.9, -700.0, -700.1, -720.0, -800.0, -math.inf, math.nan],
+                  [0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0, -8.0]])
+    want = np.exp(x)
+    want[0, 4:8] = 0.0
+    got = em_core._shifted_exp(x.copy())
+    assert np.array_equal(got, want, equal_nan=True)
+    assert got[0, 3] == math.exp(-700.0) > 0.0
+
+
+def unflushed_rows(logmat: np.ndarray):
+    """The shifted log terms of each row (its components on the last
+    axis) and the responsibilities from exp without the flush."""
+    shifted = logmat - logmat.max(axis=1, keepdims=True)
+    p = np.exp(shifted)
+    return shifted, p / p.sum(axis=1, keepdims=True)
+
+
+def test_e_step_and_batch_pass_flush_underflowing_terms_to_zero():
+    """A responsibility whose shifted log term lies below EXP_FLUSH is an
+    exact 0 in e_step and in the batched pass, where exp gives a value
+    under 1e-304, a subnormal or 0; no entry of z or z_tilde is subnormal,
+    every other entry is that of the formula without the flush bit for
+    bit, and the log-likelihood is unchanged."""
+    m = MixtureModel([0.5, 0.5],
+                     [ComponentSpec.exponential(1.0), ComponentSpec.exponential(1000.0)])
+    values = np.array([2.0, 5.0, 50.0, 600.0, 704.0, 708.0, 712.0, 720.0, 740.0, 760.0, 3000.0])
+    intervals = [CensoringInterval(0.0, 0.5, 3), CensoringInterval(0.5, 1.5, 2),
+                 CensoringInterval(725.5, 735.5, 1), CensoringInterval(800.5, 810.5, 1)]
+    s = CensoredSample(values, intervals)
+    shifted, ref = unflushed_rows(_log_mixture_matrix(m, values))
+    ishifted, iref = unflushed_rows(np.array([_log_mixture_interval(m, iv) for iv in intervals]))
+    tiny = np.finfo(float).tiny
+    for terms, rows in ((shifted, ref), (ishifted, iref)):
+        dead = terms < em_core.EXP_FLUSH
+        assert (terms < -745.2).any() and ((terms > -745.0) & (terms < -708.4)).any()
+        assert ((rows > 0.0) & (rows < tiny)).any() and (rows[dead] == 0.0).any()
+    assert ((shifted >= -708.0) & (shifted < em_core.EXP_FLUSH)).any()
+
+    r = e_step(m, s)
+    with np.errstate(all="ignore"):  # as fit_batch runs it
+        st = em_core._Batch([s], [m], 2, own_sums=True)
+        st.e_pass()
+    batch_z, batch_zt = st.z[:, 0, : values.size].T, st.zt[:, 0, : len(intervals)].T
+    for terms, rows, got in ((shifted, ref, r.z), (shifted, ref, batch_z),
+                             (ishifted, iref, r.z_tilde), (ishifted, iref, batch_zt)):
+        dead = terms < em_core.EXP_FLUSH
+        assert np.all(got[dead] == 0.0)
+        assert np.array_equal(got[~dead], rows[~dead])
+        assert not ((got > 0.0) & (got < tiny)).any()
+    assert st.ll[0] == two_pass_loglik(m, s)
+
+
 def test_fit_exact_row_underflow_ends_degenerate_without_responsibilities():
     s = CensoredSample(np.array([1.0, 2.0, 5.0, 1e300]), [])
     (res,) = fit_batch([s], (0, 1), inits=[MixtureModel([1.0], [ComponentSpec.weibull(1.0, 2.0)])])
@@ -1055,6 +1109,9 @@ def test_fit_interval_underflow_falls_back_to_uniform_row(caplog, count):
 def test_config_validation():
     with pytest.raises(DomainError):
         EmConfig(epsilon=0.0)
+    for eps in (math.inf, math.nan, -1e-5):
+        with pytest.raises(DomainError, match="epsilon must be positive and finite"):
+            EmConfig(epsilon=eps)
     with pytest.raises(DomainError):
         EmConfig(max_iter=0)
     assert [f.name for f in dataclasses.fields(EmConfig)] == ["epsilon", "max_iter",
@@ -1319,10 +1376,11 @@ def test_squarem_rejected_point_falls_back_to_theta2_silently(
     about 1e-12, under the floor), or is -inf (scales 1e-310 and 1e-300
     and Weibull shape 20, so every exact value's density underflows), or
     F at it fails.  After the first cycle, whose three passes are plain
-    steps, each cycle then ends at theta2 with its pass made again, so
-    the trace is the plain loop's with the rejected pass and that repeat
-    in every later cycle, the model is the plain loop's after as many
-    steps, and the fit adds no error, warning or flag."""
+    steps, each cycle then ends at theta2 on its pass, made again or kept
+    from before theta', so the trace is the plain loop's with the
+    rejected pass and that repeat in every later cycle, the model is the
+    plain loop's after as many steps, and the fit adds no error, warning
+    or flag."""
     s = far_tail_sample(reference_mixture)
     shape = (1, 1)
     armed = []
@@ -1436,6 +1494,43 @@ def test_squarem_cap_inside_a_cycle_ends_on_plain_steps(reference_mixture, tail)
     assert res.loglik == pytest.approx(censored_log_likelihood(res.model, s), rel=1e-10)
     r = e_step(res.model, s)
     np.testing.assert_allclose(res.final_responsibilities.z, r.z, rtol=1e-9, atol=1e-300)
+
+
+def test_squarem_whole_batch_rejection_ends_on_theta2s_kept_pass(reference_mixture, monkeypatch):
+    """Where no member takes theta', the cycle skips F(theta') and ends at
+    theta2.  The first such cycle makes theta2's pass again and gives the
+    batch a spare set of pass arrays; each later one ends on theta2's own
+    pass, held through the pass at theta' in the spare.  Each reused pass
+    still counts as an iteration with its trace entry, theta2's value, and
+    the fit is bit for bit the one the loop made when it computed every
+    pass and F step: the digest of its model, trace, z_tilde and flags
+    was taken from that loop."""
+    computed, reused, m_steps = [], [], []
+    e_pass, restore, m_step = em_core._Batch.e_pass, em_core._Batch.restore, em_core._Batch.m_step
+
+    def counted_restore(self):
+        reused.append(len(computed) + len(reused))  # the reused pass's trace index
+        return restore(self)
+
+    monkeypatch.setattr(em_core._Batch, "e_pass", lambda self: computed.append(1) or e_pass(self))
+    monkeypatch.setattr(em_core._Batch, "restore", counted_restore)
+    monkeypatch.setattr(em_core._Batch, "m_step", lambda self: m_steps.append(1) or m_step(self))
+    s = build_sample(generate_synthetic(reference_mixture, 400, rng_seed=681))
+    (res,) = fit_batch([s], (2, 1))
+    assert res.converged and res.iterations == 87
+    assert len(reused) == 3 and len(computed) + len(reused) == res.iterations + 1
+    assert len(m_steps) == 66 - 4  # no F step at the 4 points that no member takes
+    trace = res.loglik_trace
+    for k in reused:  # theta0, theta1, theta2, the rejected theta', theta2 again
+        assert trace[k] == trace[k - 2] and not trace[k - 1] >= trace[k - 4]
+    digest = hashlib.sha256()
+    for part in (params(res), trace, res.final_responsibilities.z_tilde):
+        digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    digest.update(repr((res.iterations, res.converged, res.degenerate, res.warnings,
+                        res.error)).encode())
+    assert digest.hexdigest() == \
+        "e00d67a6b99ebef1db9a14922ebaba94e15d6122190130166520a88f30dfccf7"
+    assert np.array_equal(res.final_responsibilities.z, e_step(res.model, s).z)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (0, 2), (2, 1)])
@@ -1766,11 +1861,14 @@ def test_fit_batch_interval_transform_overflow_matches_reference_loop(spec):
 
 
 def test_fit_batch_takes_one_e_pass_per_lockstep_iteration(reference_mixture, monkeypatch):
-    """Members advance in lockstep: a mixed 2,1 batch makes one E-step pass
-    for the start and one per iteration of its slowest member."""
-    calls = []
-    e_pass = em_core._Batch.e_pass
+    """Members advance in lockstep: a mixed 2,1 batch takes one E-step pass
+    for the start and one per iteration of its slowest member.  It
+    computes 204 of those 212 passes; the other 8 end a cycle whose
+    extrapolated point no member takes, on theta2's kept pass."""
+    calls, reused = [], []
+    e_pass, restore = em_core._Batch.e_pass, em_core._Batch.restore
     monkeypatch.setattr(em_core._Batch, "e_pass", lambda self: calls.append(1) or e_pass(self))
+    monkeypatch.setattr(em_core._Batch, "restore", lambda self: reused.append(1) or restore(self))
     samples = [build_sample(generate_synthetic(reference_mixture, n, rng_seed=281 + n))
                for n in (150, 400, 260)]
     samples.append(CensoredSample(np.array([1.0, 2.0]), []))
@@ -1778,7 +1876,8 @@ def test_fit_batch_takes_one_e_pass_per_lockstep_iteration(reference_mixture, mo
     fits = [res for res in out if isinstance(res, FitResult)]
     assert isinstance(out[-1], DomainError) and len(fits) == 3
     assert len({res.iterations for res in fits}) > 1
-    assert len(calls) == 1 + max(res.iterations for res in fits)
+    assert (len(calls), len(reused)) == (204, 8)
+    assert len(calls) + len(reused) == 1 + max(res.iterations for res in fits)
 
 
 def test_fit_batch_exact_row_underflow_matches_scalar():

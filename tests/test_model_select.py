@@ -505,6 +505,16 @@ def test_profile_skips_small_buckets():
     assert any("small" in reason for _, _, reason in prof.skipped)
 
 
+@pytest.mark.parametrize("size", [-3, -1])
+def test_profile_rejects_a_negative_min_bucket_before_any_fit(monkeypatch, size):
+    monkeypatch.setattr(model_select, "fit_batch", None)  # fails if anything is fitted
+    spec = BucketSpec.from_hhmm("09:00", "10:00", 30)
+    ts = TimestampSeries(spec.session_start_ms + np.arange(0, 600_000, 700))
+    with pytest.raises(DomainError) as info:
+        profile_intraday([ts], spec, ModelShape(1, 1), min_bucket_size=size)
+    assert str(info.value) == f"min_bucket_size must be >= 0, got {size}"
+
+
 def test_profile_recovers_constant_shape():
     model = MixtureModel([0.2, 0.8], [ComponentSpec.exponential(4.0),
                                       ComponentSpec.weibull(60.0, 0.57)])
@@ -659,7 +669,9 @@ def test_profile_direct_variant_report_equals_reference_loop(tmp_path, monkeypat
 def selection_and_profile_em_work(reference_mixture, monkeypatch, plain: bool):
     """The EM work of a small seeded tournament and of a profile, on the
     plain EM loop or the SqS3 one: E-pass calls, member-passes (members
-    iterating at each call, summed) and summed fit iterations."""
+    iterating at each call, summed) and summed fit iterations.  A pass
+    that a cycle keeps from theta2 instead of computing it again counts
+    as an iteration but not as a call."""
     work = {"calls": 0, "members": 0, "iterations": 0}
     e_pass = em_core._Batch.e_pass
 
@@ -701,9 +713,11 @@ def test_selection_and_profile_em_work_is_pinned(reference_mixture, monkeypatch)
 
 
 def test_selection_and_profile_em_work_is_pinned_with_squarem(reference_mixture, monkeypatch):
-    """The same work on the SqS3 loop that fit_batch runs by default."""
+    """The same work on the SqS3 loop that fit_batch runs by default.  One
+    cycle of the tournament ends on theta2's kept pass, as no member takes
+    its extrapolated point."""
     tournament, profile = selection_and_profile_em_work(reference_mixture, monkeypatch, False)
-    assert tournament == {"calls": 360, "members": 845, "iterations": 821}
+    assert tournament == {"calls": 359, "members": 844, "iterations": 821}
     assert profile == {"calls": 40, "members": 108, "iterations": 102}
 
 
