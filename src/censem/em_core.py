@@ -588,10 +588,7 @@ EXP_FLUSH = -700.0
 
 def _shifted_exp(x: np.ndarray) -> np.ndarray:
     """e^x in place for shifted log terms x, with an exact 0 wherever
-    x < EXP_FLUSH; NaN stays NaN.  Where no term lies below EXP_FLUSH
-    this is one plain exp, so only such arrays pay for the mask."""
-    if x.min() >= EXP_FLUSH:
-        return np.exp(x, out=x)
+    x < EXP_FLUSH; NaN stays NaN."""
     np.exp(x, out=x, where=x >= EXP_FLUSH)
     return np.maximum(x, 0.0, out=x)  # the terms left below EXP_FLUSH
 
@@ -951,11 +948,7 @@ class _Batch:
     times z_tilde, wsum, the (M, B) sums of count * z, and den, those
     plus the interval sums.  cv = count * value is the exponential
     scale's constant row.  Each pass writes over the last pass's arrays,
-    which are spent by then, except after hold: then the held pass stays
-    intact while the next one writes into the spare arrays, one more set
-    that add_spare allocates, until restore or release ends the hold and
-    makes the spent set the spare.  take drops the spare, whose width is
-    spent.
+    which are spent by then.
     """
 
     # What take moves, with each array's member axis.  The small arrays of
@@ -983,7 +976,6 @@ class _Batch:
         self.cnt = np.zeros(self.vals.shape)
         self.ivs = np.empty((5, b, self.nl.max()))
         self.zz = self.rp = self.zs = None  # before the first pass
-        self.held = self.spare = None
         self._unpack()
         self.lo[:] = 0.0
         self.hi[:] = math.inf
@@ -1025,33 +1017,7 @@ class _Batch:
         rows = np.flatnonzero(keep)
         for name, axis in self._MOVED:
             setattr(self, name, getattr(self, name).take(rows, axis=axis))
-        self.spare = None
         self._unpack()
-
-    def add_spare(self) -> None:
-        """Allocate the spare: one more set of the last pass's arrays."""
-        self.spare = tuple(np.empty_like(a) for a in (self.zz, self.rp, self.zs))
-
-    def hold(self) -> None:
-        """Keep the last pass (its arrays, ll and bad) aside; the next pass
-        writes into the spare arrays."""
-        self.held = (self.zz, self.rp, self.zs, self.ll, self.bad)
-        self.zz, self.rp, self.zs = self.spare
-        self.spare = None
-        self._unpack()
-
-    def restore(self) -> None:
-        """The held pass is the last pass again; the arrays of the pass
-        made since are spent, and are the spare now."""
-        self.spare = (self.zz, self.rp, self.zs)
-        self.zz, self.rp, self.zs, self.ll, self.bad = self.held
-        self.held = None
-        self._unpack()
-
-    def release(self) -> None:
-        """Drop the held pass; its arrays are the spare now."""
-        self.spare = self.held[:3]
-        self.held = None
 
     def model(self, pos: int) -> MixtureModel:
         comps = [
@@ -1492,12 +1458,11 @@ def fit_batch(
     length and accept or reject decisions; _plain=True, a private keyword
     that the tests' reference-loop oracle uses, makes mle iterate F too.
     iterations counts the E-step passes after the first, whatever loop
-    makes them, and a pass that a cycle keeps from theta2 rather than
-    computing it again counts too; loglik_trace holds every pass's
-    log-likelihood, the extrapolated points' too, and its last entry and
-    final_responsibilities belong to the returned model; a
-    responsibility below e^EXP_FLUSH times its row's largest term is an
-    exact 0 there, as in e_step.  On the plain
+    makes them, and an extrapolated point that takes theta2's pass counts
+    too; loglik_trace holds every pass's log-likelihood, the extrapolated
+    points' too, and its last entry and final_responsibilities belong to
+    the returned model; a responsibility below e^EXP_FLUSH times its
+    row's largest term is an exact 0 there, as in e_step.  On the plain
     loop a member's stopping rule (a pass that moves the log-likelihood
     by at most epsilon), iteration count, warnings and named error are
     those of an EM loop built from e_step, update_weights and the
@@ -1617,19 +1582,13 @@ def _batch_loop(
     theta1 or theta2 as well.
 
     Where no member moves (in the first cycle every s_max is 1, so theta'
-    is theta2), theta' takes theta2's pass, the last one.  Where no member
-    accepts theta' by its log-likelihood, the cycle skips F(theta') and
-    ends at theta2.  Once the batch has a spare set of pass arrays, it
-    holds theta2's pass through the pass at theta' (_Batch.hold) and ends
-    such a cycle on it (_Batch.restore).  It allocates the spare at the
-    first such cycle, which makes theta2's pass again, and again after
-    each take, which drops it.  Where a member accepts theta', the held
-    pass is released, so a cycle that F then rejects for every member
-    makes theta2's pass again.  A reused pass is the one the batch would
-    compute again bit for bit, so a member's passes still never depend on
-    its batch mates.
+    is theta2), theta' takes theta2's pass, the last one, which is the
+    pass the batch would make there bit for bit; so a member's passes
+    never depend on its batch mates.  Where no member accepts theta' by
+    its log-likelihood, the cycle skips F(theta'), which no member would
+    take, and ends at theta2 with its pass made again.
 
-    iterations counts the E-passes after the first, computed or reused:
+    iterations counts the E-passes after the first, made or taken over:
     3 in the first cycle and 4 in each later one.  loglik_trace holds
     every E-pass's log-likelihood, theta's included.  A cycle starts only
     where _SQ_PASSES more passes fit under max_iter; the passes left are
@@ -1796,15 +1755,11 @@ def _batch_loop(
         if away.any():
             st.w, st.alpha, st.beta = (np.where(away, x, y) for x, y in
                                        zip(_sq_params(point, p, st.w.shape[0], st.beta), theta2))
-            if st.spare is not None:
-                st.hold()  # theta2's pass, until some member takes theta'
             fresh = e_pass(defer=True)
         elif not first:
             record()  # theta' is theta2, and the last pass is its pass
         ok = np.isfinite(st.ll) & (st.ll >= ll0[ids])
         if ok.any():
-            if st.held is not None:
-                st.release()
             weights, alpha, beta, errors, hits = f_update()
             if errors:
                 ok[list(errors)] = False
@@ -1821,19 +1776,11 @@ def _batch_loop(
         if ok.any():
             e_pass()
         else:
-            # every member ends at theta2
-            st.w, st.alpha, st.beta = theta2
-            if st.held is not None:
-                st.restore()
-                record()
-            elif not away.any():
-                record()  # the last pass is theta2's
+            st.w, st.alpha, st.beta = theta2  # every member ends at theta2
+            if away.any():
+                e_pass()  # theta2's pass is spent: make it again
             else:
-                # theta2's pass is spent: make it again, and from here on
-                # hold the next ones in a spare
-                if st.spare is None:
-                    st.add_spare()
-                e_pass()
+                record()  # the last pass is theta2's
         yield from finish(ll0[ids])
 
     for m, sample in enumerate(samples):

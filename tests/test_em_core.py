@@ -1376,11 +1376,10 @@ def test_squarem_rejected_point_falls_back_to_theta2_silently(
     about 1e-12, under the floor), or is -inf (scales 1e-310 and 1e-300
     and Weibull shape 20, so every exact value's density underflows), or
     F at it fails.  After the first cycle, whose three passes are plain
-    steps, each cycle then ends at theta2 on its pass, made again or kept
-    from before theta', so the trace is the plain loop's with the
-    rejected pass and that repeat in every later cycle, the model is the
-    plain loop's after as many steps, and the fit adds no error, warning
-    or flag."""
+    steps, each cycle then ends at theta2 with its pass made again, so
+    the trace is the plain loop's with the rejected pass and that repeat
+    in every later cycle, the model is the plain loop's after as many
+    steps, and the fit adds no error, warning or flag."""
     s = far_tail_sample(reference_mixture)
     shape = (1, 1)
     armed = []
@@ -1496,40 +1495,44 @@ def test_squarem_cap_inside_a_cycle_ends_on_plain_steps(reference_mixture, tail)
     np.testing.assert_allclose(res.final_responsibilities.z, r.z, rtol=1e-9, atol=1e-300)
 
 
-def test_squarem_whole_batch_rejection_ends_on_theta2s_kept_pass(reference_mixture, monkeypatch):
+def test_squarem_whole_batch_rejection_skips_f_at_theta_prime(reference_mixture, monkeypatch):
     """Where no member takes theta', the cycle skips F(theta') and ends at
-    theta2.  The first such cycle makes theta2's pass again and gives the
-    batch a spare set of pass arrays; each later one ends on theta2's own
-    pass, held through the pass at theta' in the spare.  Each reused pass
-    still counts as an iteration with its trace entry, theta2's value, and
-    the fit is bit for bit the one the loop made when it computed every
-    pass and F step: the digest of its model, trace, z_tilde and flags
-    was taken from that loop."""
-    computed, reused, m_steps = [], [], []
-    e_pass, restore, m_step = em_core._Batch.e_pass, em_core._Batch.restore, em_core._Batch.m_step
+    theta2 with its pass made again; where no member moves, theta' takes
+    theta2's pass, the last one.  Every pass, made or taken over, counts
+    as an iteration with its trace entry, and the fit is bit for bit the
+    one the loop made when it computed every pass and F step: the digest
+    of its model, trace, z_tilde and flags was taken from that loop."""
+    made, taken, moved, m_steps = [], [], [], []
+    e_pass, sq_step, m_step = em_core._Batch.e_pass, em_core._sq_step, em_core._Batch.m_step
 
-    def counted_restore(self):
-        reused.append(len(computed) + len(reused))  # the reused pass's trace index
-        return restore(self)
+    def recorded_sq_step(*args):
+        s, point = sq_step(*args)
+        k = len(made) + len(taken)  # the trace index of theta'
+        (taken if s[0] == -1.0 else moved).append(k)
+        return s, point
 
-    monkeypatch.setattr(em_core._Batch, "e_pass", lambda self: computed.append(1) or e_pass(self))
-    monkeypatch.setattr(em_core._Batch, "restore", counted_restore)
+    monkeypatch.setattr(em_core._Batch, "e_pass", lambda self: made.append(1) or e_pass(self))
+    monkeypatch.setattr(em_core, "_sq_step", recorded_sq_step)
     monkeypatch.setattr(em_core._Batch, "m_step", lambda self: m_steps.append(1) or m_step(self))
-    s = build_sample(generate_synthetic(reference_mixture, 400, rng_seed=681))
+    s = build_sample(generate_synthetic(reference_mixture, 400, rng_seed=652))
     (res,) = fit_batch([s], (2, 1))
-    assert res.converged and res.iterations == 87
-    assert len(reused) == 3 and len(computed) + len(reused) == res.iterations + 1
-    assert len(m_steps) == 66 - 4  # no F step at the 4 points that no member takes
+    assert res.converged and res.iterations == 71
+    assert len(made) + len(taken) == res.iterations + 1
     trace = res.loglik_trace
-    for k in reused:  # theta0, theta1, theta2, the rejected theta', theta2 again
-        assert trace[k] == trace[k - 2] and not trace[k - 1] >= trace[k - 4]
+    # theta0, theta1, theta2, theta', and the cycle's end point
+    rejected = [k for k in taken + moved if not trace[k] >= trace[k - 3]]
+    assert len(taken) == 1 and len(rejected) == 4 and len(m_steps) == 54 - len(rejected)
+    for k in taken:
+        assert trace[k] == trace[k - 1]
+    for k in rejected:
+        assert trace[k + 1] == trace[k - 1]
     digest = hashlib.sha256()
     for part in (params(res), trace, res.final_responsibilities.z_tilde):
         digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
     digest.update(repr((res.iterations, res.converged, res.degenerate, res.warnings,
                         res.error)).encode())
     assert digest.hexdigest() == \
-        "e00d67a6b99ebef1db9a14922ebaba94e15d6122190130166520a88f30dfccf7"
+        "0d377b3fe0d721e273926fcbaf135abceca60cc5da1d21d22518353d6adbade0"
     assert np.array_equal(res.final_responsibilities.z, e_step(res.model, s).z)
 
 
@@ -1861,14 +1864,11 @@ def test_fit_batch_interval_transform_overflow_matches_reference_loop(spec):
 
 
 def test_fit_batch_takes_one_e_pass_per_lockstep_iteration(reference_mixture, monkeypatch):
-    """Members advance in lockstep: a mixed 2,1 batch takes one E-step pass
-    for the start and one per iteration of its slowest member.  It
-    computes 204 of those 212 passes; the other 8 end a cycle whose
-    extrapolated point no member takes, on theta2's kept pass."""
-    calls, reused = [], []
-    e_pass, restore = em_core._Batch.e_pass, em_core._Batch.restore
+    """Members advance in lockstep: a mixed 2,1 batch makes one E-step pass
+    for the start and one per iteration of its slowest member."""
+    calls = []
+    e_pass = em_core._Batch.e_pass
     monkeypatch.setattr(em_core._Batch, "e_pass", lambda self: calls.append(1) or e_pass(self))
-    monkeypatch.setattr(em_core._Batch, "restore", lambda self: reused.append(1) or restore(self))
     samples = [build_sample(generate_synthetic(reference_mixture, n, rng_seed=281 + n))
                for n in (150, 400, 260)]
     samples.append(CensoredSample(np.array([1.0, 2.0]), []))
@@ -1876,8 +1876,7 @@ def test_fit_batch_takes_one_e_pass_per_lockstep_iteration(reference_mixture, mo
     fits = [res for res in out if isinstance(res, FitResult)]
     assert isinstance(out[-1], DomainError) and len(fits) == 3
     assert len({res.iterations for res in fits}) > 1
-    assert (len(calls), len(reused)) == (204, 8)
-    assert len(calls) + len(reused) == 1 + max(res.iterations for res in fits)
+    assert len(calls) == 1 + max(res.iterations for res in fits)
 
 
 def test_fit_batch_exact_row_underflow_matches_scalar():
